@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import compare as cmp
 from . import energy as en
 from . import files, model as mdl, report as rpt, store as st, workload as wl
-from .simulate import InputMode, SimulationConfig, run_inference
+from .simulate import SimulationConfig, run_inference
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -32,6 +33,14 @@ EXTRA_METRICS = (
     "estimated_battery_life",
     "inferences_per_battery_cycle",
 )
+
+# Metrics the tool computes that the catalog does not describe: name -> unit.
+# Recording registers the ones present in this order.
+TOOL_METRIC_UNITS = {
+    "execution_time": "s",
+    "parameters_trainable": "count",
+    "parameters_non_trainable": "count",
+}
 
 
 def _dump(obj: dict) -> str:
@@ -64,6 +73,16 @@ def _static_metrics(m: mdl.ModelDescriptor) -> dict[str, float]:
     return out
 
 
+def _record(store: str, values: dict[str, float], **snapshot) -> None:
+    """Snapshot ``values``; the catalog tags its own metrics, and the tool's
+    non-catalog metrics are registered and tagged computed."""
+    tool_keys = [key for key in TOOL_METRIC_UNITS if key in values]
+    for key in tool_keys:
+        st.register_metric(store, key, unit=TOOL_METRIC_UNITS[key])
+    provenance = dict.fromkeys(tool_keys, "computed")
+    st.record_snapshot(store, st.MetricSnapshot(values=values, provenance=provenance, **snapshot))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -85,7 +104,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         timesteps=timesteps,
         seed=args.seed,
-        input_mode=InputMode.RATE if workload.kind == "rates" else InputMode.DIRECT,
         timestep_duration=args.timestep_duration,
     )
     train = files.prepare_input(workload, config)
@@ -145,18 +163,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     _emit_metrics(rows, args.format)
     if args.record:
-        store = _require_store(args)
-        for key in ("parameters_trainable", "parameters_non_trainable"):
-            st.register_metric(store, key, unit="count")
-        st.record_snapshot(
-            store,
-            st.MetricSnapshot(
-                model_name=m.name,
-                version=args.version or m.version,
-                values=values,
-                timestamp=args.timestamp,
-            ),
-        )
+        _record(_require_store(args), values, model_name=m.name,
+                version=args.version or m.version, timestamp=args.timestamp)
     return EXIT_OK
 
 
@@ -166,7 +174,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
-    raw = json.loads(open(path).read())
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"counts file {path} must hold a JSON object")
     ops = wl.OpCounts(
         macs=int(raw.get("macs", 0)),
         acs=int(raw.get("acs", 0)),
@@ -299,14 +309,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if not model_name or not version:
             raise ValueError("--record needs --model-name/--version (or a trace that carries them)")
         values: dict[str, float] = {}
-        provenance: dict[str, str] = {}
         if trace is not None:
-            for key, value in trace.static_metrics.items():
-                values[key] = value
-                provenance[key] = "computed"
-            sparsity = wl.activation_sparsity(trace)
-            values["activation_sparsity"] = sparsity.activation_sparsity
-            provenance["activation_sparsity"] = "computed"
+            values.update(trace.static_metrics)
+            values["activation_sparsity"] = wl.activation_sparsity(trace).activation_sparsity
         values["effective_synops"] = float(ops.total_sops)
         values["membrane_updates"] = float(ops.membrane_updates_effective)
         values["memory_accesses"] = float(mem.total)
@@ -314,27 +319,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         values["energy_delay_product"] = edp
         values["execution_time"] = duration
         values.update(optional_values)
-        for key in ("effective_synops", "membrane_updates", "memory_accesses"):
-            provenance[key] = "computed"
-        provenance["execution_time"] = "computed"
-        for key in optional_values:
-            provenance[key] = "estimated"
-        provenance["energy_per_inference"] = "estimated"
-        provenance["energy_delay_product"] = "estimated"
-        for key in ("execution_time", "parameters_trainable", "parameters_non_trainable"):
-            if key in values:
-                st.register_metric(store, key, unit="s" if key == "execution_time" else "count")
-        st.record_snapshot(
-            store,
-            st.MetricSnapshot(
-                model_name=model_name,
-                version=version,
-                values=values,
-                provenance=provenance,
-                accuracy=args.accuracy,
-                timestamp=args.timestamp,
-            ),
-        )
+        _record(store, values, model_name=model_name, version=version,
+                accuracy=args.accuracy, timestamp=args.timestamp)
     return EXIT_OK
 
 
@@ -347,8 +333,8 @@ def _measurement_from_store(data: st.StoreData, model: str, version: str) -> cmp
     record = next((r for r in data.history(model) if r.version == version), None)
     if record is None:
         raise ValueError(f"version {version!r} not found for model {model!r} in store")
-    energy = st._pick_value(record.values.get("energy_per_inference", {}), None, None)
-    duration = st._pick_value(record.values.get("execution_time", {}), None, None)
+    energy = st.pick_value(record.values.get("energy_per_inference", {}), None, None)
+    duration = st.pick_value(record.values.get("execution_time", {}), None, None)
     if energy is None or duration is None:
         raise ValueError(
             f"version {version!r} lacks energy_per_inference or execution_time values"

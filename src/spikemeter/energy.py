@@ -24,14 +24,7 @@ from enum import Enum
 from pathlib import Path
 
 from .simulate import WorkloadTrace
-from .workload import (
-    READS_PER_AC,
-    READS_PER_MAC,
-    WRITES_PER_AC,
-    WRITES_PER_MAC,
-    MemoryAccessCounts,
-    OpCounts,
-)
+from .workload import MemoryAccessCounts, OpCounts, derive_accesses
 
 PROVENANCE_ESTIMATED = "estimated"
 
@@ -164,6 +157,19 @@ class EnergyBreakdown:
     provenance: str = PROVENANCE_ESTIMATED
 
 
+def _price_model(spec, macs, acs, crossings, updates_effective, updates_dense, reads, writes):
+    """(synop, membrane, memory) joules: the one home of the pricing formula.
+
+    Elementwise, so it prices integer totals and per-timestep arrays alike.
+    """
+    effective = spec.membrane_count_mode is MembraneCountMode.EFFECTIVE
+    updates = updates_effective if effective else updates_dense
+    synop = macs * spec.e_mac + acs * spec.e_ac + crossings * spec.e_layer_crossing
+    membrane = updates * spec.e_membrane_update
+    memory = reads * spec.e_read + writes * spec.e_write
+    return synop, membrane, memory
+
+
 def estimate_energy(
     ops: OpCounts,
     mem: MemoryAccessCounts,
@@ -183,14 +189,10 @@ def estimate_energy(
         raise ValueError("duration must be finite and > 0")
     if crossings < 0:
         raise ValueError("crossings must be >= 0")
-    updates = (
-        ops.membrane_updates_effective
-        if spec.membrane_count_mode is MembraneCountMode.EFFECTIVE
-        else ops.membrane_updates_dense
+    synop, membrane, memory = _price_model(
+        spec, ops.macs, ops.acs, crossings, ops.membrane_updates_effective,
+        ops.membrane_updates_dense, mem.reads, mem.writes,
     )
-    synop = ops.macs * spec.e_mac + ops.acs * spec.e_ac + crossings * spec.e_layer_crossing
-    membrane = updates * spec.e_membrane_update
-    memory = mem.reads * spec.e_read + mem.writes * spec.e_write
     model_total = synop + membrane + memory
 
     static = spec.static_power * duration
@@ -275,33 +277,21 @@ def energy_per_sop(
 
     The averaging uses the model-attributable energy only (overhead is not
     an op cost).  "Peak" is defined over per-timestep windows: the largest
-    single-timestep dynamic energy divided by the timestep duration.
+    single-timestep model energy, priced by the same formula as the total,
+    divided by the timestep duration.
     """
     if ops.total_sops <= 0:
         raise ValueError("energy per SOP is undefined with zero synaptic operations")
     avg_pj = breakdown.model.model_total * 1e12 / ops.total_sops
 
-    crossings = trace.crossings_per_timestep()
-    dense_updates = trace.non_input_neurons
-    peak_energy = 0.0
-    for t in range(trace.timesteps):
-        macs_t = int(trace.macs[t])
-        acs_t = int(trace.acs[t])
-        macs_for_mem = macs_t - (0 if include_leak_macs else int(trace.leak_macs[t]))
-        updates_t = (
-            int(trace.membrane_updates[t])
-            if spec.membrane_count_mode is MembraneCountMode.EFFECTIVE
-            else dense_updates
-        )
-        e_t = (
-            macs_t * spec.e_mac
-            + acs_t * spec.e_ac
-            + int(crossings[t]) * spec.e_layer_crossing
-            + updates_t * spec.e_membrane_update
-            + (READS_PER_MAC * macs_for_mem + READS_PER_AC * acs_t) * spec.e_read
-            + (WRITES_PER_MAC * macs_for_mem + WRITES_PER_AC * acs_t) * spec.e_write
-        )
-        peak_energy = max(peak_energy, e_t)
+    reads, writes = derive_accesses(
+        trace.macs, trace.acs, trace.leak_macs, include_leak_macs=include_leak_macs
+    )
+    synop, membrane, memory = _price_model(
+        spec, trace.macs, trace.acs, trace.crossings_per_timestep(),
+        trace.membrane_updates, trace.non_input_neurons, reads, writes,
+    )
+    peak_energy = float((synop + membrane + memory).max())
     return SopEnergyResult(
         average_pj_per_sop=avg_pj,
         peak_window_power_w=peak_energy / trace.timestep_duration,

@@ -109,26 +109,16 @@ def workload_from_dict(raw: dict) -> WorkloadSpec:
 
 def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
     """Turn a workload spec into the input train for run_inference."""
+    if workload.timesteps is not None and workload.timesteps != config.timesteps:
+        raise SimulationError(
+            f"workload declares {workload.timesteps} timesteps, "
+            f"config says {config.timesteps}"
+        )
     if workload.kind == "spikes":
-        if workload.timesteps != config.timesteps:
-            raise SimulationError(
-                f"workload declares {workload.timesteps} timesteps, "
-                f"config says {config.timesteps}"
-            )
         return SpikeTrain.from_events(workload.layer, workload.timesteps, workload.events)
     if workload.kind == "rates":
-        if workload.timesteps is not None and workload.timesteps != config.timesteps:
-            raise SimulationError(
-                f"workload declares {workload.timesteps} timesteps, "
-                f"config says {config.timesteps}"
-            )
         return rate_encode(workload.values, config.timesteps, config.seed)
     if workload.kind == "analog":
-        if workload.timesteps != config.timesteps:
-            raise SimulationError(
-                f"workload declares {workload.timesteps} timesteps, "
-                f"config says {config.timesteps}"
-            )
         frames = np.array(workload.frames, dtype=np.float64)
         if frames.shape != (workload.layer, workload.timesteps):
             raise WorkloadFileError(
@@ -185,30 +175,53 @@ def load_trace(path: str | Path) -> WorkloadTrace:
         raise WorkloadFileError(f"cannot read trace file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WorkloadFileError(f"malformed trace file {path}: {exc}") from exc
-    if raw.get("format") != TRACE_FORMAT:
+    if not isinstance(raw, dict) or raw.get("format") != TRACE_FORMAT:
         raise WorkloadFileError(f"not a {TRACE_FORMAT} file: {path}")
+    try:
+        return _trace_from_dict(raw)
+    except KeyError as exc:
+        raise WorkloadFileError(f"trace file {path} lacks field {exc}") from exc
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise WorkloadFileError(f"malformed trace file {path}: {exc}") from exc
+
+
+def _tallies(per: dict, key: str, timesteps: int) -> np.ndarray:
+    values = np.array(per[key])
+    if values.shape != (timesteps,) or values.dtype.kind != "i" or np.any(values < 0):
+        raise WorkloadFileError(
+            f"trace per_timestep.{key} must hold {timesteps} non-negative integers"
+        )
+    return values.astype(np.int64, copy=False)
+
+
+def _trace_from_dict(raw: dict) -> WorkloadTrace:
     layer_sizes = tuple(int(s) for s in raw["layer_sizes"])
     timesteps = int(raw["timesteps"])
+    if len(raw["spikes"]) != len(layer_sizes):
+        raise WorkloadFileError(
+            f"trace has {len(raw['spikes'])} spike layers for {len(layer_sizes)} layer sizes"
+        )
     spikes = []
     for i, payload in enumerate(raw["spikes"]):
         size = layer_sizes[i]
-        if payload["kind"] == "binary":
-            mat = np.zeros((size, timesteps), dtype=np.float64)
-            for n, t in payload["events"]:
-                mat[int(n), int(t)] = 1.0
-        else:
-            mat = np.array(payload["frames"], dtype=np.float64)
-            if mat.shape != (size, timesteps):
-                raise WorkloadFileError(f"trace layer {i}: frames shape mismatch")
+        try:
+            if payload["kind"] == "binary":
+                mat = SpikeTrain.from_events(size, timesteps, payload["events"]).events
+            else:
+                mat = AnalogTrain(np.array(payload["frames"], dtype=np.float64)).events
+        except SimulationError as exc:
+            raise WorkloadFileError(f"trace layer {i}: {exc}") from exc
+        if mat.shape != (size, timesteps):
+            raise WorkloadFileError(f"trace layer {i}: frames shape mismatch")
         spikes.append(mat)
     per = raw["per_timestep"]
     return WorkloadTrace(
         layer_sizes=layer_sizes,
         spikes=spikes,
-        acs=np.array(per["acs"], dtype=np.int64),
-        macs=np.array(per["macs"], dtype=np.int64),
-        leak_macs=np.array(per["leak_macs"], dtype=np.int64),
-        membrane_updates=np.array(per["membrane_updates"], dtype=np.int64),
+        acs=_tallies(per, "acs", timesteps),
+        macs=_tallies(per, "macs", timesteps),
+        leak_macs=_tallies(per, "leak_macs", timesteps),
+        membrane_updates=_tallies(per, "membrane_updates", timesteps),
         timesteps=timesteps,
         timestep_duration=float(raw["timestep_duration"]),
         model_name=raw.get("model", {}).get("name", ""),

@@ -24,9 +24,9 @@ from .store import (
     MetricSnapshot,
     TrendReport,
     evaluate_alerts,
+    pick_value,
     read_store,
     trend_report,
-    _pick_value,
 )
 
 CONVENTIONS = (
@@ -123,7 +123,7 @@ def build_report(
     flat = {
         key: value
         for key in latest.values
-        if (value := _pick_value(latest.values[key], find_metric(key), None)) is not None
+        if (value := pick_value(latest.values[key], find_metric(key), None)) is not None
     }
     snapshot = MetricSnapshot(
         model_name=model,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -36,11 +35,6 @@ from .rng import SplitMix64
 
 class SimulationError(ValueError):
     """Raised on invalid simulation inputs (dimension or value errors)."""
-
-
-class InputMode(str, Enum):
-    DIRECT = "direct-spikes"
-    RATE = "rate-encode"
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,6 @@ class NeuronState:
 class SimulationConfig:
     timesteps: int
     seed: int = 0
-    input_mode: InputMode = InputMode.DIRECT
     timestep_duration: float = 1e-3  # seconds
 
     def __post_init__(self) -> None:
@@ -101,10 +94,6 @@ class SpikeTrain(_Train):
                 raise SimulationError(f"event ({n}, {t}) outside train dimensions")
             mat[n, t] = 1.0
         return cls(mat)
-
-    def event_pairs(self) -> list[tuple[int, int]]:
-        ns, ts = np.nonzero(self.events)
-        return [(int(n), int(t)) for n, t in zip(ns, ts)]
 
 
 class AnalogTrain(_Train):

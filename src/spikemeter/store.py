@@ -134,47 +134,52 @@ def read_store(path: str | Path) -> StoreData:
             continue
         record = _parse_line(line, lineno)
         kind = record["kind"]
-        if kind == "register":
-            name = record["name"]
-            data.registered[name] = CustomMetric(
-                name=name,
-                unit=record.get("unit", ""),
-                polarity=Polarity(record.get("polarity", Polarity.HIGHER_IS_WORSE.value)),
-                description=record.get("description", ""),
-            )
-        elif kind == "snapshot":
-            model = record["model"]
-            values = {
-                key: {record.get("provenance", {}).get(key, Provenance.COMPUTED.value): val}
-                for key, val in record["values"].items()
-            }
-            data.models.setdefault(model, []).append(
-                VersionRecord(
-                    version=record["version"],
-                    timestamp=float(record["timestamp"]),
-                    values=values,
-                    accuracy=record.get("accuracy"),
-                    notes=record.get("notes", ""),
+        try:
+            if kind == "register":
+                name = record["name"]
+                data.registered[name] = CustomMetric(
+                    name=name,
+                    unit=record.get("unit", ""),
+                    polarity=Polarity(record.get("polarity", Polarity.HIGHER_IS_WORSE.value)),
+                    description=record.get("description", ""),
                 )
-            )
-        elif kind == "ingest":
-            model = record["model"]
-            history = data.models.setdefault(model, [])
-            target = next((r for r in history if r.version == record["version"]), None)
-            if target is None:
-                target = VersionRecord(
-                    version=record["version"],
-                    timestamp=float(record["timestamp"]),
-                    values={},
-                    accuracy=None,
-                    notes="",
+            elif kind == "snapshot":
+                model = record["model"]
+                values = {
+                    key: {record.get("provenance", {}).get(key, Provenance.COMPUTED.value): val}
+                    for key, val in record["values"].items()
+                }
+                data.models.setdefault(model, []).append(
+                    VersionRecord(
+                        version=record["version"],
+                        timestamp=float(record["timestamp"]),
+                        values=values,
+                        accuracy=record.get("accuracy"),
+                        notes=record.get("notes", ""),
+                    )
                 )
-                history.append(target)
-            target.values.setdefault(record["metric"], {})[record["provenance"]] = record[
-                "value"
-            ]
-        else:
-            raise StoreError(f"store line {lineno}: unknown record kind {kind!r}")
+            elif kind == "ingest":
+                model = record["model"]
+                history = data.models.setdefault(model, [])
+                target = next((r for r in history if r.version == record["version"]), None)
+                if target is None:
+                    target = VersionRecord(
+                        version=record["version"],
+                        timestamp=float(record["timestamp"]),
+                        values={},
+                        accuracy=None,
+                        notes="",
+                    )
+                    history.append(target)
+                target.values.setdefault(record["metric"], {})[record["provenance"]] = record[
+                    "value"
+                ]
+            else:
+                raise StoreError(f"store line {lineno}: unknown record kind {kind!r}")
+        except KeyError as exc:
+            raise StoreError(f"store line {lineno}: {kind} record lacks field {exc}") from exc
+        except (AttributeError, TypeError) as exc:
+            raise StoreError(f"store line {lineno}: malformed {kind} record: {exc}") from exc
     return data
 
 
@@ -287,11 +292,13 @@ def record_external_metric(
     )
 
 
-def _pick_value(
+def pick_value(
     by_provenance: dict[str, float],
     descriptor: MetricDescriptor | None,
     requested: str | None,
 ) -> float | None:
+    """The requested provenance's value, else the catalog class's, else the
+    first present in PROVENANCE_ORDER."""
     if requested is not None:
         return by_provenance.get(requested)
     if descriptor is not None:
@@ -344,7 +351,7 @@ def trend_report(
     series: list[tuple[str, float]] = []
     for record in data.history(model):
         if key in record.values:
-            value = _pick_value(record.values[key], descriptor, provenance)
+            value = pick_value(record.values[key], descriptor, provenance)
             if value is not None:
                 series.append((record.version, float(value)))
     if len(series) < 2:

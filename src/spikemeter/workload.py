@@ -124,17 +124,22 @@ def dense_synops(model: ModelDescriptor, timesteps: int) -> OpCounts:
     )
 
 
-def memory_accesses(ops: OpCounts, *, include_leak_macs: bool = True) -> MemoryAccessCounts:
-    """Derive read/write counts from op counts at the fixed per-op ratios.
+def derive_accesses(macs, acs, leak_macs, *, include_leak_macs: bool = True):
+    """(reads, writes) at the fixed per-op ratios; elementwise, so it takes
+    integer totals and per-timestep arrays alike.
 
     Leak MACs are part of the MAC tally by default; pass
     ``include_leak_macs=False`` to derive traffic from synaptic ops only.
     """
-    macs = ops.macs if include_leak_macs else ops.macs - ops.leak_macs
-    return MemoryAccessCounts(
-        reads=READS_PER_MAC * macs + READS_PER_AC * ops.acs,
-        writes=WRITES_PER_MAC * macs + WRITES_PER_AC * ops.acs,
-    )
+    macs = macs if include_leak_macs else macs - leak_macs
+    return READS_PER_MAC * macs + READS_PER_AC * acs, WRITES_PER_MAC * macs + WRITES_PER_AC * acs
+
+
+def memory_accesses(ops: OpCounts, *, include_leak_macs: bool = True) -> MemoryAccessCounts:
+    """Read/write counts of the op totals (see ``derive_accesses``)."""
+    return MemoryAccessCounts(*derive_accesses(
+        ops.macs, ops.acs, ops.leak_macs, include_leak_macs=include_leak_macs
+    ))
 
 
 def activation_sparsity(

@@ -366,3 +366,59 @@ class TestHardwareSpecFile:
         path.write_text(json.dumps({"membrane_count_mode": "sometimes"}))
         with pytest.raises(HardwareSpecError, match="membrane_count_mode"):
             load_hardware_spec(path)
+
+
+class TestPeakWindowPricing:
+    """The peak window is priced by the same formula as the total, under
+    every membrane-count mode and leak-MAC policy."""
+
+    # Per timestep: macs, leak_macs, acs, effective membrane updates.  Layer
+    # sizes (2, 3, 1) give 4 non-input neurons (the dense update count) and
+    # the spikes below forward 3, 3 and 0 events across layer boundaries.
+    MACS, LEAK_MACS, ACS, UPDATES = (2, 5, 0), (1, 4, 0), (6, 1, 2), (3, 4, 1)
+    SPEC = dict(e_mac=4 * PJ, e_ac=1 * PJ, e_read=2 * PJ, e_write=3 * PJ,
+                e_membrane_update=5 * PJ, e_layer_crossing=7 * PJ)
+    # Hand-priced window energies in pJ: synop + membrane + memory, e.g.
+    # t0 effective with leak MACs = (2*4 + 6*1 + 3*7) + 3*5 + (18*2 + 8*3).
+    WINDOWS_PJ = {
+        ("effective", True): (110, 114, 21),
+        ("dense", True): (115, 114, 36),
+        ("effective", False): (101, 78, 21),
+        ("dense", False): (106, 78, 36),
+    }
+
+    def make_trace(self):
+        from spikemeter.simulate import WorkloadTrace
+
+        return WorkloadTrace(
+            layer_sizes=(2, 3, 1),
+            spikes=[
+                np.array([[1, 1, 0], [1, 0, 0]], dtype=np.float64),
+                np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0]], dtype=np.float64),
+                np.zeros((1, 3)),
+            ],
+            acs=np.array(self.ACS, dtype=np.int64),
+            macs=np.array(self.MACS, dtype=np.int64),
+            leak_macs=np.array(self.LEAK_MACS, dtype=np.int64),
+            membrane_updates=np.array(self.UPDATES, dtype=np.int64),
+            timesteps=3,
+            timestep_duration=1e-3,
+        )
+
+    @pytest.mark.parametrize("include_leak", [True, False])
+    @pytest.mark.parametrize("mode", ["effective", "dense"])
+    def test_peak_matches_hand_priced_windows(self, mode, include_leak):
+        from spikemeter.workload import effective_synops
+
+        trace = self.make_trace()
+        assert trace.crossings_per_timestep().tolist() == [3, 3, 0]
+        spec = HardwareSpec(**self.SPEC, membrane_count_mode=MembraneCountMode(mode))
+        ops = effective_synops(trace)
+        mem = memory_accesses(ops, include_leak_macs=include_leak)
+        b = estimate_energy(ops, mem, spec, trace.duration, crossings=trace.total_crossings)
+        result = energy_per_sop(b, ops, trace, spec, include_leak_macs=include_leak)
+        windows = self.WINDOWS_PJ[(mode, include_leak)]
+        assert result.peak_window_power_w == pytest.approx(
+            max(windows) * PJ / trace.timestep_duration, rel=1e-12
+        )
+        assert b.model.model_total == pytest.approx(sum(windows) * PJ, rel=1e-12)

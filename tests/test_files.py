@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from spikemeter import cli
 from spikemeter.files import (
     WorkloadFileError,
     load_trace,
     load_workload,
     prepare_input,
     save_trace,
+    trace_to_dict,
     workload_from_dict,
 )
 from spikemeter.simulate import AnalogTrain, SimulationConfig, SpikeTrain, run_inference
@@ -89,3 +91,68 @@ class TestTraceRoundTrip:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(WorkloadFileError):
             load_trace(path)
+
+
+class TestTraceValidation:
+    """A trace that does not describe a valid run is refused on load, and the
+    CLI reports it as an input error (exit 2, one line, no traceback)."""
+
+    def write_trace(self, tmp_path, mutate) -> str:
+        model = simple_model([[0.9, 0.4], [0.3, 0.8]], beta=0.5, threshold=0.7)
+        train = SpikeTrain.from_events(2, 3, [(0, 0), (1, 0), (1, 2)])
+        trace = run_inference(model, train, SimulationConfig(timesteps=3))
+        raw = trace_to_dict(trace)
+        mutate(raw)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def assert_estimate_exits_2(self, path, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"e_ac": 1e-12}))
+        assert cli.main(["estimate", "--trace", path, "--hwspec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda per: per["acs"].pop(),
+            lambda per: per.update(acs=per["acs"][:1]),
+            lambda per: per["macs"].__setitem__(1, -1),
+        ],
+        ids=["truncated", "length-1", "negative"],
+    )
+    def test_bad_tallies_rejected(self, tmp_path, capsys, mutate):
+        path = self.write_trace(tmp_path, lambda raw: mutate(raw["per_timestep"]))
+        with pytest.raises(WorkloadFileError, match="per_timestep"):
+            load_trace(path)
+        self.assert_estimate_exits_2(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("event", [[-1, 0], [99, 0]], ids=["negative", "past-end"])
+    def test_event_outside_layer_rejected(self, tmp_path, capsys, event):
+        path = self.write_trace(tmp_path, lambda raw: raw["spikes"][0]["events"].append(event))
+        with pytest.raises(WorkloadFileError, match="trace layer 0"):
+            load_trace(path)
+        self.assert_estimate_exits_2(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda raw: raw["per_timestep"].pop("leak_macs"), "lacks field 'leak_macs'"),
+            (lambda raw: raw.update(model=[]), "malformed trace file"),
+            (lambda raw: raw["spikes"].append(raw["spikes"][-1]), "3 spike layers for 2"),
+            (lambda raw: raw["spikes"].pop(), "1 spike layers for 2"),
+            (lambda raw: raw["spikes"][0]["events"].append([0]), "malformed trace file"),
+            (lambda raw: raw["spikes"].__setitem__(0, {
+                "layer": 0, "kind": "analog", "frames": [[None, 0.0, 0.0], [1.0, 0.0, 0.5]],
+            }), "trace layer 0: events must be finite"),
+        ],
+        ids=["missing-field", "model-not-object", "extra-layer", "missing-layer",
+             "short-event", "non-finite-frame"],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, capsys, mutate, message):
+        path = self.write_trace(tmp_path, mutate)
+        with pytest.raises(WorkloadFileError, match=message):
+            load_trace(path)
+        self.assert_estimate_exits_2(path, tmp_path, capsys)

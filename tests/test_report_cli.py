@@ -450,3 +450,94 @@ def test_rates_workload_is_seed_deterministic(tmp_path, capsys):
     code3, out3, _ = run_main([*args[:-3], "9", "--format", "jsonl"], capsys)
     assert code3 == 0
     assert out3 != out1
+
+
+class TestMalformedInputExits2:
+    def test_counts_file_holding_a_list(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"e_ac": 1e-12}))
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps([{"acs": 10}]))
+        code, _, err = run_main(
+            ["estimate", "--counts", str(counts), "--hwspec", str(spec),
+             "--duration", "0.001"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "JSON object" in err
+        assert len(err.splitlines()) == 1
+
+    def test_store_line_missing_model(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        with open(store, "a") as handle:
+            handle.write(json.dumps(
+                {"kind": "snapshot", "version": "v9", "timestamp": 1.0, "values": {}}
+            ) + "\n")
+        lines = len(store.read_text().splitlines())
+        code, _, err = run_main(
+            ["report", "--store", str(store), "--model", "golden"], capsys
+        )
+        assert code == 2
+        assert err == f"error: store line {lines}: snapshot record lacks field 'model'\n"
+
+
+class TestRecordProvenance:
+    """Tool-computed parameter counts are stored as computed whichever verb
+    records them."""
+
+    PARAMETER_KEYS = ("parameters_trainable", "parameters_non_trainable")
+
+    def last_snapshot_provenance(self, store: Path) -> dict:
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        return [r for r in records if r["kind"] == "snapshot"][-1]["provenance"]
+
+    def test_analyze_record(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        code, _, _ = run_main(
+            ["analyze", "--model", demo_path("demo_model.json"),
+             "--store", str(store), "--record", "--timestamp", "1000"],
+            capsys,
+        )
+        assert code == 0
+        provenance = self.last_snapshot_provenance(store)
+        assert [provenance[key] for key in self.PARAMETER_KEYS] == ["computed", "computed"]
+
+    def test_estimate_record(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        trace = tmp_path / "trace.json"
+        code, _, _ = run_main(
+            ["simulate", "--model", demo_path("demo_model.json"),
+             "--workload", demo_path("demo_workload.json"), "--trace-out", str(trace)],
+            capsys,
+        )
+        assert code == 0
+        code, _, _ = run_main(
+            ["estimate", "--trace", str(trace), "--hwspec", demo_path("demo_hwspec.json"),
+             "--store", str(store), "--record", "--version", "v1", "--timestamp", "1000"],
+            capsys,
+        )
+        assert code == 0
+        provenance = self.last_snapshot_provenance(store)
+        assert [provenance[key] for key in self.PARAMETER_KEYS] == ["computed", "computed"]
+        assert provenance["execution_time"] == "computed"
+
+
+def test_golden_estimate_jsonl(tmp_path, capsys):
+    """Demo model and workload, simulated at seed 42, priced against the
+    demo spec: the estimate's stdout must not change by a byte."""
+    trace = tmp_path / "trace.json"
+    code, _, _ = run_main(
+        ["simulate", "--model", demo_path("demo_model.json"),
+         "--workload", demo_path("demo_workload.json"), "--seed", "42",
+         "--trace-out", str(trace), "--format", "jsonl"],
+        capsys,
+    )
+    assert code == 0
+    code, out, _ = run_main(
+        ["estimate", "--trace", str(trace), "--hwspec", demo_path("demo_hwspec.json"),
+         "--format", "jsonl"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (DATA / "golden_estimate.jsonl").read_text()

@@ -7,6 +7,7 @@ from spikemeter.store import (
     DuplicateVersionError,
     InsufficientHistoryError,
     MetricSnapshot,
+    StoreError,
     UnknownMetricError,
     default_alert_rules,
     evaluate_alerts,
@@ -245,3 +246,34 @@ def test_store_file_is_one_json_object_per_line(tmp_path):
     for line in store.read_text().splitlines():
         record = json.loads(line)
         assert record["kind"] in {"snapshot", "ingest", "register"}
+
+
+class TestMalformedStoreLines:
+    """A record that lacks a required field names its line instead of
+    surfacing as a KeyError."""
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"kind": "snapshot", "version": "v2", "timestamp": 1.0, "values": {}}, "model"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "provenance": "ingested"}, "value"),
+            ({"kind": "register", "unit": "s"}, "name"),
+        ],
+        ids=["snapshot", "ingest", "register"],
+    )
+    def test_missing_field_names_the_line(self, tmp_path, record, field):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
+        with open(store, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match=f"store line 2: .*'{field}'"):
+            read_store(store)
+
+    def test_malformed_values_names_the_line(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        store.write_text(json.dumps(
+            {"kind": "snapshot", "model": "m", "version": "v1", "timestamp": 1.0, "values": []}
+        ) + "\n")
+        with pytest.raises(StoreError, match="store line 1: malformed snapshot record"):
+            read_store(store)
