@@ -59,6 +59,7 @@ from .store import (
     TrendReport,
     default_alert_rules,
     evaluate_alerts,
+    read_store,
     record_external_metric,
     record_snapshot,
     register_metric,

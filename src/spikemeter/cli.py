@@ -43,14 +43,10 @@ TOOL_METRIC_UNITS = {
 }
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _emit_metrics(rows: list[dict], fmt: str) -> None:
     if fmt == "jsonl":
         for row in rows:
-            print(_dump({"record": "metric", **row}))
+            print(rpt.json_line({"record": "metric", **row}))
     else:
         for row in rows:
             unit = f" {row['unit']}" if row.get("unit") else ""
@@ -134,7 +130,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit_metrics(rows, args.format)
     if sparsity.alert:
         if args.format == "jsonl":
-            print(_dump({"record": "note", "text": sparsity.alert}))
+            print(rpt.json_line({"record": "note", "text": sparsity.alert}))
         else:
             print(f"note: {sparsity.alert}")
     if args.trace_out:
@@ -330,7 +326,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _measurement_from_store(data: st.StoreData, model: str, version: str) -> cmp.VersionMeasurement:
-    record = next((r for r in data.history(model) if r.version == version), None)
+    record = data.find(model, version)
     if record is None:
         raise ValueError(f"version {version!r} not found for model {model!r} in store")
     energy = st.pick_value(record.values.get("energy_per_inference", {}), None, None)
@@ -415,26 +411,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    trend = st.trend_report(
-        _require_store(args), args.model, args.metric, provenance=args.provenance
-    )
+    data = st.read_store(_require_store(args))
+    trend = st.trend_report(data, args.model, args.metric, provenance=args.provenance)
     if args.format == "jsonl":
-        print(
-            _dump(
-                {
-                    "record": "trend",
-                    "metric": trend.metric,
-                    "unit": trend.unit,
-                    "direction": trend.direction.value,
-                    "series": [[v, x] for v, x in trend.series],
-                    "deltas": [
-                        {"from": d.from_version, "to": d.to_version,
-                         "absolute": d.absolute, "percent": d.percent}
-                        for d in trend.deltas
-                    ],
-                }
-            )
-        )
+        print(rpt.json_line(rpt.trend_record(trend)))
     else:
         series = " -> ".join(f"{v}={x:.12g}" for v, x in trend.series)
         print(f"{trend.metric} [{trend.unit}]: {series}")

@@ -61,6 +61,34 @@ def load_workload(path: str | Path) -> WorkloadSpec:
     return workload_from_dict(raw)
 
 
+def _list_of(convert):
+    """A parser for a JSON list whose entries each pass through ``convert``."""
+
+    def parse(items) -> tuple:
+        if not isinstance(items, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(items).__name__}")
+        return tuple(convert(item) for item in items)
+
+    return parse
+
+
+def _event(item) -> tuple[int, int]:
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ValueError(f"expected a [neuron, timestep] pair, got {item!r}")
+    return int(item[0]), int(item[1])
+
+
+def _field(raw: dict, kind: str, key: str, convert):
+    """``raw[key]`` through ``convert``; a missing or malformed field names
+    itself in a WorkloadFileError."""
+    if key not in raw:
+        raise WorkloadFileError(f"{kind} workload needs {key!r}")
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WorkloadFileError(f"{kind} workload field {key!r}: {exc}") from exc
+
+
 def workload_from_dict(raw: dict) -> WorkloadSpec:
     if not isinstance(raw, dict):
         raise WorkloadFileError("workload must be a JSON object")
@@ -75,32 +103,25 @@ def workload_from_dict(raw: dict) -> WorkloadSpec:
         elif "frames" in raw:
             kind = "analog"
     if kind == "spikes":
-        for key in ("layer", "timesteps", "events"):
-            if key not in raw:
-                raise WorkloadFileError(f"spikes workload needs {key!r}")
         return WorkloadSpec(
             kind="spikes",
-            layer=int(raw["layer"]),
-            timesteps=int(raw["timesteps"]),
-            events=tuple((int(n), int(t)) for n, t in raw["events"]),
+            layer=_field(raw, kind, "layer", int),
+            timesteps=_field(raw, kind, "timesteps", int),
+            events=_field(raw, kind, "events", _list_of(_event)),
         )
     if kind == "rates":
-        if "values" not in raw:
-            raise WorkloadFileError("rates workload needs 'values'")
         return WorkloadSpec(
             kind="rates",
-            values=tuple(float(v) for v in raw["values"]),
-            timesteps=int(raw["timesteps"]) if raw.get("timesteps") is not None else None,
+            values=_field(raw, kind, "values", _list_of(float)),
+            timesteps=(_field(raw, kind, "timesteps", int)
+                       if raw.get("timesteps") is not None else None),
         )
     if kind == "analog":
-        for key in ("layer", "timesteps", "frames"):
-            if key not in raw:
-                raise WorkloadFileError(f"analog workload needs {key!r}")
         return WorkloadSpec(
             kind="analog",
-            layer=int(raw["layer"]),
-            timesteps=int(raw["timesteps"]),
-            frames=tuple(tuple(float(x) for x in row) for row in raw["frames"]),
+            layer=_field(raw, kind, "layer", int),
+            timesteps=_field(raw, kind, "timesteps", int),
+            frames=_field(raw, kind, "frames", _list_of(_list_of(float))),
         )
     raise WorkloadFileError(
         f"workload kind must be 'spikes', 'rates' or 'analog', got {kind!r}"

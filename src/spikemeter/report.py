@@ -148,7 +148,7 @@ def build_report(
             if not trendable:
                 continue
             try:
-                trends.append(trend_report(store_path, model, key))
+                trends.append(trend_report(data, model, key))
             except InsufficientHistoryError:
                 continue
     trends.sort(key=lambda t: t.metric)
@@ -173,13 +173,30 @@ def _flag(value: bool | None) -> str:
     return "yes" if value else "no"
 
 
-def _dump(obj: dict) -> str:
+def json_line(obj: dict) -> str:
+    """One compact JSONL record with sorted keys, as every jsonl output writes it."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def trend_record(t: TrendReport) -> dict:
+    """The ``"record": "trend"`` object that ``report`` and ``history`` emit."""
+    return {
+        "record": "trend",
+        "metric": t.metric,
+        "unit": t.unit,
+        "direction": t.direction.value,
+        "series": [[v, x] for v, x in t.series],
+        "deltas": [
+            {"from": d.from_version, "to": d.to_version, "absolute": d.absolute,
+             "percent": d.percent}
+            for d in t.deltas
+        ],
+    }
 
 
 def render_jsonl(doc: ReportDocument) -> str:
     lines = [
-        _dump(
+        json_line(
             {
                 "record": "report",
                 "model": doc.model,
@@ -190,10 +207,10 @@ def render_jsonl(doc: ReportDocument) -> str:
         )
     ]
     for text in doc.conventions:
-        lines.append(_dump({"record": "convention", "text": text}))
+        lines.append(json_line({"record": "convention", "text": text}))
     for e in doc.entries:
         lines.append(
-            _dump(
+            json_line(
                 {
                     "record": "metric",
                     "key": e.key,
@@ -211,7 +228,7 @@ def render_jsonl(doc: ReportDocument) -> str:
         )
     for a in doc.alerts.alerts:
         lines.append(
-            _dump(
+            json_line(
                 {
                     "record": "alert",
                     "metric": a.metric,
@@ -224,28 +241,9 @@ def render_jsonl(doc: ReportDocument) -> str:
             )
         )
     for s in doc.alerts.skipped:
-        lines.append(_dump({"record": "alert_skipped", "metric": s}))
+        lines.append(json_line({"record": "alert_skipped", "metric": s}))
     for t in doc.trends:
-        lines.append(
-            _dump(
-                {
-                    "record": "trend",
-                    "metric": t.metric,
-                    "unit": t.unit,
-                    "direction": t.direction.value,
-                    "series": [[v, x] for v, x in t.series],
-                    "deltas": [
-                        {
-                            "from": d.from_version,
-                            "to": d.to_version,
-                            "absolute": d.absolute,
-                            "percent": d.percent,
-                        }
-                        for d in t.deltas
-                    ],
-                }
-            )
-        )
+        lines.append(json_line(trend_record(t)))
     return "\n".join(lines) + "\n"
 
 

@@ -11,27 +11,35 @@ sees half a record.  Three record kinds exist::
      "metric": ..., "value": ..., "provenance": ..., "notes": ...}
     {"kind": "register", "name": ..., "unit": ..., "polarity": ..., "description": ...}
 
-Snapshot versions are unique per model; re-recording a version is rejected
-rather than overwritten so trend history stays trustworthy.  Ingest records
-attach externally obtained values (a power-meter reading, a training log)
-to a version without touching what was already recorded -- the same metric
-may then carry both an estimated and an ingested value, distinguishable by
-provenance.  Writers must be serialized by the caller; concurrent readers
-are fine.
+A version is recorded once per model: re-recording it is rejected rather
+than overwritten so trend history stays trustworthy, and a store holding a
+second snapshot line for a version already present (written by hand or by
+another tool) is refused on read, naming the line.  Ingest records attach
+externally obtained values (a power-meter reading, a training log) to a
+version without touching what was already recorded -- the same metric may
+then carry both an estimated and an ingested value, distinguishable by
+provenance.  Each writer holds an exclusive ``flock`` on the store file
+from its read through its append, so concurrent writers cannot both pass
+the same check; readers take no lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
 from .catalog import MetricDescriptor, Polarity, Provenance, find_metric
 
 PROVENANCE_ORDER = (Provenance.COMPUTED, Provenance.ESTIMATED, Provenance.INGESTED)
+_PROVENANCE_TAGS = frozenset(p.value for p in Provenance)
 
 
 class StoreError(ValueError):
@@ -56,6 +64,25 @@ class Direction(str, Enum):
     FLAT = "flat"
 
 
+def _check_value(metric: str, value, provenance) -> None:
+    """Every stored value, written or read, is a finite number carrying one
+    of the catalog's provenance tags."""
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise StoreError(f"value for {metric!r} must be a finite number")
+    if provenance not in _PROVENANCE_TAGS:
+        raise StoreError(
+            f"provenance of {metric!r} must be one of {sorted(_PROVENANCE_TAGS)}, "
+            f"got {provenance!r}"
+        )
+
+
+def _check_accuracy(accuracy) -> None:
+    if accuracy is not None and not (
+        isinstance(accuracy, (int, float)) and 0.0 <= accuracy <= 1.0
+    ):
+        raise StoreError("accuracy must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class MetricSnapshot:
     model_name: str
@@ -69,11 +96,9 @@ class MetricSnapshot:
     def __post_init__(self) -> None:
         if not self.model_name or not self.version:
             raise StoreError("snapshot needs a model name and a version")
-        if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):
-            raise StoreError("accuracy must lie in [0, 1]")
+        _check_accuracy(self.accuracy)
         for key, value in self.values.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise StoreError(f"value for {key!r} must be a finite number")
+            _check_value(key, value, self.provenance.get(key, Provenance.COMPUTED.value))
 
 
 @dataclass(frozen=True)
@@ -98,10 +123,26 @@ class VersionRecord:
 @dataclass
 class StoreData:
     registered: dict[str, CustomMetric] = field(default_factory=dict)
-    models: dict[str, list[VersionRecord]] = field(default_factory=dict)
+    # model -> version -> record; dicts keep recording order
+    models: dict[str, dict[str, VersionRecord]] = field(default_factory=dict)
 
     def history(self, model: str) -> list[VersionRecord]:
-        return self.models.get(model, [])
+        """The model's versions in recording order."""
+        return list(self.models.get(model, {}).values())
+
+    def find(self, model: str, version: str) -> VersionRecord | None:
+        return self.models.get(model, {}).get(version)
+
+    def check_new_version(self, model: str, version: str) -> None:
+        """A version is recorded once per model."""
+        if self.find(model, version) is not None:
+            raise DuplicateVersionError(
+                f"version {version!r} already recorded for model {model!r}"
+            )
+
+    def add(self, model: str, record: VersionRecord) -> VersionRecord:
+        self.models.setdefault(model, {})[record.version] = record
+        return record
 
 
 def _parse_line(line: str, lineno: int) -> dict:
@@ -144,50 +185,59 @@ def read_store(path: str | Path) -> StoreData:
                     description=record.get("description", ""),
                 )
             elif kind == "snapshot":
-                model = record["model"]
-                values = {
-                    key: {record.get("provenance", {}).get(key, Provenance.COMPUTED.value): val}
-                    for key, val in record["values"].items()
-                }
-                data.models.setdefault(model, []).append(
-                    VersionRecord(
-                        version=record["version"],
-                        timestamp=float(record["timestamp"]),
-                        values=values,
-                        accuracy=record.get("accuracy"),
-                        notes=record.get("notes", ""),
-                    )
-                )
+                model, version = record["model"], record["version"]
+                data.check_new_version(model, version)
+                values = {}
+                for key, val in record["values"].items():
+                    tag = record.get("provenance", {}).get(key, Provenance.COMPUTED.value)
+                    _check_value(key, val, tag)
+                    values[key] = {tag: val}
+                _check_accuracy(record.get("accuracy"))
+                data.add(model, VersionRecord(
+                    version=version,
+                    timestamp=float(record["timestamp"]),
+                    values=values,
+                    accuracy=record.get("accuracy"),
+                    notes=record.get("notes", ""),
+                ))
             elif kind == "ingest":
-                model = record["model"]
-                history = data.models.setdefault(model, [])
-                target = next((r for r in history if r.version == record["version"]), None)
+                model, version = record["model"], record["version"]
+                metric, provenance = record["metric"], record["provenance"]
+                _check_value(metric, record["value"], provenance)
+                target = data.find(model, version)
                 if target is None:
-                    target = VersionRecord(
-                        version=record["version"],
+                    target = data.add(model, VersionRecord(
+                        version=version,
                         timestamp=float(record["timestamp"]),
                         values={},
                         accuracy=None,
                         notes="",
-                    )
-                    history.append(target)
-                target.values.setdefault(record["metric"], {})[record["provenance"]] = record[
-                    "value"
-                ]
+                    ))
+                target.values.setdefault(metric, {})[provenance] = record["value"]
             else:
-                raise StoreError(f"store line {lineno}: unknown record kind {kind!r}")
+                raise StoreError(f"unknown record kind {kind!r}")
+        except StoreError as exc:
+            raise type(exc)(f"store line {lineno}: {exc}") from exc
         except KeyError as exc:
             raise StoreError(f"store line {lineno}: {kind} record lacks field {exc}") from exc
-        except (AttributeError, TypeError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise StoreError(f"store line {lineno}: malformed {kind} record: {exc}") from exc
     return data
 
 
-def _append(path: str | Path, record: dict) -> None:
-    line = json.dumps(record, sort_keys=True)
+@contextmanager
+def _locked(path: str | Path) -> Iterator[tuple[StoreData, TextIO]]:
+    """The parsed store and an append handle, under an exclusive lock held
+    from the read until the handle closes, so a writer's check and its
+    append see the same store."""
     with open(path, "a") as handle:
-        handle.write(line + "\n")
-        handle.flush()
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield read_store(path), handle
+
+
+def _append(handle: TextIO, record: dict) -> None:
+    handle.write(json.dumps(record, sort_keys=True) + "\n")
+    handle.flush()
 
 
 def _known_metric(name: str, data: StoreData) -> bool:
@@ -205,37 +255,26 @@ def register_metric(
     """Declare a custom metric so snapshots and ingests may carry it."""
     if find_metric(name) is not None:
         return  # built-ins need no registration
-    existing = read_store(store).registered.get(name)
-    if existing is not None and (existing.unit, existing.polarity, existing.description) == (
-        unit, polarity, description,
-    ):
-        return  # identical registration already on file
-    _append(
-        store,
-        {
-            "kind": "register",
-            "name": name,
-            "unit": unit,
-            "polarity": polarity.value,
-            "description": description,
-        },
-    )
+    with _locked(store) as (data, handle):
+        existing = data.registered.get(name)
+        if existing is not None and (existing.unit, existing.polarity, existing.description) == (
+            unit, polarity, description,
+        ):
+            return  # identical registration already on file
+        _append(
+            handle,
+            {
+                "kind": "register",
+                "name": name,
+                "unit": unit,
+                "polarity": polarity.value,
+                "description": description,
+            },
+        )
 
 
 def record_snapshot(store: str | Path, snapshot: MetricSnapshot) -> None:
     """Append a snapshot; duplicate (model, version) pairs are rejected."""
-    data = read_store(store)
-    for record in data.history(snapshot.model_name):
-        if record.version == snapshot.version:
-            raise DuplicateVersionError(
-                f"version {snapshot.version!r} already recorded for model "
-                f"{snapshot.model_name!r}"
-            )
-    unknown = [key for key in snapshot.values if not _known_metric(key, data)]
-    if unknown:
-        raise UnknownMetricError(
-            f"unknown metrics {sorted(unknown)}; register them first"
-        )
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
         if key not in provenance:
@@ -243,19 +282,24 @@ def record_snapshot(store: str | Path, snapshot: MetricSnapshot) -> None:
             provenance[key] = (
                 descriptor.provenance_class.value if descriptor else Provenance.INGESTED.value
             )
-    _append(
-        store,
-        {
-            "kind": "snapshot",
-            "model": snapshot.model_name,
-            "version": snapshot.version,
-            "timestamp": snapshot.timestamp if snapshot.timestamp is not None else time.time(),
-            "values": snapshot.values,
-            "provenance": provenance,
-            "accuracy": snapshot.accuracy,
-            "notes": snapshot.notes,
-        },
-    )
+    record = {
+        "kind": "snapshot",
+        "model": snapshot.model_name,
+        "version": snapshot.version,
+        "timestamp": snapshot.timestamp if snapshot.timestamp is not None else time.time(),
+        "values": snapshot.values,
+        "provenance": provenance,
+        "accuracy": snapshot.accuracy,
+        "notes": snapshot.notes,
+    }
+    with _locked(store) as (data, handle):
+        data.check_new_version(snapshot.model_name, snapshot.version)
+        unknown = [key for key in snapshot.values if not _known_metric(key, data)]
+        if unknown:
+            raise UnknownMetricError(
+                f"unknown metrics {sorted(unknown)}; register them first"
+            )
+        _append(handle, record)
 
 
 def record_external_metric(
@@ -271,25 +315,23 @@ def record_external_metric(
 ) -> None:
     """Attach an externally obtained value (measurement, training log) to a
     version.  The provenance tag travels with the value into every report."""
-    Provenance(provenance)  # validates
-    data = read_store(store)
-    if not _known_metric(metric, data):
-        raise UnknownMetricError(f"unknown metric {metric!r}; register it first")
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise StoreError("ingested value must be a finite number")
-    _append(
-        store,
-        {
-            "kind": "ingest",
-            "model": model,
-            "version": version,
-            "timestamp": timestamp if timestamp is not None else time.time(),
-            "metric": metric,
-            "value": value,
-            "provenance": provenance,
-            "notes": notes,
-        },
-    )
+    _check_value(metric, value, provenance)
+    with _locked(store) as (data, handle):
+        if not _known_metric(metric, data):
+            raise UnknownMetricError(f"unknown metric {metric!r}; register it first")
+        _append(
+            handle,
+            {
+                "kind": "ingest",
+                "model": model,
+                "version": version,
+                "timestamp": timestamp if timestamp is not None else time.time(),
+                "metric": metric,
+                "value": value,
+                "provenance": provenance,
+                "notes": notes,
+            },
+        )
 
 
 def pick_value(
@@ -340,11 +382,17 @@ def _metric_meta(name: str, data: StoreData) -> tuple[str, Polarity]:
 
 
 def trend_report(
-    store: str | Path, model: str, metric: str, *, provenance: str | None = None
+    data: StoreData, model: str, metric: str, *, provenance: str | None = None
 ) -> TrendReport:
     """Series of a metric across the model's versions, in recording order,
-    with deltas and a polarity-aware overall direction."""
-    data = read_store(store)
+    with deltas and a polarity-aware overall direction.
+
+    ``data`` is a store already parsed by :func:`read_store`; one parse can
+    feed any number of trends.  ``metric`` is a catalog key, a catalog
+    display name or a registered custom metric; ``provenance`` restricts the
+    series to values with that tag (default: the catalog class's, else the
+    first present in PROVENANCE_ORDER).
+    """
     descriptor = find_metric(metric)
     key = descriptor.key if descriptor is not None else metric
     unit, polarity = _metric_meta(key, data)

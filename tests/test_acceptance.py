@@ -306,7 +306,7 @@ def test_criterion_9_trend_store_round_trip(tmp_path):
             MetricSnapshot(model_name="m", version=f"v{i}",
                            values={"effective_synops": value}, timestamp=float(i)),
         )
-    trend = trend_report(trend_store, "m", "effective_synops")
+    trend = trend_report(read_store(trend_store), "m", "effective_synops")
     assert trend.direction is Direction.DEGRADING
     ok(9, "100 snapshots across 3 models recovered losslessly, duplicate "
           "version rejected, rising effective_synops reads as degrading")

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ class TestWorkloadParsing:
     def test_unrecognizable_shape_rejected(self):
         with pytest.raises(WorkloadFileError):
             workload_from_dict({"something": 1})
+
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"kind": "spikes", "layer": 2, "timesteps": 3, "events": 5}, "events"),
+            ({"kind": "spikes", "layer": 2, "timesteps": 3, "events": [[0]]}, "events"),
+            ({"kind": "spikes", "layer": 2, "timesteps": 3, "events": [["a", 0]]}, "events"),
+            ({"kind": "spikes", "layer": None, "timesteps": 3, "events": []}, "layer"),
+            ({"kind": "rates", "values": 5}, "values"),
+            ({"kind": "rates", "values": [[0.5]]}, "values"),
+            ({"kind": "analog", "layer": 1, "timesteps": 2, "frames": 5}, "frames"),
+            ({"kind": "analog", "layer": 1, "timesteps": 2, "frames": [5]}, "frames"),
+        ],
+        ids=["events-not-list", "short-event", "non-integer-event", "layer-null",
+             "values-not-list", "value-not-number", "frames-not-list", "frame-row-not-list"],
+    )
+    def test_malformed_field_named(self, tmp_path, capsys, raw, field):
+        with pytest.raises(WorkloadFileError, match=f"workload field '{field}'"):
+            workload_from_dict(raw)
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps(raw))
+        model = str(resources.files("spikemeter") / "data" / "demo_model.json")
+        code = cli.main(["simulate", "--model", model, "--workload", str(path),
+                         "--timesteps", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and f"'{field}'" in err and len(err.splitlines()) == 1
 
     def test_bad_frame_shape_rejected(self):
         workload = workload_from_dict(

@@ -7,8 +7,15 @@ from pathlib import Path
 import pytest
 
 from spikemeter import cli
+from spikemeter import report as rpt
+from spikemeter import store as st
 from spikemeter.report import RENDERERS, build_report
-from spikemeter.store import MetricSnapshot, record_external_metric, record_snapshot
+from spikemeter.store import (
+    MetricSnapshot,
+    record_external_metric,
+    record_snapshot,
+    register_metric,
+)
 
 from conftest import child_env
 
@@ -480,6 +487,78 @@ class TestMalformedInputExits2:
         )
         assert code == 2
         assert err == f"error: store line {lines}: snapshot record lacks field 'model'\n"
+
+
+    def test_second_snapshot_of_a_version(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        first = store.read_text().splitlines()[0]
+        with open(store, "a") as handle:
+            handle.write(first + "\n")
+        lines = len(store.read_text().splitlines())
+        code, out, err = run_main(
+            ["history", "--store", str(store), "--model", "golden",
+             "--metric", "effective_synops"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: store line {lines}: version 'v1' already recorded for model 'golden'\n"
+        )
+
+
+class TestOneStoreParsePerCommand:
+    """Every reading verb parses the store once, however many trends it builds."""
+
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (["report", "--model", "golden"], 4),
+            (["history", "--model", "golden", "--metric", "effective_synops"], 0),
+            (["compare", "--model", "golden", "--old", "v1", "--new", "v2"], 0),
+        ],
+        ids=["report", "history", "compare"],
+    )
+    def test_reads_store_once(self, tmp_path, capsys, monkeypatch, argv, expected_code):
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        register_metric(store, "execution_time", unit="s")
+        for version in ("v1", "v2"):
+            record_external_metric(store, "golden", version, "execution_time", 0.1,
+                                   "computed", timestamp=1_700_000_300.0)
+        reads = []
+        read_store = st.read_store
+
+        def counting_read_store(path):
+            reads.append(path)
+            return read_store(path)
+
+        monkeypatch.setattr(st, "read_store", counting_read_store)
+        monkeypatch.setattr(rpt, "read_store", counting_read_store)
+        code, _, _ = run_main(argv + ["--store", str(store)], capsys)
+        assert code == expected_code
+        assert reads == [str(store)]
+
+    def test_history_trend_line_equals_report_trend_line(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        _, out, _ = run_main(
+            ["report", "--store", str(store), "--model", "golden", "--format", "jsonl"], capsys
+        )
+        trends = {
+            json.loads(line)["metric"]: line
+            for line in out.splitlines()
+            if json.loads(line)["record"] == "trend"
+        }
+        assert sorted(trends) == ["activation_sparsity", "effective_synops"]
+        for metric, line in trends.items():
+            code, history, _ = run_main(
+                ["history", "--store", str(store), "--model", "golden", "--metric", metric,
+                 "--format", "jsonl"],
+                capsys,
+            )
+            assert code == 0
+            assert history == line + "\n"
 
 
 class TestRecordProvenance:

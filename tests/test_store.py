@@ -1,6 +1,11 @@
 import json
+import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from spikemeter.store import (
     Direction,
@@ -17,6 +22,8 @@ from spikemeter.store import (
     register_metric,
     trend_report,
 )
+
+from conftest import child_env
 
 
 def snap(version, values, model="m", accuracy=None, ts=None):
@@ -127,7 +134,7 @@ class TestTrendReport:
         store = tmp_path / "s.jsonl"
         record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
         record_snapshot(store, snap("v2", {"effective_synops": 120.0}))
-        trend = trend_report(store, "m", "effective_synops")
+        trend = trend_report(read_store(store), "m", "effective_synops")
         assert trend.series == (("v1", 100.0), ("v2", 120.0))
         assert trend.deltas[0].absolute == 20.0
         assert trend.deltas[0].percent == pytest.approx(20.0)
@@ -137,19 +144,19 @@ class TestTrendReport:
         store = tmp_path / "s.jsonl"
         for v in ("v1", "v2", "v3"):
             record_snapshot(store, snap(v, {"effective_synops": 50.0}))
-        assert trend_report(store, "m", "effective_synops").direction is Direction.FLAT
+        assert trend_report(read_store(store), "m", "effective_synops").direction is Direction.FLAT
 
     def test_rising_sparsity_improves(self, tmp_path):
         store = tmp_path / "s.jsonl"
         record_snapshot(store, snap("v1", {"activation_sparsity": 0.55}))
         record_snapshot(store, snap("v2", {"activation_sparsity": 0.70}))
-        assert trend_report(store, "m", "activation_sparsity").direction is Direction.IMPROVING
+        assert trend_report(read_store(store), "m", "activation_sparsity").direction is Direction.IMPROVING
 
     def test_insufficient_history(self, tmp_path):
         store = tmp_path / "s.jsonl"
         record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
         with pytest.raises(InsufficientHistoryError):
-            trend_report(store, "m", "effective_synops")
+            trend_report(read_store(store), "m", "effective_synops")
 
     def test_reversed_series_flips_direction(self, tmp_path):
         up = tmp_path / "up.jsonl"
@@ -159,15 +166,15 @@ class TestTrendReport:
             record_snapshot(up, snap(f"v{i}", {"effective_synops": value}))
         for i, value in enumerate(reversed(series)):
             record_snapshot(down, snap(f"v{i}", {"effective_synops": value}))
-        a = trend_report(up, "m", "effective_synops").direction
-        b = trend_report(down, "m", "effective_synops").direction
+        a = trend_report(read_store(up), "m", "effective_synops").direction
+        b = trend_report(read_store(down), "m", "effective_synops").direction
         assert {a, b} == {Direction.DEGRADING, Direction.IMPROVING}
 
     def test_lookup_by_display_name(self, tmp_path):
         store = tmp_path / "s.jsonl"
         record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
         record_snapshot(store, snap("v2", {"effective_synops": 90.0}))
-        trend = trend_report(store, "m", "Effective Synaptic Operations")
+        trend = trend_report(read_store(store), "m", "Effective Synaptic Operations")
         assert trend.metric == "effective_synops"
         assert trend.direction is Direction.IMPROVING
 
@@ -184,9 +191,9 @@ class TestTrendReport:
             )
         record_external_metric(store, "m", "v1", "energy_per_inference", 4.0)
         record_external_metric(store, "m", "v2", "energy_per_inference", 3.0)
-        estimated = trend_report(store, "m", "energy_per_inference")
+        estimated = trend_report(read_store(store), "m", "energy_per_inference")
         assert [x for _, x in estimated.series] == [1.0, 2.0]  # catalog class preferred
-        ingested = trend_report(store, "m", "energy_per_inference", provenance="ingested")
+        ingested = trend_report(read_store(store), "m", "energy_per_inference", provenance="ingested")
         assert [x for _, x in ingested.series] == [4.0, 3.0]
 
 
@@ -277,3 +284,143 @@ class TestMalformedStoreLines:
         ) + "\n")
         with pytest.raises(StoreError, match="store line 1: malformed snapshot record"):
             read_store(store)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"kind": "register", "name": "lut_count", "polarity": "up"},
+             "malformed register record: 'up' is not a valid Polarity"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": "abc",
+              "values": {}}, "malformed snapshot record: could not convert string to float"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": 1.0, "provenance": "measured"},
+             "provenance of 'effective_synops' must be one of "
+             "['computed', 'estimated', 'ingested'], got 'measured'"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {"effective_synops": 1.0}, "provenance": {"effective_synops": "meter"}},
+             "provenance of 'effective_synops' must be one of "
+             "['computed', 'estimated', 'ingested'], got 'meter'"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {"effective_synops": [1]}},
+             "value for 'effective_synops' must be a finite number"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": "abc", "provenance": "ingested"},
+             "value for 'effective_synops' must be a finite number"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {}, "accuracy": "abc"}, "accuracy must lie in [0, 1]"),
+        ],
+        ids=["register-polarity", "snapshot-timestamp", "ingest-provenance",
+             "snapshot-provenance", "snapshot-value", "ingest-value", "snapshot-accuracy"],
+    )
+    def test_bad_field_value_names_the_line(self, tmp_path, record, message):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
+        with open(store, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match=re.escape(f"store line 2: {message}")):
+            read_store(store)
+
+    def test_second_snapshot_of_a_version_names_the_line(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 1.0}))
+        line = store.read_text()
+        store.write_text(line + line.replace("1.0", "2.0"))
+        with pytest.raises(
+            DuplicateVersionError, match="store line 2: version 'v1' already recorded for model 'm'"
+        ):
+            read_store(store)
+
+
+# Records one version after another, skipping those another writer recorded
+# first, once the parent says go; prints how many it recorded itself.
+WRITER = """
+import sys
+from spikemeter.store import DuplicateVersionError, MetricSnapshot, record_snapshot
+
+store, count = sys.argv[1], int(sys.argv[2])
+print("ready", flush=True)
+sys.stdin.readline()
+recorded = 0
+for i in range(count):
+    try:
+        record_snapshot(store, MetricSnapshot(
+            model_name="m", version=f"v{i}", values={"effective_synops": float(i)},
+            timestamp=1.0,
+        ))
+        recorded += 1
+    except DuplicateVersionError:
+        pass
+print(recorded)
+"""
+
+
+def test_two_writers_record_each_version_once(tmp_path):
+    """Both writers race through the same versions; the store lock lets
+    exactly one of them record each."""
+    store, count = tmp_path / "s.jsonl", 150
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", WRITER, str(store), str(count)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=child_env(),
+        )
+        for _ in range(2)
+    ]
+    try:
+        for writer in writers:
+            assert writer.stdout.readline() == "ready\n"
+        for writer in writers:
+            writer.stdin.write("go\n")
+            writer.stdin.flush()
+        recorded = [int(writer.communicate(timeout=120)[0]) for writer in writers]
+    finally:
+        for writer in writers:
+            writer.kill()
+            writer.wait(timeout=10)
+    assert [w.returncode for w in writers] == [0, 0]
+    assert sum(recorded) == count
+    assert [r.version for r in read_store(store).history("m")] == [f"v{i}" for i in range(count)]
+
+
+VALID_STORE = (
+    {"kind": "register", "name": "lut_count", "unit": "LUTs",
+     "polarity": "higher_is_worse", "description": ""},
+    {"kind": "snapshot", "model": "m", "version": "v1", "timestamp": 1.0,
+     "values": {"effective_synops": 100.0, "lut_count": 10.0},
+     "provenance": {"effective_synops": "computed"}, "accuracy": 0.9, "notes": ""},
+    {"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 2.0,
+     "values": {"effective_synops": 90.0}, "provenance": {}, "accuracy": None, "notes": ""},
+    {"kind": "ingest", "model": "m", "version": "v2", "timestamp": 3.0,
+     "metric": "energy_per_inference", "value": 1e-3, "provenance": "ingested", "notes": ""},
+)
+JSON_VALUES = (None, True, 0, -1, 2.5, "", "abc", [], [1], {}, {"a": 1}, {"a": "abc"})
+
+
+@hs.composite
+def mutated_store(draw) -> str:
+    """VALID_STORE with one line changed: a field dropped, a field's value
+    swapped for one of another JSON type, or the line written twice."""
+    records = [dict(record) for record in VALID_STORE]
+    index = draw(hs.integers(0, len(records) - 1))
+    record = records[index]
+    mutation = draw(hs.sampled_from(("drop", "retype", "duplicate")))
+    if mutation == "duplicate":
+        records.insert(draw(hs.integers(0, len(records))), record)
+    else:
+        key = draw(hs.sampled_from(sorted(record)))
+        if mutation == "drop":
+            del record[key]
+        else:
+            record[key] = draw(hs.sampled_from(JSON_VALUES))
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_store())
+def test_mutated_store_loads_or_raises_store_error(tmp_path, text):
+    store = tmp_path / "s.jsonl"
+    store.write_text(text)
+    try:
+        read_store(store)
+    except StoreError:
+        pass
