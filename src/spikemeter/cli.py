@@ -9,14 +9,14 @@ only), so CI can gate on energy regressions.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
+from dataclasses import dataclass
 
 from . import compare as cmp
 from . import energy as en
 from . import files, model as mdl, report as rpt, store as st, workload as wl
+from .fields import load_json, read_record
 from .simulate import SimulationConfig, run_inference
 
 EXIT_OK = 0
@@ -169,20 +169,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CountsFile:
+    """The ``estimate --counts`` file (a training pass, say); every key is optional."""
+
+    macs: int = 0
+    acs: int = 0
+    membrane_updates_effective: int = 0
+    membrane_updates_dense: int | None = None  # default: the effective count
+    leak_macs: int = 0
+    crossings: int = 0
+    duration: float | None = None  # seconds; --duration overrides it
+
+
 def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"counts file {path} must hold a JSON object")
-    ops = wl.OpCounts(
-        macs=int(raw.get("macs", 0)),
-        acs=int(raw.get("acs", 0)),
-        membrane_updates_effective=int(raw.get("membrane_updates_effective", 0)),
-        membrane_updates_dense=int(
-            raw.get("membrane_updates_dense", raw.get("membrane_updates_effective", 0))
-        ),
-        leak_macs=int(raw.get("leak_macs", 0)),
-    )
-    return ops, int(raw.get("crossings", 0)), raw.get("duration")
+    raw = load_json(path, "counts file", ValueError)
+    c = read_record(CountsFile, raw, "counts file", ValueError)
+    effective, dense = c.membrane_updates_effective, c.membrane_updates_dense
+    ops = wl.OpCounts(c.macs, c.acs, effective, effective if dense is None else dense, c.leak_macs)
+    return ops, c.crossings, c.duration
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -9,20 +9,22 @@ energy-area figure of merit -- all derive from that breakdown and carry an
 "estimated" provenance tag to keep them distinguishable from measured
 values.
 
-Hardware spec file: a flat JSON object.  Energies are joules, powers watts,
-areas cm^2, frequencies Hz; ``power_density_limit`` is mW/cm^2.  Unknown
-keys are rejected outright so a misspelled coefficient cannot silently
-default to zero.
+Hardware spec file: a JSON object whose keys are the fields of
+:class:`HardwareSpec`, with an optional ``battery`` object holding the fields
+of :class:`BatterySpec`.  Energies are joules, powers watts, areas cm^2,
+frequencies Hz; ``power_density_limit`` is mW/cm^2.  Unknown keys are
+rejected outright so a misspelled coefficient cannot silently default to
+zero.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .fields import load_json, read_record
 from .simulate import WorkloadTrace
 from .workload import MemoryAccessCounts, OpCounts, derive_accesses
 
@@ -332,98 +334,10 @@ def energy_area_fom(power_w: float, spec: HardwareSpec) -> FomResult:
 # Hardware spec file round-trip
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "name",
-    "e_mac",
-    "e_ac",
-    "e_read",
-    "e_write",
-    "e_membrane_update",
-    "e_layer_crossing",
-    "membrane_count_mode",
-    "static_power",
-    "adc_energy_per_sample",
-    "adc_samples_per_inference",
-    "tx_energy_per_bit",
-    "tx_bits_per_inference",
-    "chip_area",
-    "channels",
-    "sampling_frequency",
-    "power_density_limit",
-    "battery",
-    "notes",
-}
-_BATTERY_KEYS = {"capacity_joules", "capacity_mah", "nominal_voltage", "usable_fraction"}
-
 
 def hardware_spec_from_dict(raw: dict) -> HardwareSpec:
-    if not isinstance(raw, dict):
-        raise HardwareSpecError("hardware spec must be a JSON object")
-    unknown = set(raw) - _SPEC_KEYS
-    if unknown:
-        raise HardwareSpecError(f"unknown hardware spec keys: {sorted(unknown)}")
-    battery = None
-    if raw.get("battery") is not None:
-        braw = raw["battery"]
-        if not isinstance(braw, dict):
-            raise HardwareSpecError("battery must be an object")
-        bunknown = set(braw) - _BATTERY_KEYS
-        if bunknown:
-            raise HardwareSpecError(f"unknown battery keys: {sorted(bunknown)}")
-        battery = BatterySpec(
-            capacity_joules=_opt_float(braw, "capacity_joules"),
-            capacity_mah=_opt_float(braw, "capacity_mah"),
-            nominal_voltage=_opt_float(braw, "nominal_voltage"),
-            usable_fraction=float(braw.get("usable_fraction", 1.0)),
-        )
-    try:
-        mode = MembraneCountMode(raw.get("membrane_count_mode", "effective"))
-    except ValueError:
-        raise HardwareSpecError(
-            f"membrane_count_mode must be 'effective' or 'dense', "
-            f"got {raw.get('membrane_count_mode')!r}"
-        ) from None
-    try:
-        return HardwareSpec(
-            name=str(raw.get("name", "")),
-            e_mac=float(raw.get("e_mac", 0.0)),
-            e_ac=float(raw.get("e_ac", 0.0)),
-            e_read=float(raw.get("e_read", 0.0)),
-            e_write=float(raw.get("e_write", 0.0)),
-            e_membrane_update=float(raw.get("e_membrane_update", 0.0)),
-            e_layer_crossing=float(raw.get("e_layer_crossing", 0.0)),
-            membrane_count_mode=mode,
-            static_power=float(raw.get("static_power", 0.0)),
-            adc_energy_per_sample=float(raw.get("adc_energy_per_sample", 0.0)),
-            adc_samples_per_inference=int(raw.get("adc_samples_per_inference", 0)),
-            tx_energy_per_bit=float(raw.get("tx_energy_per_bit", 0.0)),
-            tx_bits_per_inference=int(raw.get("tx_bits_per_inference", 0)),
-            chip_area=_opt_float(raw, "chip_area"),
-            channels=int(raw["channels"]) if raw.get("channels") is not None else None,
-            sampling_frequency=_opt_float(raw, "sampling_frequency"),
-            power_density_limit=float(
-                raw.get("power_density_limit", DEFAULT_POWER_DENSITY_LIMIT)
-            ),
-            battery=battery,
-            notes=str(raw.get("notes", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, HardwareSpecError):
-            raise
-        raise HardwareSpecError(f"invalid hardware spec value: {exc}") from exc
-
-
-def _opt_float(raw: dict, key: str) -> float | None:
-    return float(raw[key]) if raw.get(key) is not None else None
+    return read_record(HardwareSpec, raw, "hardware spec", HardwareSpecError)
 
 
 def load_hardware_spec(path: str | Path) -> HardwareSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise HardwareSpecError(f"cannot read hardware spec {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise HardwareSpecError(f"malformed hardware spec {path}: {exc}") from exc
-    return hardware_spec_from_dict(raw)
+    return hardware_spec_from_dict(load_json(path, "hardware spec", HardwareSpecError))

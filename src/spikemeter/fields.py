@@ -1,0 +1,235 @@
+"""What a field of an input file must be: the one home of the typing rules
+shared by the model, workload, trace, counts and hardware-spec loaders and
+by the store.
+
+A rule takes a decoded JSON value and returns it converted, or raises
+:class:`FieldError`.  An integer is never a bool or a fraction (``2.0`` reads
+as 2) and fits 64 bits; a number is finite and never a bool or a string; an
+array is a rectangular list of numbers, converted by numpy.
+
+:func:`load_json` decodes a file; :func:`read_record` reads a JSON object
+into a dataclass, whose fields are the keys the object may hold, whose
+defaults make keys optional and whose annotations pick the rules;
+:func:`read_field` reads one value at a dotted path.  All raise the loader's
+own error class, naming the file kind and, for a bad value, the field:
+``hardware spec field 'battery.capacity_joules': expected a finite number,
+got list``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import math
+import sys
+import types
+import typing
+from enum import Enum
+from pathlib import Path
+
+REQUIRED = object()  # read_field's default: the key must be present
+
+
+def load_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON document in the file at ``path``; ``what`` names the file
+    kind when it cannot be read or decoded, raised as ``error``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
+class FieldError(ValueError):
+    """A value that breaks its field's rule; ``path`` locates it in that value."""
+
+    def __init__(self, problem: str, path: str = "") -> None:
+        super().__init__(problem)
+        self.path = path
+
+
+def _got(value) -> str:
+    text = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _join(path: str, below: str) -> str:
+    return ".".join(part for part in (path, below) if part)
+
+
+def integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63:
+        return value
+    raise FieldError(f"expected a 64-bit integer, got {_got(value)}")
+
+
+def number(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise FieldError(f"expected a finite number, got {_got(value)}")
+
+
+def _instance_of(cls: type, expected: str):
+    def read(value):
+        if isinstance(value, cls):
+            return value
+        raise FieldError(f"expected {expected}, got {_got(value)}")
+
+    return read
+
+
+boolean = _instance_of(bool, "true or false")
+string = _instance_of(str, "a string")
+obj = _instance_of(dict, "a JSON object")
+
+
+def member(enum: type[Enum]):
+    """A rule for one of ``enum``'s values."""
+    values = [m.value for m in enum]
+
+    def read(value) -> Enum:
+        if value in values:
+            return enum(value)
+        raise FieldError(f"expected one of {values}, got {_got(value)}")
+
+    return read
+
+
+def optional(rule):
+    """``rule``, or None for a JSON null."""
+    return lambda value: None if value is None else rule(value)
+
+
+def list_of(rule):
+    """A rule for a JSON list whose items each pass ``rule``; read as a tuple."""
+
+    def read(value) -> tuple:
+        items = []
+        for i, item in enumerate(_instance_of(list, "a list")(value)):
+            try:
+                items.append(rule(item))
+            except FieldError as exc:
+                raise FieldError(str(exc), _join(str(i), exc.path)) from None
+        return tuple(items)
+
+    return read
+
+
+_DTYPE_KINDS = {"b": "bool", "U": "string", "f": "non-integer", "u": "out-of-range integer"}
+
+
+def array(shape: tuple | None = None, *, integers: bool = False):
+    """A rule for a rectangular JSON list of numbers (of integers), read as a
+    float64 (int64) numpy array.  ``shape`` gives each dimension's length,
+    None for any; ``[]`` reads as zero rows of any shape."""
+    expected = "an integer array" if integers else "a number array"
+    if shape is not None:
+        expected += f" of shape [{', '.join('*' if d is None else str(d) for d in shape)}]"
+
+    def read(value):
+        import numpy as np
+
+        if not isinstance(value, list):
+            raise FieldError(f"expected {expected}, got {_got(value)}")
+        try:
+            arr = np.array(value)
+        except (ValueError, OverflowError):
+            raise FieldError(f"expected {expected}, got ragged rows") from None
+        if arr.shape == (0,) and shape is not None:
+            arr = arr.reshape([0] + [d or 0 for d in shape[1:]])
+        elif arr.dtype.kind not in ("i" if integers else "if"):
+            kind = _DTYPE_KINDS.get(arr.dtype.kind, "non-numeric")
+            raise FieldError(f"expected {expected}, got {kind} entries")
+        if shape is not None and (
+            arr.ndim != len(shape) or any(d not in (None, n) for d, n in zip(shape, arr.shape))
+        ):
+            raise FieldError(f"expected {expected}, got shape {list(arr.shape)}")
+        return arr.astype(np.int64 if integers else np.float64, copy=False)
+
+    return read
+
+
+def _rule(hint):
+    """The rule for a dataclass field's annotation."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return optional(_rule(inner))
+    if origin is tuple:  # tuple[X, ...]
+        return list_of(_rule(args[0]))
+    if dataclasses.is_dataclass(hint):  # an instance already built passes as is
+        return lambda value: value if isinstance(value, hint) else _read(hint, value)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return member(hint)
+    numpy = sys.modules.get("numpy")  # loaded wherever an annotation names it
+    if numpy is not None and hint is numpy.ndarray:
+        return array()
+    return {bool: boolean, int: integer, float: number, str: string}[hint]
+
+
+@functools.cache
+def _schema(cls) -> dict[str, tuple]:
+    """Field name -> (rule, required) for a dataclass."""
+    hints = typing.get_type_hints(cls)
+    missing = dataclasses.MISSING
+    return {
+        f.name: (_rule(hints[f.name]), f.default is missing and f.default_factory is missing)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _read(cls, raw):
+    schema = _schema(cls)
+    unknown = sorted(set(obj(raw)) - schema.keys())
+    if unknown:
+        raise FieldError(f"unknown keys {unknown}; allowed: {', '.join(schema)}")
+    values = {}
+    for name, (rule, required) in schema.items():
+        if name in raw:
+            try:
+                values[name] = rule(raw[name])
+            except FieldError as exc:
+                raise FieldError(str(exc), _join(name, exc.path)) from None
+        elif required:
+            raise FieldError("missing", name)
+    return cls(**values)
+
+
+def _error(error: type[Exception], where: str, path: str, exc: FieldError) -> Exception:
+    return error(f"{where} field {path!r}: {exc}" if path else f"{where}: {exc}")
+
+
+def read_record(cls, raw, where: str, error: type[Exception]):
+    """``cls`` built from the JSON object ``raw``; a bad field raises
+    ``error`` naming ``where``, the file kind.  The dataclass's own checks
+    raise their own errors."""
+    try:
+        return _read(cls, raw)
+    except FieldError as exc:
+        raise _error(error, where, exc.path, exc) from None
+
+
+def read_field(raw, path: str, rule, where: str, error: type[Exception], default=REQUIRED):
+    """The value at dotted ``path`` in the JSON object ``raw``, through
+    ``rule``; ``default`` when a key on the path is absent, unless required."""
+    value, walked = raw, ""
+    try:
+        for key in path.split("."):
+            obj(value)
+            walked = _join(walked, key)
+            if key not in value:
+                if default is REQUIRED:
+                    raise FieldError("missing")
+                return default
+            value = value[key]
+        return rule(value)
+    except FieldError as exc:
+        raise _error(error, where, _join(walked, exc.path), exc) from None

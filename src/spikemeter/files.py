@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import (REQUIRED, array, integer, list_of, load_json, number, obj, optional,
+                     read_field, string)
 from .simulate import (
     AnalogTrain,
     SimulationConfig,
@@ -46,47 +48,13 @@ class WorkloadSpec:
     kind: str  # "spikes" | "rates" | "analog"
     layer: int | None = None
     timesteps: int | None = None
-    events: tuple[tuple[int, int], ...] = ()
-    values: tuple[float, ...] = ()
-    frames: tuple[tuple[float, ...], ...] = ()
+    events: np.ndarray | None = None  # int64, one (neuron, timestep) row per event
+    values: np.ndarray | None = None  # float64 rates
+    frames: np.ndarray | None = None  # float64, neuron x timestep
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise WorkloadFileError(f"cannot read workload file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise WorkloadFileError(f"malformed workload file {path}: {exc}") from exc
-    return workload_from_dict(raw)
-
-
-def _list_of(convert):
-    """A parser for a JSON list whose entries each pass through ``convert``."""
-
-    def parse(items) -> tuple:
-        if not isinstance(items, (list, tuple)):
-            raise TypeError(f"expected a list, got {type(items).__name__}")
-        return tuple(convert(item) for item in items)
-
-    return parse
-
-
-def _event(item) -> tuple[int, int]:
-    if not isinstance(item, (list, tuple)) or len(item) != 2:
-        raise ValueError(f"expected a [neuron, timestep] pair, got {item!r}")
-    return int(item[0]), int(item[1])
-
-
-def _field(raw: dict, kind: str, key: str, convert):
-    """``raw[key]`` through ``convert``; a missing or malformed field names
-    itself in a WorkloadFileError."""
-    if key not in raw:
-        raise WorkloadFileError(f"{kind} workload needs {key!r}")
-    try:
-        return convert(raw[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise WorkloadFileError(f"{kind} workload field {key!r}: {exc}") from exc
+    return workload_from_dict(load_json(path, "workload file", WorkloadFileError))
 
 
 def workload_from_dict(raw: dict) -> WorkloadSpec:
@@ -102,27 +70,19 @@ def workload_from_dict(raw: dict) -> WorkloadSpec:
             kind = "rates"
         elif "frames" in raw:
             kind = "analog"
+
+    def field(key: str, rule, default=REQUIRED):
+        return read_field(raw, key, rule, f"{kind} workload", WorkloadFileError, default)
+
     if kind == "spikes":
-        return WorkloadSpec(
-            kind="spikes",
-            layer=_field(raw, kind, "layer", int),
-            timesteps=_field(raw, kind, "timesteps", int),
-            events=_field(raw, kind, "events", _list_of(_event)),
-        )
+        return WorkloadSpec(kind, field("layer", integer), field("timesteps", integer),
+                            events=field("events", array((None, 2), integers=True)))
     if kind == "rates":
-        return WorkloadSpec(
-            kind="rates",
-            values=_field(raw, kind, "values", _list_of(float)),
-            timesteps=(_field(raw, kind, "timesteps", int)
-                       if raw.get("timesteps") is not None else None),
-        )
+        return WorkloadSpec(kind, values=field("values", array((None,))),
+                            timesteps=field("timesteps", optional(integer), None))
     if kind == "analog":
-        return WorkloadSpec(
-            kind="analog",
-            layer=_field(raw, kind, "layer", int),
-            timesteps=_field(raw, kind, "timesteps", int),
-            frames=_field(raw, kind, "frames", _list_of(_list_of(float))),
-        )
+        return WorkloadSpec(kind, field("layer", integer), field("timesteps", integer),
+                            frames=field("frames", array((None, None))))
     raise WorkloadFileError(
         f"workload kind must be 'spikes', 'rates' or 'analog', got {kind!r}"
     )
@@ -140,13 +100,12 @@ def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
     if workload.kind == "rates":
         return rate_encode(workload.values, config.timesteps, config.seed)
     if workload.kind == "analog":
-        frames = np.array(workload.frames, dtype=np.float64)
-        if frames.shape != (workload.layer, workload.timesteps):
+        if workload.frames.shape != (workload.layer, workload.timesteps):
             raise WorkloadFileError(
-                f"frames shape {frames.shape} does not match "
+                f"frames shape {workload.frames.shape} does not match "
                 f"(layer, timesteps) = ({workload.layer}, {workload.timesteps})"
             )
-        return AnalogTrain(frames)
+        return AnalogTrain(workload.frames)
     raise WorkloadFileError(f"unsupported workload kind {workload.kind!r}")
 
 
@@ -190,62 +149,53 @@ def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> WorkloadTrace:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise WorkloadFileError(f"cannot read trace file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise WorkloadFileError(f"malformed trace file {path}: {exc}") from exc
+    raw = load_json(path, "trace file", WorkloadFileError)
     if not isinstance(raw, dict) or raw.get("format") != TRACE_FORMAT:
         raise WorkloadFileError(f"not a {TRACE_FORMAT} file: {path}")
-    try:
-        return _trace_from_dict(raw)
-    except KeyError as exc:
-        raise WorkloadFileError(f"trace file {path} lacks field {exc}") from exc
-    except (AttributeError, IndexError, TypeError) as exc:
-        raise WorkloadFileError(f"malformed trace file {path}: {exc}") from exc
+    return _trace_from_dict(raw)
 
 
-def _tallies(per: dict, key: str, timesteps: int) -> np.ndarray:
-    values = np.array(per[key])
-    if values.shape != (timesteps,) or values.dtype.kind != "i" or np.any(values < 0):
-        raise WorkloadFileError(
-            f"trace per_timestep.{key} must hold {timesteps} non-negative integers"
-        )
-    return values.astype(np.int64, copy=False)
+_TALLIES = ("acs", "macs", "leak_macs", "membrane_updates")
 
 
 def _trace_from_dict(raw: dict) -> WorkloadTrace:
-    layer_sizes = tuple(int(s) for s in raw["layer_sizes"])
-    timesteps = int(raw["timesteps"])
-    if len(raw["spikes"]) != len(layer_sizes):
+    def field(path: str, rule, default=REQUIRED):
+        return read_field(raw, path, rule, "trace", WorkloadFileError, default)
+
+    timesteps = field("timesteps", integer)
+    layer_sizes = tuple(field("layer_sizes", array((None,), integers=True)).tolist())
+    payloads = field("spikes", list_of(obj))
+    if len(payloads) != len(layer_sizes):
         raise WorkloadFileError(
-            f"trace has {len(raw['spikes'])} spike layers for {len(layer_sizes)} layer sizes"
+            f"trace has {len(payloads)} spike layers for {len(layer_sizes)} layer sizes"
         )
-    spikes = []
-    for i, payload in enumerate(raw["spikes"]):
-        size = layer_sizes[i]
-        try:
-            if payload["kind"] == "binary":
-                mat = SpikeTrain.from_events(size, timesteps, payload["events"]).events
-            else:
-                mat = AnalogTrain(np.array(payload["frames"], dtype=np.float64)).events
-        except SimulationError as exc:
-            raise WorkloadFileError(f"trace layer {i}: {exc}") from exc
-        if mat.shape != (size, timesteps):
-            raise WorkloadFileError(f"trace layer {i}: frames shape mismatch")
-        spikes.append(mat)
-    per = raw["per_timestep"]
+    tallies = {key: field(f"per_timestep.{key}", array((timesteps,), integers=True))
+               for key in _TALLIES}
+    for key, values in tallies.items():
+        if np.any(values < 0):
+            raise WorkloadFileError(f"trace field 'per_timestep.{key}': expected counts >= 0")
     return WorkloadTrace(
         layer_sizes=layer_sizes,
-        spikes=spikes,
-        acs=_tallies(per, "acs", timesteps),
-        macs=_tallies(per, "macs", timesteps),
-        leak_macs=_tallies(per, "leak_macs", timesteps),
-        membrane_updates=_tallies(per, "membrane_updates", timesteps),
+        spikes=[_layer_events(i, payload, size, timesteps)
+                for i, (payload, size) in enumerate(zip(payloads, layer_sizes))],
+        **tallies,
         timesteps=timesteps,
-        timestep_duration=float(raw["timestep_duration"]),
-        model_name=raw.get("model", {}).get("name", ""),
-        model_version=raw.get("model", {}).get("version", ""),
-        static_metrics=raw.get("static_metrics", {}),
+        timestep_duration=field("timestep_duration", number),
+        model_name=field("model.name", string, ""),
+        model_version=field("model.version", string, ""),
+        static_metrics=field("static_metrics", obj, {}),
     )
+
+
+def _layer_events(index: int, payload: dict, size: int, timesteps: int) -> np.ndarray:
+    where = f"trace layer {index}"
+    binary = payload.get("kind") == "binary"
+    key, shape = ("events", (None, 2)) if binary else ("frames", (None, None))
+    value = read_field(payload, key, array(shape, integers=binary), where, WorkloadFileError)
+    try:
+        train = SpikeTrain.from_events(size, timesteps, value) if binary else AnalogTrain(value)
+    except SimulationError as exc:
+        raise WorkloadFileError(f"{where}: {exc}") from exc
+    if train.events.shape != (size, timesteps):
+        raise WorkloadFileError(f"{where}: frames shape mismatch")
+    return train.events

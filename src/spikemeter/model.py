@@ -24,9 +24,11 @@ Model file schema (JSON)::
     }
 
 Recurrent layers additionally carry ``"recurrent_weights"`` (out_size x
-out_size).  Unknown keys are rejected so typos cannot silently change a
-model.  A weight counts as zero exactly when its parsed value equals 0.0;
-no epsilon thresholding is applied.
+out_size).  Each object's keys are the fields of its dataclass
+(:class:`ModelDescriptor`, :class:`Precision`, :class:`LayerDescriptor`,
+:class:`NeuronParams`, :class:`TrainableFlags`); unknown keys are rejected so
+typos cannot silently change a model.  A weight counts as zero exactly when
+its parsed value equals 0.0; no epsilon thresholding is applied.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .fields import load_json, read_record
 
 
 class ModelParseError(ValueError):
@@ -110,9 +114,11 @@ class LayerDescriptor:
         if self.is_input:
             if self.weights is not None or self.recurrent_weights is not None:
                 raise ModelValidationError(f"{where}: input layers carry no weights")
-            if self.biases is not None or self.neuron is not None:
+            if self.biases is not None or self.neuron is not None or (
+                self.trainable != TrainableFlags()
+            ):
                 raise ModelValidationError(
-                    f"{where}: input layers carry no biases or neuron parameters"
+                    f"{where}: input layers carry no biases, neuron parameters or trainable flags"
                 )
             if self.in_size != self.out_size:
                 raise ModelValidationError(f"{where}: input layer in_size must equal out_size")
@@ -164,9 +170,9 @@ class Precision:
 
 @dataclass(frozen=True)
 class ModelDescriptor:
-    name: str
-    version: str
-    layers: tuple[LayerDescriptor, ...]
+    name: str = ""
+    version: str = ""
+    layers: tuple[LayerDescriptor, ...] = ()
     precision: Precision = field(default_factory=Precision)
 
     def __post_init__(self) -> None:
@@ -288,135 +294,19 @@ def memory_footprint(model: ModelDescriptor) -> int:
 # File round-trip
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {"name", "version", "precision", "layers"}
-_PRECISION_KEYS = {"weight_bits", "state_bits"}
-_LAYER_KEYS = {
-    "kind",
-    "in_size",
-    "out_size",
-    "weights",
-    "recurrent_weights",
-    "biases",
-    "neuron",
-    "trainable",
-}
-_NEURON_KEYS = {"beta", "threshold", "reset_mode"}
-_TRAINABLE_KEYS = {"weights", "biases", "neuron"}
 
-
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ModelParseError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _matrix(raw, rows: int, cols: int, where: str) -> np.ndarray:
+def _parse_layer(raw, index: int) -> LayerDescriptor:
     try:
-        arr = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ModelParseError(f"{where}: not a numeric matrix") from exc
-    if arr.shape != (rows, cols):
-        raise ModelValidationError(
-            f"{where}: expected shape ({rows}, {cols}), got {arr.shape}"
-        )
-    return arr
-
-
-def _parse_layer(raw: dict, index: int) -> LayerDescriptor:
-    where = f"layer {index}"
-    if not isinstance(raw, dict):
-        raise ModelParseError(f"{where}: must be an object")
-    _require_keys(raw, _LAYER_KEYS, where)
-    try:
-        kind = LayerKind(raw.get("kind"))
-    except ValueError:
-        raise ModelParseError(f"{where}: unknown kind {raw.get('kind')!r}") from None
-    try:
-        in_size = int(raw["in_size"])
-        out_size = int(raw["out_size"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelParseError(f"{where}: in_size/out_size must be integers") from None
-
-    if kind is LayerKind.INPUT:
-        for key in ("weights", "recurrent_weights", "biases", "neuron", "trainable"):
-            if key in raw:
-                raise ModelParseError(f"{where}: input layers take no {key!r}")
-        return LayerDescriptor(kind, in_size, out_size)
-
-    weights = _matrix(raw.get("weights"), out_size, in_size, f"{where}: weights")
-    recurrent = None
-    if kind is LayerKind.RECURRENT:
-        recurrent = _matrix(
-            raw.get("recurrent_weights"), out_size, out_size, f"{where}: recurrent_weights"
-        )
-    elif "recurrent_weights" in raw:
-        raise ModelParseError(f"{where}: only recurrent layers take recurrent_weights")
-    biases = None
-    if raw.get("biases") is not None:
-        try:
-            biases = np.array(raw["biases"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ModelParseError(f"{where}: biases must be a numeric vector") from exc
-        if biases.shape != (out_size,):
-            raise ModelValidationError(f"{where}: biases length must equal out_size")
-
-    neuron_raw = raw.get("neuron")
-    if not isinstance(neuron_raw, dict):
-        raise ModelParseError(f"{where}: missing neuron parameters")
-    _require_keys(neuron_raw, _NEURON_KEYS, f"{where}: neuron")
-    try:
-        reset = ResetMode(neuron_raw.get("reset_mode", ResetMode.TO_ZERO.value))
-    except ValueError:
-        raise ModelParseError(
-            f"{where}: unknown reset_mode {neuron_raw.get('reset_mode')!r}"
-        ) from None
-    try:
-        neuron = NeuronParams(
-            beta=float(neuron_raw["beta"]),
-            threshold=float(neuron_raw["threshold"]),
-            reset_mode=reset,
-        )
-    except ModelValidationError as exc:
-        raise ModelValidationError(f"{where}: {exc}") from None
-    except (KeyError, TypeError, ValueError):
-        raise ModelParseError(f"{where}: neuron needs numeric beta and threshold") from None
-
-    trainable_raw = raw.get("trainable", {})
-    if not isinstance(trainable_raw, dict):
-        raise ModelParseError(f"{where}: trainable must be an object")
-    _require_keys(trainable_raw, _TRAINABLE_KEYS, f"{where}: trainable")
-    trainable = TrainableFlags(
-        weights=bool(trainable_raw.get("weights", True)),
-        biases=bool(trainable_raw.get("biases", True)),
-        neuron=bool(trainable_raw.get("neuron", False)),
-    )
-    return LayerDescriptor(
-        kind, in_size, out_size, weights, recurrent, biases, neuron, trainable
-    )
+        return read_record(LayerDescriptor, raw, f"layer {index}: model", ModelParseError)
+    except ModelValidationError as exc:  # NeuronParams' own range checks
+        raise ModelValidationError(f"layer {index}: {exc}") from None
 
 
 def model_from_dict(raw: dict) -> ModelDescriptor:
-    if not isinstance(raw, dict):
-        raise ModelParseError("model file must hold a JSON object")
-    _require_keys(raw, _MODEL_KEYS, "model")
-    precision_raw = raw.get("precision", {})
-    if not isinstance(precision_raw, dict):
-        raise ModelParseError("precision must be an object")
-    _require_keys(precision_raw, _PRECISION_KEYS, "precision")
-    precision = Precision(
-        weight_bits=int(precision_raw.get("weight_bits", 32)),
-        state_bits=int(precision_raw.get("state_bits", 32)),
-    )
-    layers_raw = raw.get("layers")
-    if not isinstance(layers_raw, list):
-        raise ModelParseError("layers must be a list")
-    layers = tuple(_parse_layer(l, i) for i, l in enumerate(layers_raw))
-    return ModelDescriptor(
-        name=str(raw.get("name", "")),
-        version=str(raw.get("version", "")),
-        layers=layers,
-        precision=precision,
-    )
+    layers = raw.get("layers") if isinstance(raw, dict) else None
+    if isinstance(layers, list):  # read here, so each message starts "layer N"
+        raw = {**raw, "layers": [_parse_layer(layer, i) for i, layer in enumerate(layers)]}
+    return read_record(ModelDescriptor, raw, "model", ModelParseError)
 
 
 def model_to_dict(model: ModelDescriptor) -> dict:
@@ -457,15 +347,7 @@ def model_to_dict(model: ModelDescriptor) -> dict:
 
 def load_model(path: str | Path) -> ModelDescriptor:
     """Load and validate a model file; errors name the offending layer."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"malformed model file {path}: {exc}") from exc
-    return model_from_dict(raw)
+    return model_from_dict(load_json(path, "model file", ModelParseError))
 
 
 def save_model(model: ModelDescriptor, path: str | Path) -> None:

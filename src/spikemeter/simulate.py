@@ -87,12 +87,13 @@ class SpikeTrain(_Train):
 
     @classmethod
     def from_events(cls, neurons: int, timesteps: int, events) -> "SpikeTrain":
+        n, t = np.asarray(events, dtype=np.int64).reshape(-1, 2).T
+        outside = (n < 0) | (n >= neurons) | (t < 0) | (t >= timesteps)
+        if outside.any():
+            first = int(np.argmax(outside))
+            raise SimulationError(f"event ({n[first]}, {t[first]}) outside train dimensions")
         mat = np.zeros((neurons, timesteps), dtype=np.float64)
-        for pair in events:
-            n, t = int(pair[0]), int(pair[1])
-            if not (0 <= n < neurons and 0 <= t < timesteps):
-                raise SimulationError(f"event ({n}, {t}) outside train dimensions")
-            mat[n, t] = 1.0
+        mat[n, t] = 1.0
         return cls(mat)
 
 

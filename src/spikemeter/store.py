@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -37,6 +36,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .catalog import MetricDescriptor, Polarity, Provenance, find_metric
+from .fields import FieldError, number, read_field
 
 PROVENANCE_ORDER = (Provenance.COMPUTED, Provenance.ESTIMATED, Provenance.INGESTED)
 _PROVENANCE_TAGS = frozenset(p.value for p in Provenance)
@@ -64,10 +64,18 @@ class Direction(str, Enum):
     FLAT = "flat"
 
 
+def _is_number(value) -> bool:
+    try:
+        number(value)
+    except FieldError:
+        return False
+    return True
+
+
 def _check_value(metric: str, value, provenance) -> None:
     """Every stored value, written or read, is a finite number carrying one
     of the catalog's provenance tags."""
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _is_number(value):
         raise StoreError(f"value for {metric!r} must be a finite number")
     if provenance not in _PROVENANCE_TAGS:
         raise StoreError(
@@ -77,9 +85,7 @@ def _check_value(metric: str, value, provenance) -> None:
 
 
 def _check_accuracy(accuracy) -> None:
-    if accuracy is not None and not (
-        isinstance(accuracy, (int, float)) and 0.0 <= accuracy <= 1.0
-    ):
+    if accuracy is not None and not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
         raise StoreError("accuracy must lie in [0, 1]")
 
 
@@ -145,6 +151,10 @@ class StoreData:
         return record
 
 
+def _timestamp(record: dict) -> float:
+    return read_field(record, "timestamp", number, f"{record['kind']} record", StoreError)
+
+
 def _parse_line(line: str, lineno: int) -> dict:
     try:
         record = json.loads(line)
@@ -195,7 +205,7 @@ def read_store(path: str | Path) -> StoreData:
                 _check_accuracy(record.get("accuracy"))
                 data.add(model, VersionRecord(
                     version=version,
-                    timestamp=float(record["timestamp"]),
+                    timestamp=_timestamp(record),
                     values=values,
                     accuracy=record.get("accuracy"),
                     notes=record.get("notes", ""),
@@ -208,7 +218,7 @@ def read_store(path: str | Path) -> StoreData:
                 if target is None:
                     target = data.add(model, VersionRecord(
                         version=version,
-                        timestamp=float(record["timestamp"]),
+                        timestamp=_timestamp(record),
                         values={},
                         accuracy=None,
                         notes="",

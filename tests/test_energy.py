@@ -344,11 +344,13 @@ class TestHardwareSpecFile:
         assert spec.battery.usable_joules == pytest.approx(100 * 3.6 * 3.0 * 0.8)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(HardwareSpecError, match="unknown hardware spec keys"):
+        with pytest.raises(HardwareSpecError,
+                           match=r"hardware spec: unknown keys \['e_macc'\]"):
             hardware_spec_from_dict({"e_mac": 1e-12, "e_macc": 2e-12})
 
     def test_unknown_battery_key_rejected(self):
-        with pytest.raises(HardwareSpecError, match="unknown battery keys"):
+        with pytest.raises(HardwareSpecError,
+                           match=r"hardware spec field 'battery': unknown keys \['volts'\]"):
             hardware_spec_from_dict({"battery": {"capacity_joules": 1.0, "volts": 3}})
 
     def test_incomplete_battery_rejected(self):

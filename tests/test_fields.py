@@ -1,0 +1,216 @@
+"""Every input file is read through the typing rules in ``spikemeter.fields``:
+a malformed field exits 2 with one stderr line naming the file kind and the
+field, never a traceback (exit 1) and never a silent acceptance."""
+
+import io
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from importlib import resources
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spikemeter import cli
+from spikemeter.energy import BatterySpec, HardwareSpec
+from spikemeter.model import NeuronParams, Precision, TrainableFlags
+
+DATA = resources.files("spikemeter") / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The command each file kind is fed to; every other input is valid.
+COMMANDS = {
+    "model": ["simulate", "--model", "{model}", "--workload", "{workload}"],
+    "workload": ["simulate", "--model", "{model}", "--workload", "{workload}"],
+    "trace": ["estimate", "--trace", "{trace}", "--hwspec", "{hwspec}"],
+    "counts": ["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}"],
+    "hwspec": ["estimate", "--trace", "{trace}", "--hwspec", "{hwspec}"],
+    "store": ["history", "--store", "{store}", "--model", "m", "--metric", "effective_synops"],
+}
+
+
+def snapshot(version: str, synops: float) -> dict:
+    return {"kind": "snapshot", "model": "m", "version": version, "timestamp": 1.0,
+            "values": {"effective_synops": synops}, "provenance": {}}
+
+
+def write(path: Path, doc) -> Path:
+    if path.stem == "store":
+        path.write_text("".join(json.dumps(record) + "\n" for record in doc))
+    else:
+        path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_parser():
+    """Build the CLI's parser once for the module: these tests exercise the
+    loaders, and building the parser is most of the cost of a cli.main call."""
+    parser = cli.build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        yield
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory) -> dict:
+    """One valid document of each kind: the shipped demo model, workload and
+    spec, the trace they simulate to, a counts file and a two-version store;
+    ``files`` maps each kind to a file holding it."""
+    directory = tmp_path_factory.mktemp("valid")
+    docs = {kind: json.loads((DATA / f"demo_{kind}.json").read_text())
+            for kind in ("model", "workload", "hwspec")}
+    trace = directory / "trace.json"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--model", str(DATA / "demo_model.json"),
+                         "--workload", str(DATA / "demo_workload.json"),
+                         "--trace-out", str(trace)]) == 0
+    docs["trace"] = json.loads(trace.read_text())
+    docs["counts"] = {"macs": 2, "acs": 10, "leak_macs": 1, "duration": 1e-3}
+    docs["store"] = [snapshot("v1", 10.0), snapshot("v2", 12.0)]
+    docs["files"] = {kind: write(directory / f"{kind}.json", doc) for kind, doc in docs.items()}
+    return docs
+
+
+def run(kind: str, doc, valid: dict, directory: Path) -> tuple[int, str]:
+    """Exit code and stderr of ``kind``'s command with ``doc`` as that file."""
+    paths = {**valid["files"], kind: write(directory / f"{kind}.json", doc)}
+    argv = [arg.format(**paths) for arg in COMMANDS[kind]]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def mutated(doc, path: tuple, value):
+    """A deep copy of ``doc`` with the entry at ``path`` set to ``value``,
+    or deleted when ``value`` is DELETE."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+DELETE = object()
+
+# (file kind, path to the field, bad value, field the message must name)
+PROBES = [
+    ("model", ("precision", "weight_bits"), [1], "precision.weight_bits"),
+    ("hwspec", ("battery", "capacity_joules"), [1], "battery.capacity_joules"),
+    ("counts", ("macs",), [1], "macs"),
+    ("counts", ("duration",), "x", "duration"),
+    ("model", ("layers", 1, "weights", 0, 0), "1", "weights"),
+    ("model", ("layers", 1, "trainable", "weights"), [1], "trainable.weights"),
+    ("hwspec", ("channels",), 1.5, "channels"),
+    ("model", ("layers", 1, "in_size"), 2.7, "in_size"),
+    ("model", ("layers", 1, "neuron", "beta"), "0.5", "neuron.beta"),
+    ("model", ("name",), ["x"], "name"),
+    ("hwspec", ("e_mac",), "1e-12", "e_mac"),
+    ("hwspec", ("e_mac",), True, "e_mac"),
+    ("counts", ("macs",), 1.5, "macs"),
+    ("counts", ("macs",), "7", "macs"),
+    ("hwspec", ("battery", "capacity_joules"), "x", "battery.capacity_joules"),
+    ("trace", ("timestep_duration",), "x", "timestep_duration"),
+    ("trace", ("model",), "x", "model"),
+    ("trace", ("timesteps",), 2.5, "timesteps"),
+    ("store", (1, "values", "effective_synops"), True, "effective_synops"),
+    ("counts", ("mac",), 5, "mac"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, field", PROBES,
+    ids=[f"{kind}-{'.'.join(map(str, path))}-{json.dumps(value)}"
+         for kind, path, value, _ in PROBES],
+)
+def test_bad_field_exits_2_naming_it(valid, tmp_path, kind, path, value, field):
+    code, err = run(kind, mutated(valid[kind], path, value), valid, tmp_path)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"'{field}'" in err
+
+
+def test_unknown_counts_key_names_the_allowed_keys(valid, tmp_path):
+    code, err = run("counts", {"mac": 5, "acs": 1}, valid, tmp_path)
+    assert code == 2
+    assert err == (
+        "error: counts file: unknown keys ['mac']; allowed: macs, acs, "
+        "membrane_updates_effective, membrane_updates_dense, leak_macs, crossings, "
+        "duration\n"
+    )
+
+
+def test_valid_inputs_pass(valid, tmp_path):
+    for kind in COMMANDS:
+        assert run(kind, valid[kind], valid, tmp_path) == (0, "")
+
+
+# --- fuzz: one field of a valid file replaced or deleted -------------------
+
+def paths_in(doc, prefix=()) -> list[tuple]:
+    """Every key and list index in ``doc``, depth first."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(paths_in(child, prefix + (key,)))
+    return out
+
+
+# Small integers keep every accepted input cheap to simulate; the values
+# beyond 64 bits and the floats cover the range and finiteness rules.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from([2**63, -(2**63) - 1, 10**400, 0.5, 2.0, -1.0, 1e300,
+                     float("nan"), float("inf")]),
+    st.sampled_from(["", "x", "1", "1e-12", "input", "binary", "effective", "to-zero"]),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "name", "beta", "acs"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("kind", ["model", "workload", "trace", "counts", "hwspec"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_file_exits_cleanly(valid, tmp_path, kind, data):
+    path = data.draw(st.sampled_from(paths_in(valid[kind])), label="path")
+    value = data.draw(st.just(DELETE) | VALUES, label="value")
+    code, err = run(kind, mutated(valid[kind], path, value), valid, tmp_path)
+    assert code in (0, 2, 3, 4)
+    assert len(err.splitlines()) == (0 if code == 0 else 1)
+
+
+# --- the README documents every key the readers accept ---------------------
+
+@pytest.mark.parametrize(
+    "cls", [HardwareSpec, BatterySpec, Precision, NeuronParams, TrainableFlags],
+    ids=lambda cls: cls.__name__,
+)
+def test_readme_names_every_key(cls):
+    text = README.read_text()
+    section = text[text.index("## File formats"):]
+    section = section[:section.index("\n## ", 1)]
+    code = " ".join(re.findall(r"`([^`]*)`", section))
+    missing = [f.name for f in fields(cls) if not re.search(rf"\b{f.name}\b", code)]
+    assert not missing, f"README 'File formats' lacks {cls.__name__} keys {missing}"

@@ -167,17 +167,24 @@ class TestTraceValidation:
     @pytest.mark.parametrize(
         "mutate, message",
         [
-            (lambda raw: raw["per_timestep"].pop("leak_macs"), "lacks field 'leak_macs'"),
-            (lambda raw: raw.update(model=[]), "malformed trace file"),
+            (lambda raw: raw["per_timestep"].pop("leak_macs"),
+             r"trace field 'per_timestep\.leak_macs': missing"),
+            (lambda raw: raw.update(model=[]),
+             r"trace field 'model': expected a JSON object, got list"),
             (lambda raw: raw["spikes"].append(raw["spikes"][-1]), "3 spike layers for 2"),
             (lambda raw: raw["spikes"].pop(), "1 spike layers for 2"),
-            (lambda raw: raw["spikes"][0]["events"].append([0]), "malformed trace file"),
+            (lambda raw: raw["spikes"][0]["events"].append([0]),
+             r"trace layer 0 field 'events': expected an integer array .*, got ragged rows"),
             (lambda raw: raw["spikes"].__setitem__(0, {
                 "layer": 0, "kind": "analog", "frames": [[None, 0.0, 0.0], [1.0, 0.0, 0.5]],
+            }), r"trace layer 0 field 'frames': expected a number array .*, got non-numeric"),
+            (lambda raw: raw["spikes"].__setitem__(0, {
+                "layer": 0, "kind": "analog",
+                "frames": [[float("nan"), 0.0, 0.0], [1.0, 0.0, 0.5]],
             }), "trace layer 0: events must be finite"),
         ],
         ids=["missing-field", "model-not-object", "extra-layer", "missing-layer",
-             "short-event", "non-finite-frame"],
+             "short-event", "non-finite-frame", "nan-frame"],
     )
     def test_malformed_structure_rejected(self, tmp_path, capsys, mutate, message):
         path = self.write_trace(tmp_path, mutate)

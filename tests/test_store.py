@@ -291,7 +291,8 @@ class TestMalformedStoreLines:
             ({"kind": "register", "name": "lut_count", "polarity": "up"},
              "malformed register record: 'up' is not a valid Polarity"),
             ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": "abc",
-              "values": {}}, "malformed snapshot record: could not convert string to float"),
+              "values": {}},
+             "snapshot record field 'timestamp': expected a finite number, got \"abc\""),
             ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
               "metric": "effective_synops", "value": 1.0, "provenance": "measured"},
              "provenance of 'effective_synops' must be one of "
@@ -308,9 +309,25 @@ class TestMalformedStoreLines:
              "value for 'effective_synops' must be a finite number"),
             ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
               "values": {}, "accuracy": "abc"}, "accuracy must lie in [0, 1]"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {"effective_synops": True}},
+             "value for 'effective_synops' must be a finite number"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": False, "provenance": "ingested"},
+             "value for 'effective_synops' must be a finite number"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {}, "accuracy": True}, "accuracy must lie in [0, 1]"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": "1.0",
+              "values": {}},
+             "snapshot record field 'timestamp': expected a finite number, got \"1.0\""),
+            ({"kind": "ingest", "model": "m", "version": "v3", "timestamp": "1.0",
+              "metric": "effective_synops", "value": 1.0, "provenance": "ingested"},
+             "ingest record field 'timestamp': expected a finite number, got \"1.0\""),
         ],
         ids=["register-polarity", "snapshot-timestamp", "ingest-provenance",
-             "snapshot-provenance", "snapshot-value", "ingest-value", "snapshot-accuracy"],
+             "snapshot-provenance", "snapshot-value", "ingest-value", "snapshot-accuracy",
+             "snapshot-value-bool", "ingest-value-bool", "snapshot-accuracy-bool",
+             "snapshot-timestamp-string", "ingest-timestamp-string"],
     )
     def test_bad_field_value_names_the_line(self, tmp_path, record, message):
         store = tmp_path / "s.jsonl"
