@@ -10,7 +10,8 @@ array is a rectangular list of numbers, converted by numpy.
 :func:`load_json` decodes a file; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
 defaults make keys optional and whose annotations pick the rules;
-:func:`read_field` reads one value at a dotted path.  All raise the loader's
+:func:`read_field` reads one value at a dotted path; :func:`check_keys` refuses
+keys outside a list, for objects whose keys depend on a tag.  All raise the loader's
 own error class, naming the file kind and, for a bad value, the field:
 ``hardware spec field 'battery.capacity_joules': expected a finite number,
 got list``.
@@ -186,11 +187,15 @@ def _schema(cls) -> dict[str, tuple]:
     }
 
 
+def _check_keys(raw, allowed) -> None:
+    unknown = sorted(set(obj(raw)) - set(allowed))
+    if unknown:
+        raise FieldError(f"unknown keys {unknown}; allowed: {', '.join(allowed)}")
+
+
 def _read(cls, raw):
     schema = _schema(cls)
-    unknown = sorted(set(obj(raw)) - schema.keys())
-    if unknown:
-        raise FieldError(f"unknown keys {unknown}; allowed: {', '.join(schema)}")
+    _check_keys(raw, schema)
     values = {}
     for name, (rule, required) in schema.items():
         if name in raw:
@@ -213,6 +218,15 @@ def read_record(cls, raw, where: str, error: type[Exception]):
     raise their own errors."""
     try:
         return _read(cls, raw)
+    except FieldError as exc:
+        raise _error(error, where, exc.path, exc) from None
+
+
+def check_keys(raw, allowed, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``where`` and the ``allowed`` keys when the JSON
+    object ``raw`` holds any other key."""
+    try:
+        _check_keys(raw, allowed)
     except FieldError as exc:
         raise _error(error, where, exc.path, exc) from None
 

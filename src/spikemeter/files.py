@@ -3,17 +3,19 @@
 Workload file (JSON), three shapes::
 
     {"kind": "spikes", "layer": N, "timesteps": T, "events": [[neuron, t], ...]}
-    {"kind": "rates",  "values": [r0, r1, ...]}            # encoded at run time
+    {"kind": "rates",  "values": [r0, r1, ...]}            # optional "timesteps": T
     {"kind": "analog", "layer": N, "timesteps": T, "frames": [[...], ...]}
 
 ``events`` lists (neuron, timestep) pairs; ``frames`` is a row-major neuron
 x timestep matrix of real values.  A rates workload is Bernoulli-encoded
 with the run's seed and timestep count, so the file alone does not fix the
-train -- the (file, seed, timesteps) triple does.
+train -- the (file, seed, timesteps) triple does.  A key that the file's
+kind does not define is refused.
 
 Trace file: the simulator's full output -- per-layer spike trains,
 per-timestep tallies, and the structural metrics of the model that produced
 it -- written with sorted keys so identical runs serialize identically.
+Unknown keys are refused at the top level and in each spike-layer entry.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (REQUIRED, array, integer, list_of, load_json, number, obj, optional,
-                     read_field, string)
+from .fields import (REQUIRED, array, check_keys, integer, list_of, load_json, number, obj,
+                     optional, read_field, string)
 from .simulate import (
     AnalogTrain,
     SimulationConfig,
@@ -57,6 +59,16 @@ def load_workload(path: str | Path) -> WorkloadSpec:
     return workload_from_dict(load_json(path, "workload file", WorkloadFileError))
 
 
+# Each kind's keys besides "kind": (rule, default), REQUIRED when the key must appear.
+_WORKLOAD_FIELDS = {
+    "spikes": {"layer": (integer, REQUIRED), "timesteps": (integer, REQUIRED),
+               "events": (array((None, 2), integers=True), REQUIRED)},
+    "rates": {"values": (array((None,)), REQUIRED), "timesteps": (optional(integer), None)},
+    "analog": {"layer": (integer, REQUIRED), "timesteps": (integer, REQUIRED),
+               "frames": (array((None, None)), REQUIRED)},
+}
+
+
 def workload_from_dict(raw: dict) -> WorkloadSpec:
     if not isinstance(raw, dict):
         raise WorkloadFileError("workload must be a JSON object")
@@ -70,22 +82,17 @@ def workload_from_dict(raw: dict) -> WorkloadSpec:
             kind = "rates"
         elif "frames" in raw:
             kind = "analog"
-
-    def field(key: str, rule, default=REQUIRED):
-        return read_field(raw, key, rule, f"{kind} workload", WorkloadFileError, default)
-
-    if kind == "spikes":
-        return WorkloadSpec(kind, field("layer", integer), field("timesteps", integer),
-                            events=field("events", array((None, 2), integers=True)))
-    if kind == "rates":
-        return WorkloadSpec(kind, values=field("values", array((None,))),
-                            timesteps=field("timesteps", optional(integer), None))
-    if kind == "analog":
-        return WorkloadSpec(kind, field("layer", integer), field("timesteps", integer),
-                            frames=field("frames", array((None, None))))
-    raise WorkloadFileError(
-        f"workload kind must be 'spikes', 'rates' or 'analog', got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _WORKLOAD_FIELDS:
+        raise WorkloadFileError(
+            f"workload kind must be 'spikes', 'rates' or 'analog', got {kind!r}"
+        )
+    where = f"{kind} workload"
+    fields = _WORKLOAD_FIELDS[kind]
+    check_keys(raw, ("kind", *fields), where, WorkloadFileError)
+    return WorkloadSpec(kind, **{
+        key: read_field(raw, key, rule, where, WorkloadFileError, default)
+        for key, (rule, default) in fields.items()
+    })
 
 
 def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
@@ -156,12 +163,15 @@ def load_trace(path: str | Path) -> WorkloadTrace:
 
 
 _TALLIES = ("acs", "macs", "leak_macs", "membrane_updates")
+_TRACE_KEYS = ("format", "model", "timesteps", "timestep_duration", "layer_sizes",
+               "per_timestep", "spikes", "static_metrics")
 
 
 def _trace_from_dict(raw: dict) -> WorkloadTrace:
     def field(path: str, rule, default=REQUIRED):
         return read_field(raw, path, rule, "trace", WorkloadFileError, default)
 
+    check_keys(raw, _TRACE_KEYS, "trace", WorkloadFileError)
     timesteps = field("timesteps", integer)
     layer_sizes = tuple(field("layer_sizes", array((None,), integers=True)).tolist())
     payloads = field("spikes", list_of(obj))
@@ -191,6 +201,7 @@ def _layer_events(index: int, payload: dict, size: int, timesteps: int) -> np.nd
     where = f"trace layer {index}"
     binary = payload.get("kind") == "binary"
     key, shape = ("events", (None, 2)) if binary else ("frames", (None, None))
+    check_keys(payload, ("layer", "kind", key), where, WorkloadFileError)
     value = read_field(payload, key, array(shape, integers=binary), where, WorkloadFileError)
     try:
         train = SpikeTrain.from_events(size, timesteps, value) if binary else AnalogTrain(value)

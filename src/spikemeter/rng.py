@@ -12,30 +12,36 @@ splitmix64 sequence rather than a library RNG whose stream may change:
     output = z XOR (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
+
+The generator is counter-based: the state before the k-th output (k = 1, 2,
+...) is seed + k * 0x9E3779B97F4A7C15 mod 2**64, so every output is computed
+at once in wrapping uint64 arithmetic rather than one call at a time.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0**-53
 
 
-class SplitMix64:
-    """Sequential splitmix64 stream seeded with a 64-bit integer."""
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of the stream seeded with ``seed``, as uint64."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
 
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_unit(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_uint64() >> 11) * _INV_2_53
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs as uniform doubles in [0, 1)."""
+    return (splitmix64(seed, count) >> np.uint64(11)) * _INV_2_53

@@ -1,7 +1,7 @@
 """Discrete-time LIF simulation with event-driven operation counting.
 
-The simulator is clock-driven (one synchronous pass per timestep) but counts
-operations event-driven: arithmetic is tallied only where activity occurs.
+The simulator steps in discrete time but counts operations event-driven:
+arithmetic is tallied only where activity occurs.
 
 Counting conventions, shared verbatim with the brute-force oracle:
 
@@ -20,8 +20,20 @@ Within a timestep, each neuron accumulates input in a fixed order --
 feed-forward presynaptic indices ascending, then recurrent indices
 ascending, then bias -- so reduced-precision effects are identical across
 the event-driven path and the dense oracle, and traces are bit-reproducible.
-"""
 
+The simulation runs layer-major: a layer handles all timesteps before the
+next layer starts, since a layer's input is the previous layer's complete
+output train.  Its feed-forward current is built for every timestep at
+once, one presynaptic neuron at a time in ascending order, and is added only
+at the timesteps where that input is nonzero; all-zero weight columns are
+skipped.  A skipped product, and the product of a zero weight that is added,
+is +0.0 or -0.0.  Adding either to a sum that starts at +0.0 changes no bit,
+because such a sum is never -0.0, so the currents equal the oracle's, which
+skips exactly the zero products.  Only the membrane recurrence -- recurrent
+feedback, bias, leak, threshold and reset -- steps through time; the tallies
+are counted afterwards from boolean records of the spikes and of the
+potentials that entered each step nonzero.
+"""
 from __future__ import annotations
 
 import math
@@ -29,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelDescriptor, NeuronParams, ResetMode
-from .rng import SplitMix64
+from .model import LayerDescriptor, ModelDescriptor, NeuronParams, ResetMode
+from .rng import uniforms
 
 
 class SimulationError(ValueError):
@@ -104,9 +116,9 @@ class AnalogTrain(_Train):
 def rate_encode(values, timesteps: int, seed: int) -> SpikeTrain:
     """Bernoulli-encode per-neuron rates into a deterministic spike train.
 
-    Neuron i fires at timestep t when the next uniform draw is below
-    values[i].  Draws advance timestep-major, neuron-minor, from a
-    splitmix64 stream seeded with ``seed`` (see rng module for the exact
+    Neuron i fires at timestep t when uniform draw t * len(values) + i of
+    the splitmix64 stream seeded with ``seed`` is below values[i]: draws
+    advance timestep-major, neuron-minor (see rng module for the exact
     sequence).
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -116,13 +128,8 @@ def rate_encode(values, timesteps: int, seed: int) -> SpikeTrain:
         raise SimulationError("rate values must lie in [0, 1]")
     if timesteps < 1:
         raise SimulationError("timesteps must be >= 1")
-    rng = SplitMix64(seed)
-    mat = np.zeros((vals.size, timesteps), dtype=np.float64)
-    for t in range(timesteps):
-        for i in range(vals.size):
-            if rng.next_unit() < vals[i]:
-                mat[i, t] = 1.0
-    return SpikeTrain(mat)
+    draws = uniforms(seed, timesteps * vals.size).reshape(timesteps, vals.size)
+    return SpikeTrain(np.ascontiguousarray((draws < vals).T, dtype=np.float64))
 
 
 def step_lif(
@@ -219,7 +226,11 @@ class WorkloadTrace:
 def run_inference(
     model: ModelDescriptor, train: _Train, config: SimulationConfig
 ) -> WorkloadTrace:
-    """Simulate one inference, counting ops only where events occur."""
+    """Simulate one inference, counting ops only where events occur.
+
+    Layer-major: each weighted layer runs every timestep, and its tallies are
+    added, before the next layer starts.
+    """
     if train.neurons != model.input_size:
         raise SimulationError(
             f"input train has {train.neurons} neurons, model input is {model.input_size}"
@@ -232,82 +243,13 @@ def run_inference(
         train = SpikeTrain(train.events)
 
     T = config.timesteps
-    layers = model.weighted_layers
-    acs = np.zeros(T, dtype=np.int64)
-    macs = np.zeros(T, dtype=np.int64)
-    leak_macs = np.zeros(T, dtype=np.int64)
-    updates = np.zeros(T, dtype=np.int64)
+    tallies = np.zeros((4, T), dtype=np.int64)
     spikes: list[np.ndarray] = [np.array(train.events, copy=True)]
-    spikes += [np.zeros((l.out_size, T), dtype=np.float64) for l in layers]
-
-    # Per-layer precomputation: nonzero fan-out rows for every presynaptic
-    # column, so zero weights are skipped exactly like the oracle does.
-    ff_fanout = []
-    rec_fanout = []
-    for layer in layers:
-        ff_fanout.append([np.flatnonzero(layer.weights[:, j]) for j in range(layer.in_size)])
-        if layer.recurrent_weights is not None:
-            rec_fanout.append(
-                [np.flatnonzero(layer.recurrent_weights[:, k]) for k in range(layer.out_size)]
-            )
-        else:
-            rec_fanout.append(None)
-
-    states = [np.zeros(l.out_size, dtype=np.float64) for l in layers]
-    prev_spikes = [np.zeros(l.out_size, dtype=np.float64) for l in layers]
-
-    for t in range(T):
-        for li, layer in enumerate(layers):
-            source = spikes[li][:, t]
-            cur = np.zeros(layer.out_size, dtype=np.float64)
-            contributed = np.zeros(layer.out_size, dtype=bool)
-            for j in np.flatnonzero(source):
-                rows = ff_fanout[li][j]
-                if rows.size == 0:
-                    continue
-                xj = source[j]
-                if xj == 1.0:
-                    acs[t] += rows.size
-                else:
-                    macs[t] += rows.size
-                cur[rows] += layer.weights[rows, j] * xj
-                contributed[rows] = True
-            if rec_fanout[li] is not None:
-                prev = prev_spikes[li]
-                for k in np.flatnonzero(prev):
-                    rows = rec_fanout[li][k]
-                    if rows.size == 0:
-                        continue
-                    acs[t] += rows.size
-                    cur[rows] += layer.recurrent_weights[rows, k] * prev[k]
-                    contributed[rows] = True
-            if layer.biases is not None:
-                cur += layer.biases
-                contributed |= layer.biases != 0.0
-
-            beta = layer.neuron.beta
-            threshold = layer.neuron.threshold
-            v_prev = states[li]
-            active = v_prev != 0.0
-            if beta != 0.0 and beta != 1.0:
-                n_leak = int(np.count_nonzero(active))
-                leak_macs[t] += n_leak
-                macs[t] += n_leak
-            if beta != 1.0:
-                updates[t] += int(np.count_nonzero(contributed | active))
-            else:
-                updates[t] += int(np.count_nonzero(contributed))
-
-            v = beta * v_prev + cur
-            fired = v >= threshold
-            if layer.neuron.reset_mode is ResetMode.TO_ZERO:
-                v_next = np.where(fired, 0.0, v)
-            else:
-                v_next = np.where(fired, v - threshold, v)
-            states[li] = v_next
-            out = fired.astype(np.float64)
-            spikes[li + 1][:, t] = out
-            prev_spikes[li] = out
+    for layer in model.weighted_layers:
+        fired, entering = _run_layer(layer, spikes[-1])
+        tallies += _tally_layer(layer, spikes[-1], fired, entering)
+        spikes.append(np.ascontiguousarray(fired.T, dtype=np.float64))
+    acs, macs, leak_macs, updates = tallies
 
     return WorkloadTrace(
         layer_sizes=model.layer_sizes,
@@ -321,3 +263,98 @@ def run_inference(
         model_name=model.name,
         model_version=model.version,
     )
+
+
+# Timestep x neuron cells per block of the scratch arrays that span a layer.
+_BLOCK_CELLS = 1 << 16
+
+
+def _run_layer(layer: LayerDescriptor, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run one layer over every timestep of ``source`` (neuron x timestep).
+
+    Returns two timestep x neuron boolean records: which neurons fired, and
+    which entered the timestep with a nonzero potential.
+    """
+    T = source.shape[1]
+    current = np.zeros((T, layer.out_size), dtype=np.float64)
+    block = max(1, _BLOCK_CELLS // layer.out_size)
+    for j0 in range(0, layer.in_size, block):
+        columns = layer.weights[:, j0:j0 + block].T.copy()  # one contiguous row per input
+        for j in np.flatnonzero(np.any(columns != 0.0, axis=1)):
+            ts = np.flatnonzero(source[j0 + j])
+            if ts.size:
+                current[ts] += np.multiply.outer(source[j0 + j, ts], columns[j])
+
+    recurrent = None
+    if layer.recurrent_weights is not None:
+        recurrent = np.ascontiguousarray(layer.recurrent_weights.T)
+    biases = layer.biases
+    beta = layer.neuron.beta
+    threshold = layer.neuron.threshold
+    to_zero = layer.neuron.reset_mode is ResetMode.TO_ZERO
+    fired = np.zeros((T, layer.out_size), dtype=bool)
+    entering = np.zeros((T, layer.out_size), dtype=bool)
+    v = np.zeros(layer.out_size, dtype=np.float64)
+    prev = np.zeros(layer.out_size, dtype=bool)
+    for cur, entered, spiked in zip(current, entering, fired):
+        if recurrent is not None:
+            for k in prev.nonzero()[0].tolist():
+                cur += recurrent[k]
+        if biases is not None:
+            cur += biases
+        np.not_equal(v, 0.0, out=entered)
+        v *= beta
+        v += cur
+        np.greater_equal(v, threshold, out=spiked)
+        if to_zero:
+            v[spiked] = 0.0
+        else:
+            v[spiked] -= threshold
+        prev = spiked
+    return fired, entering
+
+
+def _tally_layer(
+    layer: LayerDescriptor, source: np.ndarray, fired: np.ndarray, entering: np.ndarray
+) -> np.ndarray:
+    """One layer's per-timestep tallies, counted a block of timesteps at a
+    time from its input and the records _run_layer returns.  Rows: ACs, MACs,
+    leak MACs, membrane updates."""
+    T = source.shape[1]
+    tallies = np.zeros((4, T), dtype=np.int64)
+    acs, macs, leak_macs, updates = tallies
+    connected = layer.weights != 0.0
+    fanout = np.count_nonzero(connected, axis=0)
+    # float32 sums of 0/1 products are > 0 exactly when one product is 1
+    connected = connected.T.astype(np.float32)
+    if layer.recurrent_weights is not None:
+        rec_connected = layer.recurrent_weights != 0.0
+        rec_fanout = np.count_nonzero(rec_connected, axis=0)
+        rec_connected = rec_connected.T.astype(np.float32)
+        shifted = np.zeros_like(fired)  # the spikes each timestep feeds back
+        shifted[1:] = fired[:-1]
+    beta = layer.neuron.beta
+    block = max(1, _BLOCK_CELLS // max(layer.in_size, layer.out_size))
+    for t0 in range(0, T, block):
+        t1 = min(T, t0 + block)
+        x = source[:, t0:t1].T
+        active = x != 0.0
+        spiking = x == 1.0
+        acs[t0:t1] += spiking @ fanout
+        macs[t0:t1] += (active & ~spiking) @ fanout
+        contributed = active.astype(np.float32) @ connected > 0.0
+        if layer.recurrent_weights is not None:
+            prev = shifted[t0:t1]
+            acs[t0:t1] += prev @ rec_fanout
+            contributed |= prev.astype(np.float32) @ rec_connected > 0.0
+        if layer.biases is not None:
+            contributed |= layer.biases != 0.0
+        live = entering[t0:t1]
+        if beta != 0.0 and beta != 1.0:
+            n_leak = np.count_nonzero(live, axis=1)
+            leak_macs[t0:t1] += n_leak
+            macs[t0:t1] += n_leak
+        if beta != 1.0:
+            contributed |= live
+        updates[t0:t1] += np.count_nonzero(contributed, axis=1)
+    return tallies

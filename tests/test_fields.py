@@ -124,6 +124,9 @@ PROBES = [
     ("trace", ("timesteps",), 2.5, "timesteps"),
     ("store", (1, "values", "effective_synops"), True, "effective_synops"),
     ("counts", ("mac",), 5, "mac"),
+    ("workload", ("seed",), 3, "seed"),
+    ("trace", ("seed",), 3, "seed"),
+    ("trace", ("spikes", 1, "seed"), 3, "seed"),
 ]
 
 
@@ -147,6 +150,38 @@ def test_unknown_counts_key_names_the_allowed_keys(valid, tmp_path):
         "membrane_updates_effective, membrane_updates_dense, leak_macs, crossings, "
         "duration\n"
     )
+
+
+@pytest.mark.parametrize("doc, allowed", [
+    ({"kind": "spikes", "layer": 2, "timesteps": 4, "events": []},
+     "kind, layer, timesteps, events"),
+    ({"kind": "rates", "values": [0.5, 0.5], "timesteps": 4}, "kind, values, timesteps"),
+    ({"kind": "analog", "layer": 2, "timesteps": 1, "frames": [[0.5], [1.0]]},
+     "kind, layer, timesteps, frames"),
+    ({"layer": 2, "timesteps": 4, "events": []}, "kind, layer, timesteps, events"),
+], ids=["spikes", "rates", "analog", "untagged"])
+def test_unknown_workload_key_names_the_allowed_keys(valid, tmp_path, doc, allowed):
+    assert run("workload", doc, valid, tmp_path) == (0, "")
+    code, err = run("workload", {**doc, "seed": 3}, valid, tmp_path)
+    assert code == 2
+    kind = doc.get("kind", "spikes")
+    assert err == f"error: {kind} workload: unknown keys ['seed']; allowed: {allowed}\n"
+
+
+@pytest.mark.parametrize("path, message", [
+    ((), "trace: unknown keys ['seed']; allowed: format, model, timesteps, "
+         "timestep_duration, layer_sizes, per_timestep, spikes, static_metrics"),
+    (("spikes", 1), "trace layer 1: unknown keys ['seed']; allowed: layer, kind, events"),
+    (("spikes", 0), "trace layer 0: unknown keys ['seed']; allowed: layer, kind, frames"),
+], ids=["top", "binary-layer", "analog-layer"])
+def test_unknown_trace_key_names_the_allowed_keys(valid, tmp_path, path, message):
+    # layer 0 rewritten as the analog entry holding the same input spikes
+    trace = mutated(valid["trace"], ("spikes", 0), {"layer": 0, "kind": "analog",
+                                                    "frames": [[1, 0, 0, 0], [1, 1, 0, 0]]})
+    assert run("trace", trace, valid, tmp_path) == (0, "")
+    code, err = run("trace", mutated(trace, (*path, "seed"), 3), valid, tmp_path)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_valid_inputs_pass(valid, tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
+from spikemeter.model import LayerDescriptor, LayerKind, ModelDescriptor, NeuronParams, ResetMode
 from spikemeter.oracle import dense_oracle_counts
-from spikemeter.simulate import SimulationConfig, SpikeTrain, run_inference
+from spikemeter.simulate import AnalogTrain, SimulationConfig, SpikeTrain, run_inference
 
-from conftest import random_model, random_train, simple_model
+from conftest import fc_layer, input_layer, random_model, random_train, simple_model
 
 
 def test_fixture_oracle_matches_event_path(fixture_2x3_model, fixture_input_spikes):
@@ -34,3 +36,143 @@ def test_randomized_equivalence_small_batch():
         event = run_inference(model, train, config)
         oracle = dense_oracle_counts(model, train, config)
         assert event.equals(oracle), f"case {case}: event and oracle traces diverge"
+
+
+# --- layer-major edge cases ---------------------------------------------------
+# Each builder returns (model, train); the event path must equal the oracle.
+
+def two_layer_model(w1, w2, biases=None, **neuron) -> ModelDescriptor:
+    """Two fully-connected layers; ``biases`` go to the first."""
+    first, second = fc_layer(w1, biases=biases, **neuron), fc_layer(w2, **neuron)
+    return ModelDescriptor(name="edge", version="v1",
+                           layers=(input_layer(first.in_size), first, second))
+
+
+def case_single_timestep():
+    rng = np.random.default_rng(1)
+    return (two_layer_model(rng.uniform(-1, 2, (6, 4)), rng.uniform(-1, 2, (3, 6))),
+            SpikeTrain(np.array([[1.0], [0.0], [1.0], [1.0]])))
+
+
+def case_no_input_events():
+    rng = np.random.default_rng(2)
+    # the biases still drive the first layer, so the second sees spikes
+    model = two_layer_model(rng.uniform(-1, 2, (5, 3)), rng.uniform(-1, 2, (2, 5)),
+                            biases=[0.3, 0.0, 0.6, 0.0, -0.2])
+    return model, SpikeTrain(np.zeros((3, 20)))
+
+
+def case_all_zero_weight_column():
+    rng = np.random.default_rng(3)
+    w = rng.uniform(-1, 2, (5, 4))
+    w[:, 1] = 0.0
+    w[:, 3] = -0.0
+    return simple_model(w, biases=[0.1, 0.0, -0.2, 0.0, 0.3]), SpikeTrain(np.ones((4, 12)))
+
+
+def case_every_neuron_fires_every_step():
+    w = np.full((4, 3), 2.0)
+    return (two_layer_model(w, np.full((2, 4), 2.0), beta=0.9, threshold=1.0),
+            SpikeTrain(np.ones((3, 10))))
+
+
+def case_analog_with_exact_ones():
+    rng = np.random.default_rng(5)
+    frames = rng.uniform(0.0, 1.5, (4, 30))
+    frames[rng.random(frames.shape) < 0.4] = 0.0
+    frames[rng.random(frames.shape) < 0.3] = 1.0
+    return (two_layer_model(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 2, (3, 6))),
+            AnalogTrain(frames))
+
+
+def case_long_recurrent_analog():
+    # sim-sparse-long's shape, shrunk: sparse analog channels into a
+    # half-zero recurrent layer, then a small readout, over 400 steps.
+    rng = np.random.default_rng(6)
+    channels, hidden, outputs, steps = 12, 16, 3, 400
+
+    def half_zero(shape, scale):
+        w = rng.normal(0.0, scale, size=shape)
+        w[rng.random(shape) < 0.5] = 0.0
+        return w
+
+    recurrent = LayerDescriptor(
+        kind=LayerKind.RECURRENT, in_size=channels, out_size=hidden,
+        weights=half_zero((hidden, channels), 1.2),
+        recurrent_weights=half_zero((hidden, hidden), 0.5),
+        biases=half_zero((hidden,), 0.05),
+        neuron=NeuronParams(beta=0.9, threshold=1.0, reset_mode=ResetMode.SUBTRACT),
+    )
+    readout = fc_layer(half_zero((outputs, hidden), 0.8), beta=0.5)
+    model = ModelDescriptor(name="long", version="v1",
+                            layers=(input_layer(channels), recurrent, readout))
+    frames = np.zeros((channels, steps))
+    active = rng.random(frames.shape) < 0.1
+    frames[active] = rng.uniform(0.05, 0.95, size=int(active.sum()))
+    frames[rng.random(frames.shape) < 0.01] = 1.0
+    return model, AnalogTrain(frames)
+
+
+def beta_reset_case(beta, reset):
+    def build():
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-0.5, 1.0, (5, 3))
+        model = two_layer_model(w, rng.uniform(-0.5, 1.0, (2, 5)), beta=beta,
+                                threshold=0.8, reset=reset)
+        return model, SpikeTrain((rng.random((3, 25)) < 0.5).astype(np.float64))
+    return build
+
+
+EDGE_CASES = {
+    "T=1": case_single_timestep,
+    "no-input-events": case_no_input_events,
+    "all-zero-weight-column": case_all_zero_weight_column,
+    "every-neuron-every-step": case_every_neuron_fires_every_step,
+    "analog-with-exact-ones": case_analog_with_exact_ones,
+    "recurrent-analog-T400": case_long_recurrent_analog,
+    **{f"beta={beta}-{reset.value}": beta_reset_case(beta, reset)
+       for beta in (0.0, 1.0, 0.9) for reset in ResetMode},
+}
+
+
+@pytest.mark.parametrize("build", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_layer_major_edge_case_matches_oracle(build):
+    model, train = build()
+    config = SimulationConfig(timesteps=train.timesteps)
+    assert run_inference(model, train, config).equals(dense_oracle_counts(model, train, config))
+
+
+# Rounding makes these sums depend on their order.  (0.1 + 0.2) + 0.3 sits
+# one ulp above (0.3 + 0.2) + 0.1, the sum of the same inputs taken in
+# descending order; (0.1 + 0.2) + 0.4 sits one ulp above (0.1 + 0.4) + 0.2,
+# the sum with the bias added before the recurrent term.  With the threshold
+# at the documented order's sum -- feed-forward ascending, then recurrent,
+# then bias -- the neuron fires only when it accumulates in that order.
+
+def case_feed_forward_order():
+    model = simple_model([[0.1, 0.2, 0.3]], beta=0.0, threshold=(0.1 + 0.2) + 0.3)
+    return model, SpikeTrain(np.ones((3, 1))), (1, 0, 0)
+
+
+def case_recurrent_then_bias_order():
+    layer = LayerDescriptor(
+        kind=LayerKind.RECURRENT, in_size=2, out_size=2,
+        weights=np.array([[1.0, 0.0], [0.0, 0.1]]),
+        recurrent_weights=np.array([[0.0, 0.0], [0.2, 0.0]]),
+        biases=np.array([0.0, 0.4]),
+        neuron=NeuronParams(beta=0.0, threshold=(0.1 + 0.2) + 0.4),
+    )
+    model = ModelDescriptor(name="order", version="v1", layers=(input_layer(2), layer))
+    # input 0 fires neuron 0 at t0; at t1 neuron 1 sums 0.1 (input 1),
+    # 0.2 (neuron 0's spike fed back) and 0.4 (bias)
+    return model, SpikeTrain(np.array([[1.0, 0.0], [0.0, 1.0]])), (1, 1, 1)
+
+
+@pytest.mark.parametrize("build", [case_feed_forward_order, case_recurrent_then_bias_order],
+                         ids=["feed-forward-ascending", "recurrent-then-bias"])
+def test_accumulation_order_decides_a_spike(build):
+    model, train, (layer, neuron, t) = build()
+    config = SimulationConfig(timesteps=train.timesteps)
+    trace = run_inference(model, train, config)
+    assert trace.spikes[layer][neuron, t] == 1.0
+    assert trace.equals(dense_oracle_counts(model, train, config))
