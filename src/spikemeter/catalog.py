@@ -54,6 +54,12 @@ class MetricDescriptor:
     description: str = ""
 
 
+# Actionability thresholds, read here by the alert rules, the CLI and the hardware spec.
+SPARSITY_THRESHOLD = 0.60  # activation sparsity below it: too dense for event-driven hardware
+POWER_DENSITY_LIMIT = 10.0  # mW/cm^2, the RF-exposure limit applied to implants
+BATTERY_LIFE_TARGET_YEARS = 10.0  # implant lifetime between replacement surgeries
+
+
 def builtin_catalog() -> tuple[MetricDescriptor, ...]:
     """The 13 catalogued metrics plus the 7 proposed derived metrics."""
     return _CATALOG
@@ -86,8 +92,8 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
     MetricDescriptor(
         "activation_sparsity", "Activation Sparsity", "ratio",
         True, False, True, True, _C, _T1, _BETTER,
-        description="Share of silent neuron-timesteps; below 60% the model is "
-        "too dense for event-driven hardware to pay off.",
+        description=f"Share of silent neuron-timesteps; below {SPARSITY_THRESHOLD:.0%} "
+        "the model is too dense for event-driven hardware to pay off.",
     ),
     MetricDescriptor(
         "memory_footprint", "Memory Footprint", "bytes",
@@ -134,7 +140,7 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
         "power_density", "Power Density", "mW/cm^2",
         False, True, True, False, _E, _T1, _WORSE,
         description="Average power per chip area; medical safety limits cap it "
-        "(10 mW/cm^2 for RF-emitting implants).",
+        f"({POWER_DENSITY_LIMIT:g} mW/cm^2 for RF-emitting implants).",
     ),
     # -- proposed derived metrics ------------------------------------------
     MetricDescriptor(
@@ -165,7 +171,7 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
         "estimated_battery_life", "Estimated Battery Life", "years",
         True, True, True, False, _E, _T2, _BETTER, assumes_estimation=True,
         description="Usable battery energy over average draw; implants should "
-        "reach 10 years.",
+        f"reach {BATTERY_LIFE_TARGET_YEARS:g} years.",
     ),
     MetricDescriptor(
         "inferences_per_battery_cycle", "Inferences per Battery Cycle", "inferences",

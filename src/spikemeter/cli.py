@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import compare as cmp
 from . import energy as en
 from . import files, model as mdl, report as rpt, store as st, workload as wl
+from .catalog import BATTERY_LIFE_TARGET_YEARS, SPARSITY_THRESHOLD, find_metric
 from .fields import load_json, read_record
 from .simulate import SimulationConfig, run_inference
 
@@ -69,14 +70,21 @@ def _static_metrics(m: mdl.ModelDescriptor) -> dict[str, float]:
     return out
 
 
+def _unit(key: str) -> str:
+    descriptor = find_metric(key)
+    return descriptor.unit if descriptor is not None else TOOL_METRIC_UNITS[key]
+
+
 def _record(store: str, values: dict[str, float], **snapshot) -> None:
     """Snapshot ``values``; the catalog tags its own metrics, and the tool's
-    non-catalog metrics are registered and tagged computed."""
+    non-catalog metrics are registered in the same append and tagged computed."""
     tool_keys = [key for key in TOOL_METRIC_UNITS if key in values]
-    for key in tool_keys:
-        st.register_metric(store, key, unit=TOOL_METRIC_UNITS[key])
     provenance = dict.fromkeys(tool_keys, "computed")
-    st.record_snapshot(store, st.MetricSnapshot(values=values, provenance=provenance, **snapshot))
+    st.record_snapshot(
+        store,
+        st.MetricSnapshot(values=values, provenance=provenance, **snapshot),
+        register=[st.CustomMetric(key, unit=TOOL_METRIC_UNITS[key]) for key in tool_keys],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +154,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     m = mdl.load_model(args.model)
     values = _static_metrics(m)
-    units = {
-        "parameters": "count",
-        "parameters_trainable": "count",
-        "parameters_non_trainable": "count",
-        "memory_footprint": "bytes",
-        "connection_sparsity": "ratio",
-    }
     rows = [
-        {"key": key, "value": value, "unit": units[key], "provenance": "computed"}
+        {"key": key, "value": value, "unit": _unit(key), "provenance": "computed"}
         for key, value in values.items()
     ]
     _emit_metrics(rows, args.format)
@@ -284,7 +285,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     {"key": name, "value": life.years, "unit": "years",
                      "provenance": "estimated",
                      "note": ("meets" if life.meets_10y else "MISSES")
-                     + f" {life.target_years:g}-year target"}
+                     + f" {BATTERY_LIFE_TARGET_YEARS:g}-year target"}
                 )
             elif name == "inferences_per_battery_cycle":
                 budget = cmp.inferences_per_battery_cycle(
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timesteps", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timestep-duration", type=float, default=1e-3, help="seconds")
-    p.add_argument("--sparsity-threshold", type=float, default=0.60)
+    p.add_argument("--sparsity-threshold", type=float, default=SPARSITY_THRESHOLD)
     p.add_argument("--trace-out", help="write the full trace to this file")
     _add_format_arg(p)
     p.set_defaults(func=cmd_simulate)

@@ -14,13 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .catalog import BATTERY_LIFE_TARGET_YEARS
 from .energy import HardwareSpec, MissingSpecError
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
-
-# Implanted batteries are expected to survive this many years between
-# replacement surgeries.
-BATTERY_LIFE_TARGET_YEARS = 10.0
 
 
 @dataclass(frozen=True)
@@ -118,13 +115,10 @@ class BatteryLifeResult:
     seconds: float
     years: float
     meets_10y: bool
-    target_years: float = BATTERY_LIFE_TARGET_YEARS
     provenance: str = "estimated"
 
 
-def estimated_battery_life(
-    avg_power_w: float, spec: HardwareSpec, *, target_years: float = BATTERY_LIFE_TARGET_YEARS
-) -> BatteryLifeResult:
+def estimated_battery_life(avg_power_w: float, spec: HardwareSpec) -> BatteryLifeResult:
     """Usable battery energy divided by average draw; checked against the
     minimum implant lifetime.  Exactly reaching the target passes."""
     if spec.battery is None:
@@ -136,8 +130,7 @@ def estimated_battery_life(
     return BatteryLifeResult(
         seconds=seconds,
         years=years,
-        meets_10y=years >= target_years,
-        target_years=target_years,
+        meets_10y=years >= BATTERY_LIFE_TARGET_YEARS,
     )
 
 
@@ -153,14 +146,12 @@ def inferences_per_battery_cycle(
     spec: HardwareSpec,
     *,
     inference_rate_hz: float | None = None,
-    static_power_w: float | None = None,
 ) -> CycleBudgetResult:
     """How many inferences one full charge can pay for.
 
     The idealized figure ignores idle drain.  Supplying an inference rate
     adds the static energy burned between inferences
-    (static_power / rate per inference); the static power defaults to the
-    spec's figure.
+    (the spec's static_power / rate per inference).
     """
     if spec.battery is None:
         raise MissingSpecError(
@@ -174,7 +165,6 @@ def inferences_per_battery_cycle(
     if inference_rate_hz is not None:
         if inference_rate_hz <= 0:
             raise ValueError("inference rate must be > 0")
-        static = spec.static_power if static_power_w is None else static_power_w
-        per_inference = e_per_inference + static / inference_rate_hz
+        per_inference = e_per_inference + spec.static_power / inference_rate_hz
         duty_cycled = math.floor(usable / per_inference)
     return CycleBudgetResult(idealized=idealized, duty_cycled=duty_cycled)

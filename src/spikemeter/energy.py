@@ -24,15 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .catalog import POWER_DENSITY_LIMIT
 from .fields import load_json, read_record
 from .simulate import WorkloadTrace
 from .workload import MemoryAccessCounts, OpCounts, derive_accesses
 
 PROVENANCE_ESTIMATED = "estimated"
-
-# Default safety limit on power delivery for implantable applications
-# (the RF-exposure figure used for medical devices), mW/cm^2.
-DEFAULT_POWER_DENSITY_LIMIT = 10.0
 
 JOULES_PER_MAH_VOLT = 3.6  # 1 mAh = 3.6 coulombs
 
@@ -100,7 +97,7 @@ class HardwareSpec:
     chip_area: float | None = None  # cm^2
     channels: int | None = None
     sampling_frequency: float | None = None  # Hz
-    power_density_limit: float = DEFAULT_POWER_DENSITY_LIMIT  # mW/cm^2
+    power_density_limit: float = POWER_DENSITY_LIMIT  # mW/cm^2
     battery: BatterySpec | None = None
     notes: str = ""
 

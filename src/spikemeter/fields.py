@@ -92,16 +92,21 @@ string = _instance_of(str, "a string")
 obj = _instance_of(dict, "a JSON object")
 
 
-def member(enum: type[Enum]):
-    """A rule for one of ``enum``'s values."""
-    values = [m.value for m in enum]
+def one_of(*values):
+    """A rule for one of ``values``."""
 
-    def read(value) -> Enum:
+    def read(value):
         if value in values:
-            return enum(value)
-        raise FieldError(f"expected one of {values}, got {_got(value)}")
+            return value
+        raise FieldError(f"expected one of {list(values)}, got {_got(value)}")
 
     return read
+
+
+def member(enum: type[Enum]):
+    """A rule for one of ``enum``'s values."""
+    read = one_of(*(m.value for m in enum))
+    return lambda value: enum(read(value))
 
 
 def optional(rule):

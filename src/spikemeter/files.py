@@ -15,7 +15,9 @@ kind does not define is refused.
 Trace file: the simulator's full output -- per-layer spike trains,
 per-timestep tallies, and the structural metrics of the model that produced
 it -- written with sorted keys so identical runs serialize identically.
-Unknown keys are refused at the top level and in each spike-layer entry.
+Unknown keys are refused at the top level and in each spike-layer entry;
+an entry's ``kind`` is ``binary`` or ``analog`` and its ``layer`` is its
+index in the list.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (REQUIRED, array, check_keys, integer, list_of, load_json, number, obj,
-                     optional, read_field, string)
+                     one_of, optional, read_field, string)
 from .simulate import (
     AnalogTrain,
     SimulationConfig,
@@ -199,9 +201,13 @@ def _trace_from_dict(raw: dict) -> WorkloadTrace:
 
 def _layer_events(index: int, payload: dict, size: int, timesteps: int) -> np.ndarray:
     where = f"trace layer {index}"
-    binary = payload.get("kind") == "binary"
+    kind = read_field(payload, "kind", one_of("binary", "analog"), where, WorkloadFileError)
+    binary = kind == "binary"
     key, shape = ("events", (None, 2)) if binary else ("frames", (None, None))
     check_keys(payload, ("layer", "kind", key), where, WorkloadFileError)
+    layer = read_field(payload, "layer", integer, where, WorkloadFileError)
+    if layer != index:
+        raise WorkloadFileError(f"{where} field 'layer': expected {index}, got {layer}")
     value = read_field(payload, key, array(shape, integers=binary), where, WorkloadFileError)
     try:
         train = SpikeTrain.from_events(size, timesteps, value) if binary else AnalogTrain(value)

@@ -18,9 +18,11 @@ another tool) is refused on read, naming the line.  Ingest records attach
 externally obtained values (a power-meter reading, a training log) to a
 version without touching what was already recorded -- the same metric may
 then carry both an estimated and an ingested value, distinguishable by
-provenance.  Each writer holds an exclusive ``flock`` on the store file
-from its read through its append, so concurrent writers cannot both pass
-the same check; readers take no lock.
+provenance.  Each write takes an exclusive ``flock`` on the store file,
+parses the store once, runs every check against that parse and appends all
+of its lines in one write, or none if a check fails: concurrent writers
+cannot both pass the same check, and a rejected write leaves the store
+byte-identical.  Readers take no lock.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from __future__ import annotations
 import fcntl
 import json
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TextIO
 
-from .catalog import MetricDescriptor, Polarity, Provenance, find_metric
+from .catalog import (BATTERY_LIFE_TARGET_YEARS, POWER_DENSITY_LIMIT, SPARSITY_THRESHOLD,
+                      MetricDescriptor, Polarity, Provenance, find_metric)
 from .fields import FieldError, number, read_field
 
 PROVENANCE_ORDER = (Provenance.COMPUTED, Provenance.ESTIMATED, Provenance.INGESTED)
@@ -235,23 +236,28 @@ def read_store(path: str | Path) -> StoreData:
     return data
 
 
-@contextmanager
-def _locked(path: str | Path) -> Iterator[tuple[StoreData, TextIO]]:
-    """The parsed store and an append handle, under an exclusive lock held
-    from the read until the handle closes, so a writer's check and its
-    append see the same store."""
+def _commit(path: str | Path, check: Callable[[StoreData], list[dict]]) -> None:
+    """Append in one write the records ``check`` returns for the parsed store,
+    under an exclusive lock held from the read through the write, so the
+    checks and the append see the same store; a check that raises appends nothing."""
     with open(path, "a") as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
-        yield read_store(path), handle
-
-
-def _append(handle: TextIO, record: dict) -> None:
-    handle.write(json.dumps(record, sort_keys=True) + "\n")
-    handle.flush()
+        records = check(read_store(path))
+        handle.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
+        handle.flush()
 
 
 def _known_metric(name: str, data: StoreData) -> bool:
     return find_metric(name) is not None or name in data.registered
+
+
+def _registration(metric: CustomMetric, data: StoreData) -> list[dict]:
+    """The register line ``metric`` needs, applied to ``data`` so later
+    checks see it; none for a built-in or an identical registration on file."""
+    if find_metric(metric.name) is not None or data.registered.get(metric.name) == metric:
+        return []
+    data.registered[metric.name] = metric
+    return [{"kind": "register", **asdict(metric), "polarity": metric.polarity.value}]
 
 
 def register_metric(
@@ -264,27 +270,16 @@ def register_metric(
 ) -> None:
     """Declare a custom metric so snapshots and ingests may carry it."""
     if find_metric(name) is not None:
-        return  # built-ins need no registration
-    with _locked(store) as (data, handle):
-        existing = data.registered.get(name)
-        if existing is not None and (existing.unit, existing.polarity, existing.description) == (
-            unit, polarity, description,
-        ):
-            return  # identical registration already on file
-        _append(
-            handle,
-            {
-                "kind": "register",
-                "name": name,
-                "unit": unit,
-                "polarity": polarity.value,
-                "description": description,
-            },
-        )
+        return  # built-ins need no registration, nor a store file
+    metric = CustomMetric(name, unit, polarity, description)
+    _commit(store, lambda data: _registration(metric, data))
 
 
-def record_snapshot(store: str | Path, snapshot: MetricSnapshot) -> None:
-    """Append a snapshot; duplicate (model, version) pairs are rejected."""
+def record_snapshot(
+    store: str | Path, snapshot: MetricSnapshot, *, register: Iterable[CustomMetric] = ()
+) -> None:
+    """Append a snapshot, after registering the custom metrics in
+    ``register``; duplicate (model, version) pairs are rejected."""
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
         if key not in provenance:
@@ -302,14 +297,16 @@ def record_snapshot(store: str | Path, snapshot: MetricSnapshot) -> None:
         "accuracy": snapshot.accuracy,
         "notes": snapshot.notes,
     }
-    with _locked(store) as (data, handle):
+
+    def check(data: StoreData) -> list[dict]:
         data.check_new_version(snapshot.model_name, snapshot.version)
+        records = [line for metric in register for line in _registration(metric, data)]
         unknown = [key for key in snapshot.values if not _known_metric(key, data)]
         if unknown:
-            raise UnknownMetricError(
-                f"unknown metrics {sorted(unknown)}; register them first"
-            )
-        _append(handle, record)
+            raise UnknownMetricError(f"unknown metrics {sorted(unknown)}; register them first")
+        return records + [record]
+
+    _commit(store, check)
 
 
 def record_external_metric(
@@ -326,22 +323,23 @@ def record_external_metric(
     """Attach an externally obtained value (measurement, training log) to a
     version.  The provenance tag travels with the value into every report."""
     _check_value(metric, value, provenance)
-    with _locked(store) as (data, handle):
+    record = {
+        "kind": "ingest",
+        "model": model,
+        "version": version,
+        "timestamp": timestamp if timestamp is not None else time.time(),
+        "metric": metric,
+        "value": value,
+        "provenance": provenance,
+        "notes": notes,
+    }
+
+    def check(data: StoreData) -> list[dict]:
         if not _known_metric(metric, data):
             raise UnknownMetricError(f"unknown metric {metric!r}; register it first")
-        _append(
-            handle,
-            {
-                "kind": "ingest",
-                "model": model,
-                "version": version,
-                "timestamp": timestamp if timestamp is not None else time.time(),
-                "metric": metric,
-                "value": value,
-                "provenance": provenance,
-                "notes": notes,
-            },
-        )
+        return [record]
+
+    _commit(store, check)
 
 
 def pick_value(
@@ -481,9 +479,9 @@ class AlertReport:
 
 def default_alert_rules(
     *,
-    sparsity_threshold: float = 0.60,
-    power_density_limit: float = 10.0,
-    battery_target_years: float = 10.0,
+    sparsity_threshold: float = SPARSITY_THRESHOLD,
+    power_density_limit: float = POWER_DENSITY_LIMIT,
+    battery_target_years: float = BATTERY_LIFE_TARGET_YEARS,
 ) -> tuple[AlertRule, ...]:
     return (
         AlertRule(

@@ -8,12 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .catalog import SPARSITY_THRESHOLD
 from .model import ModelDescriptor
 from .simulate import WorkloadTrace
-
-# Rule of thumb: a spiking model whose activation sparsity falls below 60%
-# is not exploiting event-driven hardware.
-DEFAULT_SPARSITY_THRESHOLD = 0.60
 
 # Derived memory traffic per arithmetic op: a MAC loads two operands and an
 # accumulator and stores the result; an AC skips the multiplicand load.
@@ -143,7 +140,7 @@ def memory_accesses(ops: OpCounts, *, include_leak_macs: bool = True) -> MemoryA
 
 
 def activation_sparsity(
-    *traces: WorkloadTrace, threshold: float = DEFAULT_SPARSITY_THRESHOLD
+    *traces: WorkloadTrace, threshold: float = SPARSITY_THRESHOLD
 ) -> SparsityReport:
     """Fraction of silent neuron-timesteps over the non-input layers.
 

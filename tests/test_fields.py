@@ -127,6 +127,10 @@ PROBES = [
     ("workload", ("seed",), 3, "seed"),
     ("trace", ("seed",), 3, "seed"),
     ("trace", ("spikes", 1, "seed"), 3, "seed"),
+    ("trace", ("spikes", 1), {"layer": 1, "kind": "bogus",
+                              "frames": [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}, "kind"),
+    ("trace", ("spikes", 1, "layer"), 7, "layer"),
+    ("trace", ("spikes", 1, "layer"), "x", "layer"),
 ]
 
 

@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -507,25 +509,49 @@ class TestMalformedInputExits2:
         )
 
 
+@pytest.fixture(scope="module")
+def demo_trace(tmp_path_factory) -> str:
+    """The demo model simulated on the demo workload, as a trace file."""
+    trace = tmp_path_factory.mktemp("trace") / "trace.json"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--model", demo_path("demo_model.json"),
+                         "--workload", demo_path("demo_workload.json"),
+                         "--trace-out", str(trace)]) == 0
+    return str(trace)
+
+
 class TestOneStoreParsePerCommand:
-    """Every reading verb parses the store once, however many trends it builds."""
+    """Every verb parses the store once, however many trends it builds or
+    lines it appends."""
+
+    RECORD = ["--record", "--version", "v3", "--timestamp", "1700000400"]
 
     @pytest.mark.parametrize(
-        "argv, expected_code",
+        "argv, expected_code, appended",
         [
-            (["report", "--model", "golden"], 4),
-            (["history", "--model", "golden", "--metric", "effective_synops"], 0),
-            (["compare", "--model", "golden", "--old", "v1", "--new", "v2"], 0),
+            (["report", "--model", "golden"], 4, []),
+            (["history", "--model", "golden", "--metric", "effective_synops"], 0, []),
+            (["compare", "--model", "golden", "--old", "v1", "--new", "v2"], 0, []),
+            (["estimate", "--trace", "{trace}", "--hwspec", demo_path("demo_hwspec.json"),
+              "--model-name", "golden", *RECORD], 0,
+             ["parameters_trainable", "parameters_non_trainable", "snapshot"]),
+            (["analyze", "--model", demo_path("demo_model.json"), *RECORD], 0,
+             ["parameters_trainable", "parameters_non_trainable", "snapshot"]),
         ],
-        ids=["report", "history", "compare"],
+        ids=["report", "history", "compare", "estimate-record", "analyze-record"],
     )
-    def test_reads_store_once(self, tmp_path, capsys, monkeypatch, argv, expected_code):
+    def test_reads_store_once(self, tmp_path, capsys, monkeypatch, demo_trace, argv,
+                              expected_code, appended):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)
         register_metric(store, "execution_time", unit="s")
         for version in ("v1", "v2"):
             record_external_metric(store, "golden", version, "execution_time", 0.1,
                                    "computed", timestamp=1_700_000_300.0)
+        # a custom unit for a tool metric: recording registers the tool's own
+        register_metric(store, "parameters_trainable", unit="weights")
+        before = store.read_text()
+        argv = [arg.format(trace=demo_trace) for arg in argv]
         reads = []
         read_store = st.read_store
 
@@ -538,6 +564,10 @@ class TestOneStoreParsePerCommand:
         code, _, _ = run_main(argv + ["--store", str(store)], capsys)
         assert code == expected_code
         assert reads == [str(store)]
+        text = store.read_text()
+        assert text.startswith(before)
+        lines = [json.loads(line) for line in text[len(before):].splitlines()]
+        assert [line.get("name", line["kind"]) for line in lines] == appended
 
     def test_history_trend_line_equals_report_trend_line(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
@@ -559,6 +589,40 @@ class TestOneStoreParsePerCommand:
             )
             assert code == 0
             assert history == line + "\n"
+
+
+class TestRejectedRecordAppendsNothing:
+    """A record command that exits 2 leaves the store byte-identical."""
+
+    def test_recorded_version_with_a_custom_unit_on_file(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        argv = ["analyze", "--model", demo_path("demo_model.json"), "--store", str(store),
+                "--record", "--version", "v1", "--timestamp", "1000"]
+        assert run_main(argv, capsys)[0] == 0
+        register_metric(store, "parameters_trainable", unit="weights")
+        before = store.read_bytes()
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert "version 'v1' already recorded" in err
+        assert store.read_bytes() == before
+        assert st.read_store(store).registered["parameters_trainable"].unit == "weights"
+
+    def test_snapshot_with_an_unregistered_metric(self, tmp_path, capsys, demo_trace):
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        trace = tmp_path / "trace.json"
+        doc = json.loads(Path(demo_trace).read_text())
+        doc["static_metrics"]["lut_count"] = 5.0
+        trace.write_text(json.dumps(doc))
+        before = store.read_bytes()
+        code, _, err = run_main(
+            ["estimate", "--trace", str(trace), "--hwspec", demo_path("demo_hwspec.json"),
+             "--store", str(store), "--record", "--version", "v3", "--timestamp", "1000"],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: unknown metrics ['lut_count']; register them first\n"
+        assert store.read_bytes() == before
 
 
 class TestRecordProvenance:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 from spikemeter.store import (
+    CustomMetric,
     Direction,
     DuplicateVersionError,
     InsufficientHistoryError,
@@ -67,6 +68,33 @@ class TestRecordSnapshot:
         record_snapshot(store, snap("v1", {"fpga_lut_count": 4200.0}))
         record = read_store(store).history("m")[0]
         assert record.values["fpga_lut_count"] == {"ingested": 4200.0}
+
+    def test_registered_in_the_same_append(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"lut_count": 4200.0, "effective_synops": 1.0}),
+                        register=[CustomMetric("lut_count", unit="LUTs"),
+                                  CustomMetric("effective_synops")])
+        kinds = [json.loads(line)["kind"] for line in store.read_text().splitlines()]
+        assert kinds == ["register", "snapshot"]  # a built-in needs no registration
+        assert read_store(store).registered["lut_count"].unit == "LUTs"
+        # an identical registration already on file appends nothing
+        record_snapshot(store, snap("v2", {"lut_count": 4100.0}),
+                        register=[CustomMetric("lut_count", unit="LUTs")])
+        kinds = [json.loads(line)["kind"] for line in store.read_text().splitlines()]
+        assert kinds == ["register", "snapshot", "snapshot"]
+
+    @pytest.mark.parametrize("version, values, error", [
+        ("v1", {"lut_count": 1.0}, DuplicateVersionError),
+        ("v2", {"lut_count": 1.0, "made_up": 1.0}, UnknownMetricError),
+    ], ids=["duplicate-version", "unregistered-metric"])
+    def test_rejected_snapshot_appends_nothing(self, tmp_path, version, values, error):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 1.0}))
+        before = store.read_bytes()
+        with pytest.raises(error):
+            record_snapshot(store, snap(version, values),
+                            register=[CustomMetric("lut_count", unit="LUTs")])
+        assert store.read_bytes() == before
 
     def test_round_trip_is_lossless(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -352,7 +380,7 @@ class TestMalformedStoreLines:
 # first, once the parent says go; prints how many it recorded itself.
 WRITER = """
 import sys
-from spikemeter.store import DuplicateVersionError, MetricSnapshot, record_snapshot
+from spikemeter.store import CustomMetric, DuplicateVersionError, MetricSnapshot, record_snapshot
 
 store, count = sys.argv[1], int(sys.argv[2])
 print("ready", flush=True)
@@ -361,9 +389,9 @@ recorded = 0
 for i in range(count):
     try:
         record_snapshot(store, MetricSnapshot(
-            model_name="m", version=f"v{i}", values={"effective_synops": float(i)},
-            timestamp=1.0,
-        ))
+            model_name="m", version=f"v{i}",
+            values={"effective_synops": float(i), "lut_count": float(i)}, timestamp=1.0,
+        ), register=[CustomMetric("lut_count", unit="LUTs")])
         recorded += 1
     except DuplicateVersionError:
         pass
@@ -372,8 +400,9 @@ print(recorded)
 
 
 def test_two_writers_record_each_version_once(tmp_path):
-    """Both writers race through the same versions; the store lock lets
-    exactly one of them record each."""
+    """Both writers race through the same versions, each registering the
+    same custom metric with every snapshot; the store lock lets exactly one
+    of them record each version, and the metric is registered once."""
     store, count = tmp_path / "s.jsonl", 150
     writers = [
         subprocess.Popen(
@@ -396,6 +425,8 @@ def test_two_writers_record_each_version_once(tmp_path):
     assert [w.returncode for w in writers] == [0, 0]
     assert sum(recorded) == count
     assert [r.version for r in read_store(store).history("m")] == [f"v{i}" for i in range(count)]
+    kinds = [json.loads(line)["kind"] for line in store.read_text().splitlines()]
+    assert kinds == ["register"] + ["snapshot"] * count
 
 
 VALID_STORE = (
