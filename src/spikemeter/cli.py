@@ -4,6 +4,14 @@ history -> report.
 Exit codes: 0 success; 2 input or validation error; 3 a requested metric
 lacks required hardware-spec fields; 4 an actionability alert fired (report
 only), so CI can gate on energy regressions.
+
+Start-up rule: ``compare``, ``history``, ``report`` and ``estimate --counts``
+never load numpy, so the CI gate does not pay numpy's import time.  Only
+``simulate``, ``analyze`` and ``estimate --trace`` need the model, trace and
+simulator modules, and they import ``files``, ``model`` and ``simulate`` when
+they run.  Keep those three out of this module's top-level imports (and out
+of those of ``compare``, ``energy``, ``report``, ``store`` and ``workload``);
+``tests/test_lazy_imports.py`` checks the rule in a child process.
 """
 
 from __future__ import annotations
@@ -12,13 +20,16 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import compare as cmp
 from . import energy as en
-from . import files, model as mdl, report as rpt, store as st, workload as wl
+from . import report as rpt, store as st, workload as wl
 from .catalog import BATTERY_LIFE_TARGET_YEARS, SPARSITY_THRESHOLD, find_metric
 from .fields import load_json, read_record
-from .simulate import SimulationConfig, run_inference
+
+if TYPE_CHECKING:
+    from .model import ModelDescriptor
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,7 +66,9 @@ def _emit_metrics(rows: list[dict], fmt: str) -> None:
             print(f"{row['key']} = {row['value']:.12g}{unit} [{row['provenance']}]{note}")
 
 
-def _static_metrics(m: mdl.ModelDescriptor) -> dict[str, float]:
+def _static_metrics(m: ModelDescriptor) -> dict[str, float]:
+    from . import model as mdl
+
     params = mdl.count_parameters(m)
     out = {
         "parameters": float(params.total),
@@ -77,7 +90,8 @@ def _unit(key: str) -> str:
 
 def _record(store: str, values: dict[str, float], **snapshot) -> None:
     """Snapshot ``values``; the catalog tags its own metrics, and the tool's
-    non-catalog metrics are registered in the same append and tagged computed."""
+    non-catalog metrics are tagged computed, and those the store does not know
+    yet are registered in the same append."""
     tool_keys = [key for key in TOOL_METRIC_UNITS if key in values]
     provenance = dict.fromkeys(tool_keys, "computed")
     st.record_snapshot(
@@ -92,7 +106,19 @@ def _record(store: str, values: dict[str, float], **snapshot) -> None:
 # ---------------------------------------------------------------------------
 
 
+def run_inference(*args, **kwargs):
+    """``simulate.run_inference``, imported on first call.  ``cmd_simulate``
+    looks this name up in the module when it runs, so a wrapper set on
+    ``cli.run_inference`` (a tracer, say) sees every simulation."""
+    from .simulate import run_inference
+
+    return run_inference(*args, **kwargs)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import files, model as mdl
+    from .simulate import SimulationConfig
+
     m = mdl.load_model(args.model)
     workload = files.load_workload(args.workload)
     timesteps = args.timesteps
@@ -152,6 +178,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import model as mdl
+
     m = mdl.load_model(args.model)
     values = _static_metrics(m)
     rows = [
@@ -195,6 +223,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     spec = en.load_hardware_spec(args.hwspec)
     trace = None
     if args.trace:
+        from . import files
+
         trace = files.load_trace(args.trace)
         ops = wl.effective_synops(trace)
         crossings = trace.total_crossings

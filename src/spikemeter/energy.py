@@ -23,11 +23,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .catalog import POWER_DENSITY_LIMIT
 from .fields import load_json, read_record
-from .simulate import WorkloadTrace
 from .workload import MemoryAccessCounts, OpCounts, derive_accesses
+
+if TYPE_CHECKING:
+    from .simulate import WorkloadTrace
 
 PROVENANCE_ESTIMATED = "estimated"
 

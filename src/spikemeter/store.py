@@ -239,7 +239,13 @@ def read_store(path: str | Path) -> StoreData:
 def _commit(path: str | Path, check: Callable[[StoreData], list[dict]]) -> None:
     """Append in one write the records ``check`` returns for the parsed store,
     under an exclusive lock held from the read through the write, so the
-    checks and the append see the same store; a check that raises appends nothing."""
+    checks and the append see the same store; a check that raises appends nothing.
+
+    On a path that does not exist yet the checks first run against an empty
+    store, before anything is opened, so a write they reject creates no file.
+    """
+    if not Path(path).exists():
+        check(StoreData())
     with open(path, "a") as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
         records = check(read_store(path))
@@ -279,7 +285,9 @@ def record_snapshot(
     store: str | Path, snapshot: MetricSnapshot, *, register: Iterable[CustomMetric] = ()
 ) -> None:
     """Append a snapshot, after registering the custom metrics in
-    ``register``; duplicate (model, version) pairs are rejected."""
+    ``register`` that the store does not know yet (one already registered
+    keeps its registration); duplicate (model, version) pairs are rejected."""
+    register = tuple(register)  # the checks may run twice
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
         if key not in provenance:
@@ -300,7 +308,8 @@ def record_snapshot(
 
     def check(data: StoreData) -> list[dict]:
         data.check_new_version(snapshot.model_name, snapshot.version)
-        records = [line for metric in register for line in _registration(metric, data)]
+        records = [line for metric in register if metric.name not in data.registered
+                   for line in _registration(metric, data)]
         unknown = [key for key in snapshot.values if not _known_metric(key, data)]
         if unknown:
             raise UnknownMetricError(f"unknown metrics {sorted(unknown)}; register them first")

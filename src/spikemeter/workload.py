@@ -7,10 +7,13 @@ per AC).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .catalog import SPARSITY_THRESHOLD
-from .model import ModelDescriptor
-from .simulate import WorkloadTrace
+
+if TYPE_CHECKING:
+    from .model import ModelDescriptor
+    from .simulate import WorkloadTrace
 
 # Derived memory traffic per arithmetic op: a MAC loads two operands and an
 # accumulator and stores the result; an AC skips the multiplicand load.

@@ -1,0 +1,133 @@
+"""What each command imports: the store-only verbs start without numpy, the
+package still exports every public name, and every entry point the
+benchmark's tracer wraps stays a module attribute looked up at call time."""
+
+import importlib
+import inspect
+import io
+import json
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import spikemeter
+from spikemeter import cli
+from spikemeter.store import CustomMetric, MetricSnapshot, record_snapshot
+
+from conftest import child_env
+from test_report_cli import demo_path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs one command line through ``cli.main`` and reports on its last stderr line.
+CHILD = """\
+import sys
+from spikemeter.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help exits from argparse
+    code = exc.code
+sys.stderr.write(f"\\n{'numpy' in sys.modules} {code}\\n")
+"""
+
+
+@pytest.fixture
+def inputs(tmp_path) -> dict[str, str]:
+    store = tmp_path / "s.jsonl"
+    for i, version in enumerate(["v1", "v2"]):
+        record_snapshot(store, MetricSnapshot(
+            model_name="m", version=version, timestamp=1000.0 + i,
+            values={"energy_per_inference": 1e-3 * (i + 1), "execution_time": 0.1},
+        ), register=[CustomMetric("execution_time", unit="s")])
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"acs": 10, "duration": 1e-3}))
+    return {"store": str(store), "counts": str(counts), "hwspec": demo_path("demo_hwspec.json"),
+            "model": demo_path("demo_model.json"), "workload": demo_path("demo_workload.json")}
+
+
+@pytest.mark.parametrize("argv, expected_code, loads_numpy", [
+    (["compare", "--store", "{store}", "--model", "m", "--old", "v1", "--new", "v2"], 0, False),
+    (["history", "--store", "{store}", "--model", "m", "--metric", "energy_per_inference"],
+     0, False),
+    (["report", "--store", "{store}", "--model", "m"], 0, False),
+    (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}"], 0, False),
+    (["--help"], 0, False),
+    (["simulate", "--model", "{model}", "--workload", "{workload}"], 0, True),
+], ids=["compare", "history", "report", "estimate-counts", "help", "simulate"])
+def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,
+                                                      loads_numpy):
+    argv = [arg.format(**inputs) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{loads_numpy} {expected_code}"
+
+
+# Every name the package exported when its __init__ imported each module eagerly.
+PUBLIC_NAMES = {
+    "catalog": "MetricDescriptor Polarity Provenance builtin_catalog find_metric",
+    "compare": "VersionMeasurement accuracy_energy_tradeoff efficiency_ratio "
+               "energy_delay_product estimated_battery_life greenup "
+               "inferences_per_battery_cycle powerup speedup",
+    "energy": "EnergyBreakdown HardwareSpec MissingSpecError average_power energy_area_fom "
+              "energy_per_inference energy_per_learning_sample energy_per_sop "
+              "estimate_energy load_hardware_spec power_density",
+    "model": "LayerDescriptor ModelDescriptor NeuronParams ParameterCount connection_sparsity "
+             "count_parameters load_model memory_footprint save_model",
+    "oracle": "dense_oracle_counts",
+    "simulate": "AnalogTrain NeuronState SimulationConfig SpikeTrain WorkloadTrace "
+                "rate_encode run_inference step_lif",
+    "store": "MetricSnapshot TrendReport default_alert_rules evaluate_alerts read_store "
+             "record_external_metric record_snapshot register_metric trend_report",
+    "workload": "MemoryAccessCounts OpCounts activation_sparsity dense_synops "
+                "effective_synops memory_accesses",
+}
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in PUBLIC_NAMES.items() for name in names.split()
+])
+def test_package_exports_every_public_name(module, name):
+    namespace = {}
+    exec(f"from spikemeter import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"spikemeter.{module}"), name)
+
+
+def test_package_refuses_unknown_names():
+    assert spikemeter.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_metric'"):
+        spikemeter.not_a_metric
+    with pytest.raises(ImportError):
+        exec("from spikemeter import not_a_metric", {})
+
+
+@pytest.fixture
+def entry_points(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    return importlib.import_module("perfbench.tracing").ENTRY_POINTS
+
+
+def test_every_traced_entry_point_is_a_module_attribute(entry_points):
+    for module, attr, _ in entry_points:
+        assert callable(getattr(importlib.import_module(f"spikemeter.{module}"), attr)), \
+            f"spikemeter.{module}.{attr}"
+    assert inspect.isfunction(cli.run_inference)
+    assert cli.run_inference.__module__ == "spikemeter.cli"
+
+
+def test_simulate_calls_run_inference_through_the_cli_module(monkeypatch):
+    calls = []
+    run_inference = cli.run_inference
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return run_inference(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_inference", wrapped)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--model", demo_path("demo_model.json"),
+                         "--workload", demo_path("demo_workload.json")]) == 0
+    assert len(calls) == 1

@@ -534,9 +534,9 @@ class TestOneStoreParsePerCommand:
             (["compare", "--model", "golden", "--old", "v1", "--new", "v2"], 0, []),
             (["estimate", "--trace", "{trace}", "--hwspec", demo_path("demo_hwspec.json"),
               "--model-name", "golden", *RECORD], 0,
-             ["parameters_trainable", "parameters_non_trainable", "snapshot"]),
+             ["parameters_non_trainable", "snapshot"]),
             (["analyze", "--model", demo_path("demo_model.json"), *RECORD], 0,
-             ["parameters_trainable", "parameters_non_trainable", "snapshot"]),
+             ["parameters_non_trainable", "snapshot"]),
         ],
         ids=["report", "history", "compare", "estimate-record", "analyze-record"],
     )
@@ -548,7 +548,7 @@ class TestOneStoreParsePerCommand:
         for version in ("v1", "v2"):
             record_external_metric(store, "golden", version, "execution_time", 0.1,
                                    "computed", timestamp=1_700_000_300.0)
-        # a custom unit for a tool metric: recording registers the tool's own
+        # a custom unit for a tool metric: recording keeps it
         register_metric(store, "parameters_trainable", unit="weights")
         before = store.read_text()
         argv = [arg.format(trace=demo_trace) for arg in argv]
@@ -568,6 +568,7 @@ class TestOneStoreParsePerCommand:
         assert text.startswith(before)
         lines = [json.loads(line) for line in text[len(before):].splitlines()]
         assert [line.get("name", line["kind"]) for line in lines] == appended
+        assert st.read_store(store).registered["parameters_trainable"].unit == "weights"
 
     def test_history_trend_line_equals_report_trend_line(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"

@@ -96,6 +96,36 @@ class TestRecordSnapshot:
                             register=[CustomMetric("lut_count", unit="LUTs")])
         assert store.read_bytes() == before
 
+    @pytest.mark.parametrize("write", [
+        lambda store: record_snapshot(store, snap("v1", {"made_up": 1.0})),
+        lambda store: record_external_metric(store, "m", "v1", "made_up", 1.0),
+    ], ids=["snapshot", "ingest"])
+    def test_rejected_write_creates_no_store_file(self, tmp_path, write):
+        store = tmp_path / "s.jsonl"
+        with pytest.raises(UnknownMetricError):
+            write(store)
+        assert not store.exists()
+
+    def test_first_write_registers_from_a_generator(self, tmp_path):
+        # on a new path the checks run twice; a one-shot iterable must survive it
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"lut_count": 1.0}),
+                        register=(CustomMetric(name, unit="LUTs") for name in ["lut_count"]))
+        assert read_store(store).registered["lut_count"].unit == "LUTs"
+
+    def test_registered_metric_keeps_its_registration(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        register_metric(store, "lut_count", unit="LUTs")
+        before = store.read_text()
+        record_snapshot(store, snap("v1", {"lut_count": 1.0}),
+                        register=[CustomMetric("lut_count", unit="count")])
+        appended = [json.loads(line) for line in store.read_text()[len(before):].splitlines()]
+        assert [line["kind"] for line in appended] == ["snapshot"]
+        assert read_store(store).registered["lut_count"].unit == "LUTs"
+        # an explicit registration still replaces it
+        register_metric(store, "lut_count", unit="kLUTs")
+        assert read_store(store).registered["lut_count"].unit == "kLUTs"
+
     def test_round_trip_is_lossless(self, tmp_path):
         store = tmp_path / "s.jsonl"
         values = {"effective_synops": 123.0, "activation_sparsity": 0.7321}
