@@ -33,13 +33,13 @@ REQUIRED = object()  # read_field's default: the key must be present
 
 
 def load_json(path: str | Path, what: str, error: type[Exception]):
-    """The JSON document in the file at ``path``; ``what`` names the file
-    kind when it cannot be read or decoded, raised as ``error``."""
+    """The JSON document in the UTF-8 file at ``path``; ``what`` names the
+    file kind when it cannot be read or decoded, raised as ``error``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
 
 

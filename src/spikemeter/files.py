@@ -14,7 +14,10 @@ kind does not define is refused.
 
 Trace file: the simulator's full output -- per-layer spike trains,
 per-timestep tallies, and the structural metrics of the model that produced
-it -- written with sorted keys so identical runs serialize identically.
+it.  Its bytes are defined as ``json.dumps(trace_to_dict(trace),
+sort_keys=True) + "\n"``, so identical runs serialize identically;
+:func:`save_trace` writes those bytes from the numpy arrays without building
+the lists.
 Unknown keys are refused at the top level and in each spike-layer entry;
 an entry's ``kind`` is ``binary`` or ``analog`` and its ``layer`` is its
 index in the list.
@@ -41,6 +44,7 @@ from .simulate import (
 )
 
 TRACE_FORMAT = "spikemeter-trace-v1"
+_TALLIES = ("acs", "macs", "leak_macs", "membrane_updates")
 
 
 class WorkloadFileError(ValueError):
@@ -123,38 +127,61 @@ def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
 # ---------------------------------------------------------------------------
 
 
-def _layer_payload(index: int, events: np.ndarray) -> dict:
-    binary = bool(np.all((events == 0.0) | (events == 1.0)))
-    if binary:
-        ns, ts = np.nonzero(events)
-        return {
-            "layer": index,
-            "kind": "binary",
-            "events": [[int(n), int(t)] for n, t in zip(ns, ts)],
-        }
-    return {"layer": index, "kind": "analog", "frames": events.tolist()}
+def _trace_fields(trace: WorkloadTrace, form=lambda array: array) -> dict:
+    """The trace file's content, each array in it given as ``form(array)``."""
 
+    def layer(index: int, events: np.ndarray) -> dict:
+        if np.all((events == 0.0) | (events == 1.0)):
+            return {"layer": index, "kind": "binary", "events": form(np.argwhere(events))}
+        return {"layer": index, "kind": "analog", "frames": form(events)}
 
-def trace_to_dict(trace: WorkloadTrace) -> dict:
     return {
         "format": TRACE_FORMAT,
         "model": {"name": trace.model_name, "version": trace.model_version},
         "timesteps": trace.timesteps,
         "timestep_duration": trace.timestep_duration,
         "layer_sizes": list(trace.layer_sizes),
-        "per_timestep": {
-            "acs": trace.acs.tolist(),
-            "macs": trace.macs.tolist(),
-            "leak_macs": trace.leak_macs.tolist(),
-            "membrane_updates": trace.membrane_updates.tolist(),
-        },
-        "spikes": [_layer_payload(i, layer) for i, layer in enumerate(trace.spikes)],
+        "per_timestep": {key: form(getattr(trace, key)) for key in _TALLIES},
+        "spikes": [layer(i, events) for i, events in enumerate(trace.spikes)],
         "static_metrics": trace.static_metrics,
     }
 
 
+def trace_to_dict(trace: WorkloadTrace) -> dict:
+    """The trace file's content as plain JSON values."""
+    return _trace_fields(trace, np.ndarray.tolist)
+
+
+def _json(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` for JSON values and ndarrays
+    nested in dicts with string keys and lists."""
+    if isinstance(value, np.ndarray):
+        return _array_json(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_json(value[key])}"
+                               for key in sorted(value)) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return json.dumps(value, sort_keys=True)
+
+
+def _array_json(array: np.ndarray) -> str:
+    """``json.dumps(array.tolist())``.  A float matrix writes ``0.0`` for
+    each +0.0 entry without building a Python float for it; analog frames
+    are mostly zeros."""
+    if array.dtype.kind != "f" or array.ndim != 2:
+        return json.dumps(array.tolist())
+    cells = np.empty(array.shape, dtype=object)
+    cells.fill("0.0")  # one shared string; np.full would convert it per cell
+    written = (array != 0.0) | np.signbit(array)  # -0.0 keeps its sign
+    if written.any():
+        text = json.dumps(array[written].tolist())[1:-1].split(", ")
+        cells[written] = np.array(text, dtype=object)
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in cells.tolist()) + "]"
+
+
 def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace), sort_keys=True) + "\n")
+    Path(path).write_text(_json(_trace_fields(trace)) + "\n")
 
 
 def load_trace(path: str | Path) -> WorkloadTrace:
@@ -164,7 +191,6 @@ def load_trace(path: str | Path) -> WorkloadTrace:
     return _trace_from_dict(raw)
 
 
-_TALLIES = ("acs", "macs", "leak_macs", "membrane_updates")
 _TRACE_KEYS = ("format", "model", "timesteps", "timestep_duration", "layer_sizes",
                "per_timestep", "spikes", "static_metrics")
 

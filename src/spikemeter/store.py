@@ -159,7 +159,7 @@ def _timestamp(record: dict) -> float:
 def _parse_line(line: str, lineno: int) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StoreError(f"store line {lineno} is not valid JSON: {exc}") from exc
     if not isinstance(record, dict) or "kind" not in record:
         raise StoreError(f"store line {lineno} is not a record object")
@@ -174,9 +174,11 @@ def read_store(path: str | Path) -> StoreData:
     if not path.exists():
         return data
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"store {path}: {exc}") from exc
     complete = text.endswith("\n")
     lines = text.splitlines()
     if not complete and lines:

@@ -77,7 +77,12 @@ def valid(tmp_path_factory) -> dict:
 
 def run(kind: str, doc, valid: dict, directory: Path) -> tuple[int, str]:
     """Exit code and stderr of ``kind``'s command with ``doc`` as that file."""
-    paths = {**valid["files"], kind: write(directory / f"{kind}.json", doc)}
+    return run_on(kind, write(directory / f"{kind}.json", doc), valid)
+
+
+def run_on(kind: str, path: Path, valid: dict) -> tuple[int, str]:
+    """Exit code and stderr of ``kind``'s command with ``path`` as that file."""
+    paths = {**valid["files"], kind: path}
     argv = [arg.format(**paths) for arg in COMMANDS[kind]]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -144,6 +149,26 @@ def test_bad_field_exits_2_naming_it(valid, tmp_path, kind, path, value, field):
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert f"'{field}'" in err
+
+
+# Files the JSON decoder cannot turn into a value: nesting past the
+# interpreter's recursion limit, and bytes that are not UTF-8.
+UNDECODABLE = {
+    "deep": b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    "not-utf8": b'{"kind": "snap\xffshot"}\n',
+}
+
+
+@pytest.mark.parametrize("kind", list(COMMANDS))
+@pytest.mark.parametrize("content", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+def test_undecodable_file_exits_2_naming_it(valid, tmp_path, kind, content):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(content)
+    code, err = run_on(kind, path, valid)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    deep_store_line = kind == "store" and content.startswith(b"[")
+    assert ("store line 1 " if deep_store_line else f" {path}: ") in err
 
 
 def test_unknown_counts_key_names_the_allowed_keys(valid, tmp_path):

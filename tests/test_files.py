@@ -3,6 +3,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from spikemeter import cli
 from spikemeter.files import (
@@ -14,7 +16,8 @@ from spikemeter.files import (
     trace_to_dict,
     workload_from_dict,
 )
-from spikemeter.simulate import AnalogTrain, SimulationConfig, SpikeTrain, run_inference
+from spikemeter.simulate import (AnalogTrain, SimulationConfig, SpikeTrain, WorkloadTrace,
+                                 run_inference)
 
 from conftest import simple_model
 
@@ -119,6 +122,71 @@ class TestTraceRoundTrip:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(WorkloadFileError):
             load_trace(path)
+
+
+# Entries whose text is easy to get wrong: the sign of zero, the smallest
+# subnormal, and the exponent forms repr picks for small and large values.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e+16, 1.0]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def layers(draw, timesteps: int) -> np.ndarray:
+    """One layer's events: binary or analog, its rows all zero, fully dense
+    or mixed."""
+    binary = draw(st.booleans())
+    nonzero = st.just(1.0) if binary else st.sampled_from(EDGE_FLOATS) | FINITE
+    entry = {"zero": st.just(0.0), "dense": nonzero, "mixed": st.just(0.0) | nonzero}
+    rows = [draw(st.lists(entry[draw(st.sampled_from(list(entry)))],
+                          min_size=timesteps, max_size=timesteps))
+            for _ in range(draw(st.integers(0, 4)))]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), timesteps)
+
+
+@st.composite
+def traces(draw) -> WorkloadTrace:
+    timesteps = draw(st.integers(1, 6))
+    spikes = draw(st.lists(layers(timesteps), min_size=1, max_size=3))
+    tally = st.lists(st.integers(0, 2**40), min_size=timesteps, max_size=timesteps)
+    return WorkloadTrace(
+        layer_sizes=tuple(layer.shape[0] for layer in spikes),
+        spikes=spikes,
+        **{key: np.array(draw(tally), dtype=np.int64)
+           for key in ("acs", "macs", "leak_macs", "membrane_updates")},
+        timesteps=timesteps,
+        timestep_duration=draw(st.sampled_from([1e-3, 1e-05]) | st.floats(1e-9, 1.0)),
+        model_name=draw(st.text(max_size=4)),
+        model_version=draw(st.text(max_size=4)),
+        static_metrics=draw(st.dictionaries(st.text(max_size=4), FINITE, max_size=3)),
+    )
+
+
+def edge_trace(timesteps: int, analog: list[list[float]]) -> WorkloadTrace:
+    """An analog input layer, then a binary layer with no events; no static metrics."""
+    frames = np.array(analog, dtype=np.float64).reshape(-1, timesteps)
+    zeros = np.zeros(timesteps, dtype=np.int64)
+    return WorkloadTrace(
+        layer_sizes=(len(frames), 2), spikes=[frames, np.zeros((2, timesteps))],
+        acs=zeros, macs=zeros, leak_macs=zeros, membrane_updates=zeros,
+        timesteps=timesteps, timestep_duration=1e-3,
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace=traces())
+@example(trace=edge_trace(1, [[x] for x in EDGE_FLOATS]))
+@example(trace=edge_trace(5, [[0.0] * 5, EDGE_FLOATS, [0.0, -0.0, 0.0, 1e-05, 0.0]]))
+def test_save_trace_writes_the_json_dumps_bytes(tmp_path, trace):
+    """The trace file is defined as these bytes; save_trace formats arrays
+    itself and must write them exactly, then read back as the same trace."""
+    path = tmp_path / "trace.json"
+    save_trace(trace, path)
+    assert path.read_bytes() == (json.dumps(trace_to_dict(trace), sort_keys=True)
+                                 + "\n").encode()
+    again = load_trace(path)
+    assert again.equals(trace)
+    assert again.static_metrics == trace.static_metrics
 
 
 class TestTraceValidation:
