@@ -21,6 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+class MissingSpecError(ValueError):
+    """Raised when a requested metric needs a hardware-spec field that is absent.
+
+    It lives here, in the module every command imports, so the CLI can map it
+    to its exit code without importing ``energy``; ``energy`` re-exports it."""
+
+
 class Provenance(str, Enum):
     COMPUTED = "computed"  # exact function of the model/trace
     ESTIMATED = "estimated"  # spec-driven estimate

@@ -5,13 +5,23 @@ Exit codes: 0 success; 2 input or validation error; 3 a requested metric
 lacks required hardware-spec fields; 4 an actionability alert fired (report
 only), so CI can gate on energy regressions.
 
-Start-up rule: ``compare``, ``history``, ``report`` and ``estimate --counts``
-never load numpy, so the CI gate does not pay numpy's import time.  Only
-``simulate``, ``analyze`` and ``estimate --trace`` need the model, trace and
-simulator modules, and they import ``files``, ``model`` and ``simulate`` when
-they run.  Keep those three out of this module's top-level imports (and out
-of those of ``compare``, ``energy``, ``report``, ``store`` and ``workload``);
-``tests/test_lazy_imports.py`` checks the rule in a child process.
+Start-up rule: a verb loads only the package modules it uses, so the CI
+gate pays for no import it does not need.  Besides this module:
+
+* ``history`` and ``report`` load ``catalog``, ``fields``, ``store`` and
+  ``report``;
+* ``compare`` loads those and ``compare``;
+* ``estimate --counts`` loads those, ``compare``, ``energy`` and
+  ``workload``, and still no numpy;
+* only ``simulate``, ``analyze`` and ``estimate --trace`` load numpy, with
+  ``model`` and, to simulate or read a trace, ``files`` and ``simulate``.
+
+So this module imports only ``catalog``, ``fields``, ``store`` and
+``report`` at top level (``MissingSpecError`` lives in ``catalog`` for that),
+and each verb imports the rest when it runs.  Keep ``files``, ``model`` and
+``simulate`` out of the top-level imports of ``compare``, ``energy``,
+``report``, ``store`` and ``workload`` too.  ``tests/test_lazy_imports.py``
+checks each verb's module set in a child process.
 """
 
 from __future__ import annotations
@@ -22,13 +32,12 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import compare as cmp
-from . import energy as en
-from . import report as rpt, store as st, workload as wl
-from .catalog import BATTERY_LIFE_TARGET_YEARS, SPARSITY_THRESHOLD, find_metric
+from . import report as rpt, store as st
+from .catalog import BATTERY_LIFE_TARGET_YEARS, SPARSITY_THRESHOLD, MissingSpecError, find_metric
 from .fields import load_json, read_record
 
 if TYPE_CHECKING:
+    from . import compare as cmp, workload as wl
     from .model import ModelDescriptor
 
 EXIT_OK = 0
@@ -83,22 +92,24 @@ def _static_metrics(m: ModelDescriptor) -> dict[str, float]:
     return out
 
 
-def _unit(key: str) -> str:
+def _unit(key: str, tool_units: dict[str, str]) -> str:
     descriptor = find_metric(key)
-    return descriptor.unit if descriptor is not None else TOOL_METRIC_UNITS[key]
+    return descriptor.unit if descriptor is not None else tool_units[key]
 
 
-def _record(store: str, values: dict[str, float], **snapshot) -> None:
+def _record(store: str, values: dict[str, float], **snapshot) -> dict[str, str]:
     """Snapshot ``values``; the catalog tags its own metrics, and the tool's
     non-catalog metrics are tagged computed, and those the store does not know
-    yet are registered in the same append."""
+    yet are registered in the same append.  Returns the unit the store holds
+    for each of the tool's metrics recorded."""
     tool_keys = [key for key in TOOL_METRIC_UNITS if key in values]
     provenance = dict.fromkeys(tool_keys, "computed")
-    st.record_snapshot(
+    registered = st.record_snapshot(
         store,
         st.MetricSnapshot(values=values, provenance=provenance, **snapshot),
         register=[st.CustomMetric(key, unit=TOOL_METRIC_UNITS[key]) for key in tool_keys],
     )
+    return {key: registered[key].unit for key in tool_keys}
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +127,7 @@ def run_inference(*args, **kwargs):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import files, model as mdl
+    from . import files, model as mdl, workload as wl
     from .simulate import SimulationConfig
 
     m = mdl.load_model(args.model)
@@ -182,14 +193,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     m = mdl.load_model(args.model)
     values = _static_metrics(m)
+    tool_units = TOOL_METRIC_UNITS
+    if args.record:  # print the units the store holds, custom ones included
+        tool_units = _record(_require_store(args), values, model_name=m.name,
+                             version=args.version or m.version, timestamp=args.timestamp)
     rows = [
-        {"key": key, "value": value, "unit": _unit(key), "provenance": "computed"}
+        {"key": key, "value": value, "unit": _unit(key, tool_units), "provenance": "computed"}
         for key, value in values.items()
     ]
     _emit_metrics(rows, args.format)
-    if args.record:
-        _record(_require_store(args), values, model_name=m.name,
-                version=args.version or m.version, timestamp=args.timestamp)
     return EXIT_OK
 
 
@@ -212,6 +224,8 @@ class CountsFile:
 
 
 def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
+    from . import workload as wl
+
     raw = load_json(path, "counts file", ValueError)
     c = read_record(CountsFile, raw, "counts file", ValueError)
     effective, dense = c.membrane_updates_effective, c.membrane_updates_dense
@@ -220,6 +234,8 @@ def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from . import compare as cmp, energy as en, workload as wl
+
     spec = en.load_hardware_spec(args.hwspec)
     trace = None
     if args.trace:
@@ -284,7 +300,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 )
             elif name == "energy_per_sop":
                 if trace is None or ops.total_sops == 0:
-                    raise en.MissingSpecError(
+                    raise MissingSpecError(
                         "energy_per_sop needs a trace with at least one synaptic op"
                     )
                 sop = en.energy_per_sop(
@@ -329,7 +345,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     {"key": name, "value": float(budget.idealized), "unit": "inferences",
                      "provenance": "estimated", "note": note}
                 )
-        except en.MissingSpecError:
+        except MissingSpecError:
             if args.metrics != "auto":
                 raise
     _emit_metrics(rows, args.format)
@@ -362,6 +378,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _measurement_from_store(data: st.StoreData, model: str, version: str) -> cmp.VersionMeasurement:
+    from . import compare as cmp
+
     record = data.find(model, version)
     if record is None:
         raise ValueError(f"version {version!r} not found for model {model!r} in store")
@@ -377,6 +395,8 @@ def _measurement_from_store(data: st.StoreData, model: str, version: str) -> cmp
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import compare as cmp
+
     if args.old is not None or args.new is not None:
         if not (args.old and args.new):
             raise ValueError("--old and --new must be given together")
@@ -583,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_arg(p)
     p.add_argument("--model", required=True)
     p.add_argument("--metric", required=True)
-    p.add_argument("--provenance", choices=[pr.value for pr in st.PROVENANCE_ORDER])
+    p.add_argument("--provenance", choices=st.PROVENANCE_TAGS)
     _add_format_arg(p)
     p.set_defaults(func=cmd_history)
 
@@ -602,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except en.MissingSpecError as exc:
+    except MissingSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_SPEC
     except (ValueError, OSError) as exc:

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .catalog import BATTERY_LIFE_TARGET_YEARS
-from .energy import HardwareSpec, MissingSpecError
+from .catalog import BATTERY_LIFE_TARGET_YEARS, MissingSpecError
+
+if TYPE_CHECKING:
+    from .energy import HardwareSpec
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
 

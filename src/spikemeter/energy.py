@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .catalog import POWER_DENSITY_LIMIT
+from .catalog import POWER_DENSITY_LIMIT, MissingSpecError
 from .fields import load_json, read_record
 from .workload import MemoryAccessCounts, OpCounts, derive_accesses
 
@@ -39,10 +39,6 @@ JOULES_PER_MAH_VOLT = 3.6  # 1 mAh = 3.6 coulombs
 
 class HardwareSpecError(ValueError):
     """Raised when a hardware spec file or value is invalid."""
-
-
-class MissingSpecError(ValueError):
-    """Raised when a requested metric needs a spec field that is absent."""
 
 
 class MembraneCountMode(str, Enum):

@@ -52,7 +52,10 @@ class FieldError(ValueError):
 
 
 def _got(value) -> str:
-    text = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+    try:
+        text = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+    except TypeError:  # not a JSON value: a numpy scalar passed through the API, say
+        text = type(value).__name__
     return text if len(text) <= 40 else text[:37] + "..."
 
 

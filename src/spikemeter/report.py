@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .catalog import find_metric
 from .store import (
-    PROVENANCE_ORDER,
+    PROVENANCE_TAGS,
     AlertReport,
     AlertRule,
     InsufficientHistoryError,
@@ -28,6 +28,8 @@ from .store import (
     read_store,
     trend_report,
 )
+
+_RANK = {tag: i for i, tag in enumerate(PROVENANCE_TAGS)}
 
 CONVENTIONS = (
     "ratio metrics divide old by new: speedup/greenup > 1 means the new version "
@@ -80,13 +82,7 @@ def build_report(
         descriptor = find_metric(key)
         custom = data.registered.get(key)
         by_provenance = latest.values[key]
-        ordered = sorted(
-            by_provenance.items(),
-            key=lambda item: next(
-                (i for i, p in enumerate(PROVENANCE_ORDER) if p.value == item[0]),
-                len(PROVENANCE_ORDER),
-            ),
-        )
+        ordered = sorted(by_provenance.items(), key=lambda item: _RANK.get(item[0], len(_RANK)))
         for provenance, value in ordered:
             if descriptor is not None:
                 entries.append(

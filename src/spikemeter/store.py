@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
@@ -36,11 +37,17 @@ from enum import Enum
 from pathlib import Path
 
 from .catalog import (BATTERY_LIFE_TARGET_YEARS, POWER_DENSITY_LIMIT, SPARSITY_THRESHOLD,
-                      MetricDescriptor, Polarity, Provenance, find_metric)
-from .fields import FieldError, number, read_field
+                      MetricDescriptor, Polarity, Provenance, builtin_catalog, find_metric)
+from .fields import FieldError, number, read_field, string
 
-PROVENANCE_ORDER = (Provenance.COMPUTED, Provenance.ESTIMATED, Provenance.INGESTED)
+# Provenance tags as stored, in the order a metric's values are preferred and
+# listed.  The tags are looked up once here: an enum's ``.value`` costs a call,
+# and the store reads and trends touch thousands of values.
+PROVENANCE_TAGS = tuple(p.value for p in (Provenance.COMPUTED, Provenance.ESTIMATED,
+                                          Provenance.INGESTED))
 _PROVENANCE_TAGS = frozenset(p.value for p in Provenance)
+_COMPUTED = Provenance.COMPUTED.value
+_CLASS_TAGS = {d.key: d.provenance_class.value for d in builtin_catalog()}
 
 
 class StoreError(ValueError):
@@ -75,8 +82,9 @@ def _is_number(value) -> bool:
 
 def _check_value(metric: str, value, provenance) -> None:
     """Every stored value, written or read, is a finite number carrying one
-    of the catalog's provenance tags."""
-    if not _is_number(value):
+    of the catalog's provenance tags.  A finite JSON float, what nearly every
+    store line holds, passes without the full ``fields.number`` rule."""
+    if not (type(value) is float and math.isfinite(value)) and not _is_number(value):
         raise StoreError(f"value for {metric!r} must be a finite number")
     if provenance not in _PROVENANCE_TAGS:
         raise StoreError(
@@ -88,6 +96,15 @@ def _check_value(metric: str, value, provenance) -> None:
 def _check_accuracy(accuracy) -> None:
     if accuracy is not None and not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
         raise StoreError("accuracy must lie in [0, 1]")
+
+
+def _text(record: dict, key: str) -> str:
+    """A store line's text field (``unit``, ``description``, ``notes``),
+    written or read: a string, "" when absent."""
+    value = record.get(key, "")
+    if type(value) is str:
+        return value
+    return read_field(record, key, string, f"{record['kind']} record", StoreError)
 
 
 @dataclass(frozen=True)
@@ -105,7 +122,7 @@ class MetricSnapshot:
             raise StoreError("snapshot needs a model name and a version")
         _check_accuracy(self.accuracy)
         for key, value in self.values.items():
-            _check_value(key, value, self.provenance.get(key, Provenance.COMPUTED.value))
+            _check_value(key, value, self.provenance.get(key, _COMPUTED))
 
 
 @dataclass(frozen=True)
@@ -193,16 +210,17 @@ def read_store(path: str | Path) -> StoreData:
                 name = record["name"]
                 data.registered[name] = CustomMetric(
                     name=name,
-                    unit=record.get("unit", ""),
+                    unit=_text(record, "unit"),
                     polarity=Polarity(record.get("polarity", Polarity.HIGHER_IS_WORSE.value)),
-                    description=record.get("description", ""),
+                    description=_text(record, "description"),
                 )
             elif kind == "snapshot":
                 model, version = record["model"], record["version"]
                 data.check_new_version(model, version)
                 values = {}
+                tags = record.get("provenance", {})
                 for key, val in record["values"].items():
-                    tag = record.get("provenance", {}).get(key, Provenance.COMPUTED.value)
+                    tag = tags.get(key, _COMPUTED)
                     _check_value(key, val, tag)
                     values[key] = {tag: val}
                 _check_accuracy(record.get("accuracy"))
@@ -211,12 +229,13 @@ def read_store(path: str | Path) -> StoreData:
                     timestamp=_timestamp(record),
                     values=values,
                     accuracy=record.get("accuracy"),
-                    notes=record.get("notes", ""),
+                    notes=_text(record, "notes"),
                 ))
             elif kind == "ingest":
                 model, version = record["model"], record["version"]
                 metric, provenance = record["metric"], record["provenance"]
                 _check_value(metric, record["value"], provenance)
+                _text(record, "notes")
                 target = data.find(model, version)
                 if target is None:
                     target = data.add(model, VersionRecord(
@@ -238,10 +257,11 @@ def read_store(path: str | Path) -> StoreData:
     return data
 
 
-def _commit(path: str | Path, check: Callable[[StoreData], list[dict]]) -> None:
+def _commit(path: str | Path, check: Callable[[StoreData], list[dict]]) -> StoreData:
     """Append in one write the records ``check`` returns for the parsed store,
     under an exclusive lock held from the read through the write, so the
     checks and the append see the same store; a check that raises appends nothing.
+    Returns that parse, as ``check`` left it.
 
     On a path that does not exist yet the checks first run against an empty
     store, before anything is opened, so a write they reject creates no file.
@@ -250,9 +270,11 @@ def _commit(path: str | Path, check: Callable[[StoreData], list[dict]]) -> None:
         check(StoreData())
     with open(path, "a") as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
-        records = check(read_store(path))
+        data = read_store(path)
+        records = check(data)
         handle.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
         handle.flush()
+    return data
 
 
 def _known_metric(name: str, data: StoreData) -> bool:
@@ -264,8 +286,11 @@ def _registration(metric: CustomMetric, data: StoreData) -> list[dict]:
     checks see it; none for a built-in or an identical registration on file."""
     if find_metric(metric.name) is not None or data.registered.get(metric.name) == metric:
         return []
+    line = {"kind": "register", **asdict(metric), "polarity": metric.polarity.value}
+    _text(line, "unit")
+    _text(line, "description")
     data.registered[metric.name] = metric
-    return [{"kind": "register", **asdict(metric), "polarity": metric.polarity.value}]
+    return [line]
 
 
 def register_metric(
@@ -285,10 +310,12 @@ def register_metric(
 
 def record_snapshot(
     store: str | Path, snapshot: MetricSnapshot, *, register: Iterable[CustomMetric] = ()
-) -> None:
+) -> dict[str, CustomMetric]:
     """Append a snapshot, after registering the custom metrics in
     ``register`` that the store does not know yet (one already registered
-    keeps its registration); duplicate (model, version) pairs are rejected."""
+    keeps its registration); duplicate (model, version) pairs are rejected.
+    Returns the registration on file after the append of each metric in
+    ``register`` that is not built in."""
     register = tuple(register)  # the checks may run twice
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
@@ -307,6 +334,7 @@ def record_snapshot(
         "accuracy": snapshot.accuracy,
         "notes": snapshot.notes,
     }
+    _text(record, "notes")
 
     def check(data: StoreData) -> list[dict]:
         data.check_new_version(snapshot.model_name, snapshot.version)
@@ -317,7 +345,8 @@ def record_snapshot(
             raise UnknownMetricError(f"unknown metrics {sorted(unknown)}; register them first")
         return records + [record]
 
-    _commit(store, check)
+    data = _commit(store, check)
+    return {m.name: data.registered[m.name] for m in register if m.name in data.registered}
 
 
 def record_external_metric(
@@ -344,6 +373,7 @@ def record_external_metric(
         "provenance": provenance,
         "notes": notes,
     }
+    _text(record, "notes")
 
     def check(data: StoreData) -> list[dict]:
         if not _known_metric(metric, data):
@@ -359,16 +389,16 @@ def pick_value(
     requested: str | None,
 ) -> float | None:
     """The requested provenance's value, else the catalog class's, else the
-    first present in PROVENANCE_ORDER."""
+    first present in PROVENANCE_TAGS."""
     if requested is not None:
         return by_provenance.get(requested)
     if descriptor is not None:
-        preferred = by_provenance.get(descriptor.provenance_class.value)
+        preferred = by_provenance.get(_CLASS_TAGS[descriptor.key])
         if preferred is not None:
             return preferred
-    for provenance in PROVENANCE_ORDER:
-        if provenance.value in by_provenance:
-            return by_provenance[provenance.value]
+    for tag in PROVENANCE_TAGS:
+        if tag in by_provenance:
+            return by_provenance[tag]
     return None
 
 
@@ -410,7 +440,7 @@ def trend_report(
     feed any number of trends.  ``metric`` is a catalog key, a catalog
     display name or a registered custom metric; ``provenance`` restricts the
     series to values with that tag (default: the catalog class's, else the
-    first present in PROVENANCE_ORDER).
+    first present in PROVENANCE_TAGS).
     """
     descriptor = find_metric(metric)
     key = descriptor.key if descriptor is not None else metric

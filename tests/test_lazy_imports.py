@@ -1,6 +1,7 @@
-"""What each command imports: the store-only verbs start without numpy, the
-package still exports every public name, and every entry point the
-benchmark's tracer wraps stays a module attribute looked up at call time."""
+"""What each command imports: the store-only verbs start without numpy and
+load only the package modules they use, the package still exports every
+public name, and every entry point the benchmark's tracer wraps stays a
+module attribute looked up at call time."""
 
 import importlib
 import inspect
@@ -22,7 +23,8 @@ from test_report_cli import demo_path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs one command line through ``cli.main`` and reports on its last stderr line.
+# Runs one command line through ``cli.main`` and reports on its last stderr
+# line: whether numpy loaded, the exit code and the package modules loaded.
 CHILD = """\
 import sys
 from spikemeter.cli import main
@@ -30,8 +32,13 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --help exits from argparse
     code = exc.code
-sys.stderr.write(f"\\n{'numpy' in sys.modules} {code}\\n")
+modules = sorted(name for name in sys.modules if name.partition(".")[0] == "spikemeter")
+sys.stderr.write(f"\\n{'numpy' in sys.modules} {code} {','.join(modules)}\\n")
 """
+
+# The package modules every command loads: the CLI and what the store needs.
+STORE_ONLY = {"spikemeter", "spikemeter.cli", "spikemeter.catalog", "spikemeter.fields",
+              "spikemeter.store", "spikemeter.report"}
 
 
 @pytest.fixture
@@ -48,22 +55,38 @@ def inputs(tmp_path) -> dict[str, str]:
             "model": demo_path("demo_model.json"), "workload": demo_path("demo_workload.json")}
 
 
-@pytest.mark.parametrize("argv, expected_code, loads_numpy", [
-    (["compare", "--store", "{store}", "--model", "m", "--old", "v1", "--new", "v2"], 0, False),
+@pytest.mark.parametrize("argv, expected_code, loads_numpy, modules", [
+    (["compare", "--store", "{store}", "--model", "m", "--old", "v1", "--new", "v2"], 0, False,
+     STORE_ONLY | {"spikemeter.compare"}),
     (["history", "--store", "{store}", "--model", "m", "--metric", "energy_per_inference"],
-     0, False),
-    (["report", "--store", "{store}", "--model", "m"], 0, False),
-    (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}"], 0, False),
-    (["--help"], 0, False),
-    (["simulate", "--model", "{model}", "--workload", "{workload}"], 0, True),
+     0, False, STORE_ONLY),
+    (["report", "--store", "{store}", "--model", "m"], 0, False, STORE_ONLY),
+    (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}"], 0, False,
+     STORE_ONLY | {"spikemeter.compare", "spikemeter.energy", "spikemeter.workload"}),
+    (["--help"], 0, False, STORE_ONLY),
+    (["simulate", "--model", "{model}", "--workload", "{workload}"], 0, True, None),
 ], ids=["compare", "history", "report", "estimate-counts", "help", "simulate"])
 def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,
-                                                      loads_numpy):
+                                                      loads_numpy, modules):
+    """Numpy loads only where a verb needs it, and each store-only verb loads
+    exactly the package modules it uses."""
     argv = [arg.format(**inputs) for arg in argv]
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"{loads_numpy} {expected_code}"
+    numpy_loaded, code, loaded = proc.stderr.splitlines()[-1].split(" ")
+    assert (numpy_loaded, code) == (str(loads_numpy), str(expected_code))
+    if modules is not None:
+        assert set(loaded.split(",")) == modules
+
+
+def test_missing_spec_error_has_one_class():
+    """The CLI catches the class from ``catalog``; ``energy`` and the package
+    export the very same one."""
+    from spikemeter import catalog, compare, energy
+
+    assert spikemeter.MissingSpecError is energy.MissingSpecError is catalog.MissingSpecError
+    assert compare.MissingSpecError is catalog.MissingSpecError
 
 
 # Every name the package exported when its __init__ imported each module eagerly.

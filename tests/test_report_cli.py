@@ -667,6 +667,20 @@ class TestRecordProvenance:
         assert provenance["execution_time"] == "computed"
 
 
+def test_analyze_prints_the_units_the_store_holds(tmp_path, capsys):
+    """With --record, a tool metric's unit is the store's, a custom one
+    included; without, the tool's default."""
+    store = tmp_path / "s.jsonl"
+    register_metric(store, "parameters_trainable", unit="weights")
+    argv = ["analyze", "--model", demo_path("demo_model.json")]
+    _, out, _ = run_main(argv, capsys)
+    assert "parameters_trainable = 9 count [computed]\n" in out
+    code, out, _ = run_main(argv + ["--store", str(store), "--record"], capsys)
+    assert code == 0
+    assert "parameters_trainable = 9 weights [computed]\n" in out
+    assert "parameters_non_trainable = 6 count [computed]\n" in out
+
+
 def test_golden_estimate_jsonl(tmp_path, capsys):
     """Demo model and workload, simulated at seed 42, priced against the
     demo spec: the estimate's stdout must not change by a byte."""

@@ -3,10 +3,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
+from spikemeter import cli
+from spikemeter.catalog import Provenance
+from spikemeter.fields import FieldError, number
 from spikemeter.store import (
     CustomMetric,
     Direction,
@@ -22,6 +26,7 @@ from spikemeter.store import (
     record_snapshot,
     register_metric,
     trend_report,
+    _check_value,
 )
 
 from conftest import child_env
@@ -103,6 +108,24 @@ class TestRecordSnapshot:
     def test_rejected_write_creates_no_store_file(self, tmp_path, write):
         store = tmp_path / "s.jsonl"
         with pytest.raises(UnknownMetricError):
+            write(store)
+        assert not store.exists()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda store: register_metric(store, "lut", unit=[1, 2]),
+         "register record field 'unit': expected a string, got list"),
+        (lambda store: record_snapshot(store, snap("v1", {"lut": 1.0}),
+                                       register=[CustomMetric("lut", description=3)]),
+         "register record field 'description': expected a string, got 3"),
+        (lambda store: record_snapshot(store, MetricSnapshot("m", "v1", {}, notes=7)),
+         "snapshot record field 'notes': expected a string, got 7"),
+        (lambda store: record_external_metric(store, "m", "v1", "effective_synops", 1.0,
+                                              notes=None),
+         "ingest record field 'notes': expected a string, got null"),
+    ], ids=["register-unit", "register-description", "snapshot-notes", "ingest-notes"])
+    def test_text_fields_are_strings_on_write(self, tmp_path, write, message):
+        store = tmp_path / "s.jsonl"
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
             write(store)
         assert not store.exists()
 
@@ -381,11 +404,32 @@ class TestMalformedStoreLines:
             ({"kind": "ingest", "model": "m", "version": "v3", "timestamp": "1.0",
               "metric": "effective_synops", "value": 1.0, "provenance": "ingested"},
              "ingest record field 'timestamp': expected a finite number, got \"1.0\""),
+            ({"kind": "register", "name": "lut", "unit": [1, 2]},
+             "register record field 'unit': expected a string, got list"),
+            ({"kind": "register", "name": "lut", "description": {"a": 1}},
+             "register record field 'description': expected a string, got dict"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {}, "notes": [[["x"]]]},
+             "snapshot record field 'notes': expected a string, got list"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {}, "notes": None},
+             "snapshot record field 'notes': expected a string, got null"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": 1.0, "provenance": "ingested", "notes": 7},
+             "ingest record field 'notes': expected a string, got 7"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {"effective_synops": float("nan")}},
+             "value for 'effective_synops' must be a finite number"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": 10**400, "provenance": "ingested"},
+             "value for 'effective_synops' must be a finite number"),
         ],
         ids=["register-polarity", "snapshot-timestamp", "ingest-provenance",
              "snapshot-provenance", "snapshot-value", "ingest-value", "snapshot-accuracy",
              "snapshot-value-bool", "ingest-value-bool", "snapshot-accuracy-bool",
-             "snapshot-timestamp-string", "ingest-timestamp-string"],
+             "snapshot-timestamp-string", "ingest-timestamp-string", "register-unit",
+             "register-description", "snapshot-notes", "snapshot-notes-null", "ingest-notes",
+             "snapshot-value-nan", "ingest-value-beyond-float"],
     )
     def test_bad_field_value_names_the_line(self, tmp_path, record, message):
         store = tmp_path / "s.jsonl"
@@ -394,6 +438,18 @@ class TestMalformedStoreLines:
             handle.write(json.dumps(record) + "\n")
         with pytest.raises(StoreError, match=re.escape(f"store line 2: {message}")):
             read_store(store)
+
+    def test_bad_text_field_exits_2_with_one_line(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        register_metric(store, "lut", unit="LUTs")
+        for version, value in (("v1", 1.0), ("v2", 2.0)):
+            record_snapshot(store, snap(version, {"lut": value}))
+        store.write_text(store.read_text().replace('"LUTs"', "[1, 2]"))
+        code = cli.main(["history", "--store", str(store), "--model", "m", "--metric", "lut"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: store line 1: register record field 'unit': "
+                                "expected a string, got list\n")
 
     def test_second_snapshot_of_a_version_names_the_line(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -470,19 +526,26 @@ VALID_STORE = (
     {"kind": "ingest", "model": "m", "version": "v2", "timestamp": 3.0,
      "metric": "energy_per_inference", "value": 1e-3, "provenance": "ingested", "notes": ""},
 )
-JSON_VALUES = (None, True, 0, -1, 2.5, "", "abc", [], [1], {}, {"a": 1}, {"a": "abc"})
+JSON_VALUES = (None, True, 0, -1, 2.5, "", "abc", [], [1], {}, {"a": 1}, {"a": "abc"},
+               float("nan"), float("inf"), float("-inf"), 10**400)
 
 
 @hs.composite
 def mutated_store(draw) -> str:
-    """VALID_STORE with one line changed: a field dropped, a field's value
-    swapped for one of another JSON type, or the line written twice."""
+    """VALID_STORE with one line changed: a field dropped, a field's value or
+    one entry of an object field (a snapshot's values or provenance) swapped
+    for one of another JSON type, or the line written twice."""
     records = [dict(record) for record in VALID_STORE]
     index = draw(hs.integers(0, len(records) - 1))
     record = records[index]
-    mutation = draw(hs.sampled_from(("drop", "retype", "duplicate")))
+    entries = [(key, entry) for key in sorted(record) if isinstance(record[key], dict)
+               for entry in sorted(record[key])]
+    mutation = draw(hs.sampled_from(("drop", "retype", "retype-entry", "duplicate")))
     if mutation == "duplicate":
         records.insert(draw(hs.integers(0, len(records))), record)
+    elif mutation == "retype-entry" and entries:
+        key, entry = draw(hs.sampled_from(entries))
+        record[key] = {**record[key], entry: draw(hs.sampled_from(JSON_VALUES))}
     else:
         key = draw(hs.sampled_from(sorted(record)))
         if mutation == "drop":
@@ -492,13 +555,47 @@ def mutated_store(draw) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
+def passes_number(value) -> bool:
+    try:
+        number(value)
+    except FieldError:
+        return False
+    return True
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=mutated_store())
 def test_mutated_store_loads_or_raises_store_error(tmp_path, text):
+    """What loads holds only what the store's rules allow."""
     store = tmp_path / "s.jsonl"
     store.write_text(text)
     try:
-        read_store(store)
+        data = read_store(store)
     except StoreError:
-        pass
+        return
+    tags = {p.value for p in Provenance}
+    for metric in data.registered.values():
+        assert type(metric.unit) is str and type(metric.description) is str
+    for versions in data.models.values():
+        for record in versions.values():
+            assert type(record.notes) is str
+            assert passes_number(record.timestamp)
+            assert record.accuracy is None or passes_number(record.accuracy)
+            for by_provenance in record.values.values():
+                assert set(by_provenance) <= tags
+                assert all(passes_number(value) for value in by_provenance.values())
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -2.5, 1e308, float("inf"), float("-inf"), float("nan"),
+    0, -7, 2**70, 10**400, -(10**400), True, False,
+    np.float64(2.5), np.float64("nan"), np.float64("inf"), np.float32(1.5), np.int64(3),
+    "1.0", "NaN", None, [1.0], {"a": 1.0},
+], ids=repr)
+def test_check_value_accepts_exactly_what_fields_number_accepts(value):
+    if passes_number(value):
+        _check_value("m", value, "computed")
+    else:
+        with pytest.raises(StoreError, match="^value for 'm' must be a finite number$"):
+            _check_value("m", value, "computed")
