@@ -34,8 +34,6 @@ _SUBMODULE_NAMES = {
         "MissingSpecError",
         "average_power",
         "energy_area_fom",
-        "energy_per_inference",
-        "energy_per_learning_sample",
         "energy_per_sop",
         "estimate_energy",
         "load_hardware_spec",
@@ -78,7 +76,6 @@ _SUBMODULE_NAMES = {
         "MemoryAccessCounts",
         "OpCounts",
         "activation_sparsity",
-        "dense_synops",
         "effective_synops",
         "memory_accesses",
     ),

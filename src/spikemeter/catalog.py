@@ -196,6 +196,9 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
 _BY_KEY = {d.key: d for d in _CATALOG}
 _BY_NAME = {d.name.lower(): d for d in _CATALOG}
 
+# Key -> provenance tag, as the CLI prints it and the store writes it.
+CLASS_TAGS = {d.key: d.provenance_class.value for d in _CATALOG}
+
 
 def find_metric(name: str) -> MetricDescriptor | None:
     """Look a descriptor up by key or display name, case-insensitively."""
@@ -203,7 +206,3 @@ def find_metric(name: str) -> MetricDescriptor | None:
     if lowered in _BY_KEY:
         return _BY_KEY[lowered]
     return _BY_NAME.get(lowered)
-
-
-def metric_keys() -> tuple[str, ...]:
-    return tuple(d.key for d in _CATALOG)

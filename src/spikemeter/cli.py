@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import report as rpt, store as st
-from .catalog import BATTERY_LIFE_TARGET_YEARS, SPARSITY_THRESHOLD, MissingSpecError, find_metric
+from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, MissingSpecError,
+                      find_metric)
 from .fields import load_json, read_record
 
 if TYPE_CHECKING:
@@ -64,7 +65,11 @@ TOOL_METRIC_UNITS = {
 }
 
 
-def _emit_metrics(rows: list[dict], fmt: str) -> None:
+def _emit_metrics(rows: list[dict], fmt: str, default: str) -> None:
+    """Print ``rows``, each tagged with its catalog provenance, or with the
+    verb's ``default`` for a key the catalog does not describe."""
+    for row in rows:
+        row.setdefault("provenance", CLASS_TAGS.get(row["key"], default))
     if fmt == "jsonl":
         for row in rows:
             print(rpt.json_line({"record": "metric", **row}))
@@ -156,23 +161,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sparsity = wl.activation_sparsity(trace, threshold=args.sparsity_threshold)
 
     rows = [
-        {"key": "acs", "value": float(ops.acs), "unit": "ops", "provenance": "computed"},
-        {"key": "macs", "value": float(ops.macs), "unit": "ops", "provenance": "computed"},
-        {"key": "effective_synops", "value": float(ops.total_sops), "unit": "ops",
-         "provenance": "computed"},
+        {"key": "acs", "value": float(ops.acs), "unit": "ops"},
+        {"key": "macs", "value": float(ops.macs), "unit": "ops"},
+        {"key": "effective_synops", "value": float(ops.total_sops), "unit": "ops"},
         {"key": "membrane_updates", "value": float(ops.membrane_updates_effective),
-         "unit": "updates", "provenance": "computed"},
+         "unit": "updates"},
         {"key": "membrane_updates_dense", "value": float(ops.membrane_updates_dense),
-         "unit": "updates", "provenance": "computed"},
-        {"key": "memory_reads", "value": float(mem.reads), "unit": "accesses",
-         "provenance": "computed"},
-        {"key": "memory_writes", "value": float(mem.writes), "unit": "accesses",
-         "provenance": "computed"},
-        {"key": "activation_sparsity", "value": sparsity.activation_sparsity, "unit": "ratio",
-         "provenance": "computed"},
-        {"key": "duration", "value": trace.duration, "unit": "s", "provenance": "computed"},
+         "unit": "updates"},
+        {"key": "memory_reads", "value": float(mem.reads), "unit": "accesses"},
+        {"key": "memory_writes", "value": float(mem.writes), "unit": "accesses"},
+        {"key": "activation_sparsity", "value": sparsity.activation_sparsity, "unit": "ratio"},
+        {"key": "duration", "value": trace.duration, "unit": "s"},
     ]
-    _emit_metrics(rows, args.format)
+    _emit_metrics(rows, args.format, "computed")
     if sparsity.alert:
         if args.format == "jsonl":
             print(rpt.json_line({"record": "note", "text": sparsity.alert}))
@@ -197,11 +198,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.record:  # print the units the store holds, custom ones included
         tool_units = _record(_require_store(args), values, model_name=m.name,
                              version=args.version or m.version, timestamp=args.timestamp)
-    rows = [
-        {"key": key, "value": value, "unit": _unit(key, tool_units), "provenance": "computed"}
-        for key, value in values.items()
-    ]
-    _emit_metrics(rows, args.format)
+    rows = [{"key": key, "value": value, "unit": _unit(key, tool_units)}
+            for key, value in values.items()]
+    _emit_metrics(rows, args.format, "computed")
     return EXIT_OK
 
 
@@ -257,27 +256,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     edp = cmp.energy_delay_product(breakdown.total, duration)
 
     rows = [
-        {"key": "synop_energy", "value": breakdown.model.synop_energy, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "membrane_energy", "value": breakdown.model.membrane_energy, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "memory_energy", "value": breakdown.model.memory_energy, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "model_total", "value": breakdown.model.model_total, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "static_energy", "value": breakdown.overhead.static_energy, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "adc_energy", "value": breakdown.overhead.adc_energy, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "tx_energy", "value": breakdown.overhead.tx_energy, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "overhead_total", "value": breakdown.overhead.overhead_total, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "energy_per_inference", "value": breakdown.total, "unit": "J",
-         "provenance": "estimated"},
-        {"key": "average_power", "value": power, "unit": "W", "provenance": "estimated"},
-        {"key": "energy_delay_product", "value": edp, "unit": "J*s",
-         "provenance": "estimated"},
+        {"key": "synop_energy", "value": breakdown.model.synop_energy, "unit": "J"},
+        {"key": "membrane_energy", "value": breakdown.model.membrane_energy, "unit": "J"},
+        {"key": "memory_energy", "value": breakdown.model.memory_energy, "unit": "J"},
+        {"key": "model_total", "value": breakdown.model.model_total, "unit": "J"},
+        {"key": "static_energy", "value": breakdown.overhead.static_energy, "unit": "J"},
+        {"key": "adc_energy", "value": breakdown.overhead.adc_energy, "unit": "J"},
+        {"key": "tx_energy", "value": breakdown.overhead.tx_energy, "unit": "J"},
+        {"key": "overhead_total", "value": breakdown.overhead.overhead_total, "unit": "J"},
+        {"key": "energy_per_inference", "value": breakdown.total, "unit": "J"},
+        {"key": "average_power", "value": power, "unit": "W"},
+        {"key": "energy_delay_product", "value": edp, "unit": "J*s"},
     ]
 
     requested = EXTRA_METRICS if args.metrics == "auto" else tuple(
@@ -294,7 +283,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 optional_values[name] = density.mw_per_cm2
                 rows.append(
                     {"key": name, "value": density.mw_per_cm2, "unit": "mW/cm^2",
-                     "provenance": "estimated",
                      "note": ("VIOLATION of limit" if density.violation else "within limit")
                      + f" {density.limit_mw_per_cm2:g} mW/cm^2"}
                 )
@@ -307,13 +295,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     breakdown, ops, trace, spec, include_leak_macs=include_leak
                 )
                 optional_values[name] = sop.average_pj_per_sop
+                rows.append({"key": name, "value": sop.average_pj_per_sop, "unit": "pJ/SOP"})
                 rows.append(
-                    {"key": name, "value": sop.average_pj_per_sop, "unit": "pJ/SOP",
-                     "provenance": "estimated"}
-                )
-                rows.append(
-                    {"key": "peak_window_power", "value": sop.peak_window_power_w,
-                     "unit": "W", "provenance": "estimated",
+                    {"key": "peak_window_power", "value": sop.peak_window_power_w, "unit": "W",
                      "note": "hottest single-timestep window"}
                 )
             elif name == "energy_area_fom":
@@ -321,7 +305,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 optional_values[name] = fom.value
                 rows.append(
                     {"key": name, "value": fom.value, "unit": fom.unit,
-                     "provenance": "estimated",
                      "note": f"assumed formula: {fom.formula}"}
                 )
             elif name == "estimated_battery_life":
@@ -329,7 +312,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 optional_values[name] = life.years
                 rows.append(
                     {"key": name, "value": life.years, "unit": "years",
-                     "provenance": "estimated",
                      "note": ("meets" if life.meets_10y else "MISSES")
                      + f" {BATTERY_LIFE_TARGET_YEARS:g}-year target"}
                 )
@@ -343,12 +325,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     note = f"duty-cycled at {args.inference_rate:g} Hz: {budget.duty_cycled}"
                 rows.append(
                     {"key": name, "value": float(budget.idealized), "unit": "inferences",
-                     "provenance": "estimated", "note": note}
+                     "note": note}
                 )
         except MissingSpecError:
             if args.metrics != "auto":
                 raise
-    _emit_metrics(rows, args.format)
+    _emit_metrics(rows, args.format, "estimated")
 
     if args.record:
         store = _require_store(args)
@@ -421,32 +403,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     p = cmp.powerup(s, g)
     orientation = "new/old (as published)" if args.as_published else "old/new (>1 improves)"
     rows = [
-        {"key": "speedup", "value": s, "unit": "ratio", "provenance": "computed",
-         "note": f"orientation {orientation}"},
-        {"key": "greenup", "value": g, "unit": "ratio", "provenance": "estimated",
-         "note": f"orientation {orientation}"},
-        {"key": "powerup", "value": p, "unit": "ratio", "provenance": "estimated",
+        {"key": "speedup", "value": s, "unit": "ratio", "note": f"orientation {orientation}"},
+        {"key": "greenup", "value": g, "unit": "ratio", "note": f"orientation {orientation}"},
+        {"key": "powerup", "value": p, "unit": "ratio",
          "note": "(>1 means more average power)" if not args.as_published else ""},
-        {"key": "energy_delay_product_old", "unit": "J*s", "provenance": "estimated",
+        {"key": "energy_delay_product_old", "unit": "J*s",
          "value": cmp.energy_delay_product(old.energy, old.time)},
-        {"key": "energy_delay_product_new", "unit": "J*s", "provenance": "estimated",
+        {"key": "energy_delay_product_new", "unit": "J*s",
          "value": cmp.energy_delay_product(new.energy, new.time)},
     ]
     if old.accuracy is not None and new.accuracy is not None:
         tradeoff = cmp.accuracy_energy_tradeoff(old, new)
-        rows.append(
-            {"key": "efficiency_ratio_old", "value": tradeoff.efficiency_ratio_old,
-             "unit": "accuracy/J", "provenance": "estimated"}
-        )
-        rows.append(
-            {"key": "efficiency_ratio_new", "value": tradeoff.efficiency_ratio_new,
-             "unit": "accuracy/J", "provenance": "estimated"}
-        )
+        rows.append({"key": "efficiency_ratio_old", "value": tradeoff.efficiency_ratio_old,
+                     "unit": "accuracy/J"})
+        rows.append({"key": "efficiency_ratio_new", "value": tradeoff.efficiency_ratio_new,
+                     "unit": "accuracy/J"})
         if tradeoff.marginal_energy_cost is not None:
-            rows.append(
-                {"key": "marginal_energy_cost", "value": tradeoff.marginal_energy_cost,
-                 "unit": "J per accuracy point", "provenance": "estimated"}
-            )
+            rows.append({"key": "marginal_energy_cost", "value": tradeoff.marginal_energy_cost,
+                         "unit": "J per accuracy point"})
         elif tradeoff.accuracy_regressed:
             rows.append(
                 {"key": "accuracy_regressed", "value": 1.0, "unit": "",
@@ -457,7 +431,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 {"key": "accuracy_unchanged", "value": 1.0, "unit": "",
                  "provenance": "computed"}
             )
-    _emit_metrics(rows, args.format)
+    _emit_metrics(rows, args.format, "estimated")
     return EXIT_OK
 
 

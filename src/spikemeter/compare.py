@@ -38,10 +38,6 @@ class VersionMeasurement:
         if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):
             raise ValueError("accuracy must lie in [0, 1]")
 
-    @property
-    def avg_power(self) -> float:
-        return self.energy / self.time
-
 
 def energy_delay_product(energy: float, time: float) -> float:
     """Joule-seconds; penalizes designs that are slow, hungry, or both."""
@@ -118,7 +114,6 @@ class BatteryLifeResult:
     seconds: float
     years: float
     meets_10y: bool
-    provenance: str = "estimated"
 
 
 def estimated_battery_life(avg_power_w: float, spec: HardwareSpec) -> BatteryLifeResult:
@@ -141,7 +136,6 @@ def estimated_battery_life(avg_power_w: float, spec: HardwareSpec) -> BatteryLif
 class CycleBudgetResult:
     idealized: int
     duty_cycled: int | None = None
-    provenance: str = "estimated"
 
 
 def inferences_per_battery_cycle(
@@ -163,11 +157,13 @@ def inferences_per_battery_cycle(
     if not (math.isfinite(e_per_inference) and e_per_inference > 0):
         raise ValueError("energy per inference must be > 0")
     usable = spec.battery.usable_joules
+    if not math.isfinite(usable / e_per_inference):
+        raise ValueError("inference budget overflows a float")
     idealized = math.floor(usable / e_per_inference)
     duty_cycled = None
     if inference_rate_hz is not None:
         if inference_rate_hz <= 0:
             raise ValueError("inference rate must be > 0")
         per_inference = e_per_inference + spec.static_power / inference_rate_hz
-        duty_cycled = math.floor(usable / per_inference)
+        duty_cycled = math.floor(usable / per_inference)  # per_inference >= e_per_inference
     return CycleBudgetResult(idealized=idealized, duty_cycled=duty_cycled)

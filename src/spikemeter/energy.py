@@ -5,9 +5,9 @@ split between costs the SNN model is responsible for (synaptic ops,
 membrane updates, memory traffic) and device overhead the model merely
 rides along with (standby leakage, ADC sampling, radio transmission).  The
 hardware-side metrics -- energy per inference, pJ/SOP, power density,
-energy-area figure of merit -- all derive from that breakdown and carry an
-"estimated" provenance tag to keep them distinguishable from measured
-values.
+energy-area figure of merit -- all derive from that breakdown.  The catalog
+holds their provenance tag, "estimated", which keeps them distinguishable
+from measured values; the results here carry no tag.
 
 Hardware spec file: a JSON object whose keys are the fields of
 :class:`HardwareSpec`, with an optional ``battery`` object holding the fields
@@ -31,8 +31,6 @@ from .workload import MemoryAccessCounts, OpCounts, derive_accesses
 
 if TYPE_CHECKING:
     from .simulate import WorkloadTrace
-
-PROVENANCE_ESTIMATED = "estimated"
 
 JOULES_PER_MAH_VOLT = 3.6  # 1 mAh = 3.6 coulombs
 
@@ -152,7 +150,6 @@ class EnergyBreakdown:
     overhead: OverheadEnergy
     total: float
     duration: float  # seconds
-    provenance: str = PROVENANCE_ESTIMATED
 
 
 def _price_model(spec, macs, acs, crossings, updates_effective, updates_dense, reads, writes):
@@ -206,25 +203,6 @@ def estimate_energy(
     )
 
 
-def energy_per_inference(breakdown: EnergyBreakdown, *, model_only: bool = False) -> float:
-    """Joules for the inference this breakdown was computed from."""
-    return breakdown.model.model_total if model_only else breakdown.total
-
-
-def energy_per_learning_sample(
-    learning_ops: OpCounts,
-    learning_mem: MemoryAccessCounts,
-    spec: HardwareSpec,
-    duration: float,
-    *,
-    crossings: int = 0,
-) -> float:
-    """Same estimator applied to externally supplied training-pass counts."""
-    return estimate_energy(
-        learning_ops, learning_mem, spec, duration, crossings=crossings
-    ).total
-
-
 def average_power(breakdown: EnergyBreakdown) -> float:
     """Watts averaged over the breakdown's duration."""
     if breakdown.duration <= 0:
@@ -237,7 +215,6 @@ class PowerDensityResult:
     mw_per_cm2: float
     limit_mw_per_cm2: float
     violation: bool  # strictly above the limit
-    provenance: str = PROVENANCE_ESTIMATED
 
 
 def power_density(power_w: float, spec: HardwareSpec) -> PowerDensityResult:
@@ -260,7 +237,6 @@ def power_density(power_w: float, spec: HardwareSpec) -> PowerDensityResult:
 class SopEnergyResult:
     average_pj_per_sop: float
     peak_window_power_w: float
-    provenance: str = PROVENANCE_ESTIMATED
 
 
 def energy_per_sop(
@@ -300,9 +276,7 @@ def energy_per_sop(
 class FomResult:
     value: float  # W * cm^2 * s per channel
     unit: str = "W*cm^2*s/channel"
-    assumed_formula: bool = True
     formula: str = "(power / channels) * chip_area / sampling_frequency"
-    provenance: str = PROVENANCE_ESTIMATED
 
 
 def energy_area_fom(power_w: float, spec: HardwareSpec) -> FomResult:

@@ -5,7 +5,7 @@ by the store.
 A rule takes a decoded JSON value and returns it converted, or raises
 :class:`FieldError`.  An integer is never a bool or a fraction (``2.0`` reads
 as 2) and fits 64 bits; a number is finite and never a bool or a string; an
-array is a rectangular list of numbers, converted by numpy.
+array is a rectangular list of numbers, never bools, converted by numpy.
 
 :func:`load_json` decodes a file; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
@@ -135,6 +135,22 @@ def list_of(rule):
 _DTYPE_KINDS = {"b": "bool", "U": "string", "f": "non-integer", "u": "out-of-range integer"}
 
 
+def _has_bool(value) -> bool:
+    if type(value) is not list:
+        return type(value) is bool
+    if value and type(value[0]) is list:
+        return any(map(_has_bool, value))
+    return bool in map(type, value)
+
+
+def _holds_bool(value: list, arr) -> bool:
+    """Whether the rectangular list ``value``, read as the numeric array
+    ``arr``, holds a JSON true or false.  numpy reads those as 1 and 0, so
+    only the rows holding a 1 or a 0 are scanned for them."""
+    rows = ((arr == 0) | (arr == 1)).reshape(len(arr), -1).any(axis=1)
+    return any(_has_bool(value[i]) for i in rows.nonzero()[0])
+
+
 def array(shape: tuple | None = None, *, integers: bool = False):
     """A rule for a rectangular JSON list of numbers (of integers), read as a
     float64 (int64) numpy array.  ``shape`` gives each dimension's length,
@@ -157,6 +173,8 @@ def array(shape: tuple | None = None, *, integers: bool = False):
         elif arr.dtype.kind not in ("i" if integers else "if"):
             kind = _DTYPE_KINDS.get(arr.dtype.kind, "non-numeric")
             raise FieldError(f"expected {expected}, got {kind} entries")
+        elif _holds_bool(value, arr):
+            raise FieldError(f"expected {expected}, got bool entries")
         if shape is not None and (
             arr.ndim != len(shape) or any(d not in (None, n) for d, n in zip(shape, arr.shape))
         ):

@@ -36,8 +36,8 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .catalog import (BATTERY_LIFE_TARGET_YEARS, POWER_DENSITY_LIMIT, SPARSITY_THRESHOLD,
-                      MetricDescriptor, Polarity, Provenance, builtin_catalog, find_metric)
+from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, POWER_DENSITY_LIMIT,
+                      SPARSITY_THRESHOLD, MetricDescriptor, Polarity, Provenance, find_metric)
 from .fields import FieldError, number, read_field, string
 
 # Provenance tags as stored, in the order a metric's values are preferred and
@@ -47,7 +47,6 @@ PROVENANCE_TAGS = tuple(p.value for p in (Provenance.COMPUTED, Provenance.ESTIMA
                                           Provenance.INGESTED))
 _PROVENANCE_TAGS = frozenset(p.value for p in Provenance)
 _COMPUTED = Provenance.COMPUTED.value
-_CLASS_TAGS = {d.key: d.provenance_class.value for d in builtin_catalog()}
 
 
 class StoreError(ValueError):
@@ -98,10 +97,11 @@ def _check_accuracy(accuracy) -> None:
         raise StoreError("accuracy must lie in [0, 1]")
 
 
-def _text(record: dict, key: str) -> str:
-    """A store line's text field (``unit``, ``description``, ``notes``),
-    written or read: a string, "" when absent."""
-    value = record.get(key, "")
+def _text(record: dict, key: str, required: bool = False) -> str:
+    """A store line's text field, written or read: a string.  An optional one
+    (``unit``, ``description``, ``notes``) is "" when absent; a required one
+    (``name``, ``model``, ``version``, ``metric``) raises KeyError."""
+    value = record[key] if required else record.get(key, "")
     if type(value) is str:
         return value
     return read_field(record, key, string, f"{record['kind']} record", StoreError)
@@ -207,7 +207,7 @@ def read_store(path: str | Path) -> StoreData:
         kind = record["kind"]
         try:
             if kind == "register":
-                name = record["name"]
+                name = _text(record, "name", True)
                 data.registered[name] = CustomMetric(
                     name=name,
                     unit=_text(record, "unit"),
@@ -215,7 +215,7 @@ def read_store(path: str | Path) -> StoreData:
                     description=_text(record, "description"),
                 )
             elif kind == "snapshot":
-                model, version = record["model"], record["version"]
+                model, version = _text(record, "model", True), _text(record, "version", True)
                 data.check_new_version(model, version)
                 values = {}
                 tags = record.get("provenance", {})
@@ -232,8 +232,8 @@ def read_store(path: str | Path) -> StoreData:
                     notes=_text(record, "notes"),
                 ))
             elif kind == "ingest":
-                model, version = record["model"], record["version"]
-                metric, provenance = record["metric"], record["provenance"]
+                model, version = _text(record, "model", True), _text(record, "version", True)
+                metric, provenance = _text(record, "metric", True), record["provenance"]
                 _check_value(metric, record["value"], provenance)
                 _text(record, "notes")
                 target = data.find(model, version)
@@ -287,8 +287,8 @@ def _registration(metric: CustomMetric, data: StoreData) -> list[dict]:
     if find_metric(metric.name) is not None or data.registered.get(metric.name) == metric:
         return []
     line = {"kind": "register", **asdict(metric), "polarity": metric.polarity.value}
-    _text(line, "unit")
-    _text(line, "description")
+    for key in ("name", "unit", "description"):
+        _text(line, key)
     data.registered[metric.name] = metric
     return [line]
 
@@ -334,7 +334,8 @@ def record_snapshot(
         "accuracy": snapshot.accuracy,
         "notes": snapshot.notes,
     }
-    _text(record, "notes")
+    for key in ("model", "version", "notes"):
+        _text(record, key)
 
     def check(data: StoreData) -> list[dict]:
         data.check_new_version(snapshot.model_name, snapshot.version)
@@ -373,7 +374,8 @@ def record_external_metric(
         "provenance": provenance,
         "notes": notes,
     }
-    _text(record, "notes")
+    for key in ("model", "version", "metric", "notes"):
+        _text(record, key)
 
     def check(data: StoreData) -> list[dict]:
         if not _known_metric(metric, data):
@@ -393,7 +395,7 @@ def pick_value(
     if requested is not None:
         return by_provenance.get(requested)
     if descriptor is not None:
-        preferred = by_provenance.get(_CLASS_TAGS[descriptor.key])
+        preferred = by_provenance.get(CLASS_TAGS[descriptor.key])
         if preferred is not None:
             return preferred
     for tag in PROVENANCE_TAGS:

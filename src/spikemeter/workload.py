@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 from .catalog import SPARSITY_THRESHOLD
 
 if TYPE_CHECKING:
-    from .model import ModelDescriptor
     from .simulate import WorkloadTrace
 
 # Derived memory traffic per arithmetic op: a MAC loads two operands and an
@@ -101,26 +100,6 @@ def effective_synops(trace: WorkloadTrace) -> OpCounts:
         membrane_updates_effective=trace.total_membrane_updates,
         membrane_updates_dense=trace.non_input_neurons * trace.timesteps,
         leak_macs=trace.total_leak_macs,
-    )
-
-
-def dense_synops(model: ModelDescriptor, timesteps: int) -> OpCounts:
-    """Worst-case counts: every neuron spiking every timestep through a
-    fully dense weight matrix.  Upper bound for sparsity-savings reporting.
-    """
-    if timesteps < 0:
-        raise ValueError("timesteps must be >= 0")
-    synapses = 0
-    for layer in model.weighted_layers:
-        synapses += layer.weights.size
-        if layer.recurrent_weights is not None:
-            synapses += layer.recurrent_weights.size
-    neurons = model.non_input_neurons
-    return OpCounts(
-        macs=0,
-        acs=synapses * timesteps,
-        membrane_updates_effective=neurons * timesteps,
-        membrane_updates_dense=neurons * timesteps,
     )
 
 

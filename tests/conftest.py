@@ -1,6 +1,7 @@
 """Shared fixtures: spec-sized fixture models and randomized model/input
-generators used by the oracle-equivalence and property tests, and the
-environment for tests that run ``python -m spikemeter`` as a child process."""
+generators used by the oracle-equivalence and property tests, the dense
+worst-case op count that bounds a simulation's, and the environment for tests
+that run ``python -m spikemeter`` as a child process."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from spikemeter.model import (
     TrainableFlags,
 )
 from spikemeter.simulate import AnalogTrain, SpikeTrain
+from spikemeter.workload import OpCounts
 
 
 def child_env() -> dict[str, str]:
@@ -36,6 +38,23 @@ def child_env() -> dict[str, str]:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+def dense_synops(model: ModelDescriptor, timesteps: int) -> OpCounts:
+    """Worst-case counts: every neuron spiking every timestep through a fully
+    dense weight matrix, an upper bound on what a simulation counts."""
+    synapses = 0
+    for layer in model.weighted_layers:
+        synapses += layer.weights.size
+        if layer.recurrent_weights is not None:
+            synapses += layer.recurrent_weights.size
+    neurons = model.non_input_neurons
+    return OpCounts(
+        macs=0,
+        acs=synapses * timesteps,
+        membrane_updates_effective=neurons * timesteps,
+        membrane_updates_dense=neurons * timesteps,
+    )
 
 
 def fc_layer(

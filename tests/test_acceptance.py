@@ -176,7 +176,7 @@ def test_criterion_6_powerup_consistency():
         p = powerup(speedup(old, new), greenup(old, new))
         expected = (new.energy / new.time) / (old.energy / old.time)
         assert p == pytest.approx(expected, rel=1e-12)
-        assert (p > 1.0) == (new.avg_power > old.avg_power)
+        assert (p > 1.0) == (new.energy / new.time > old.energy / old.time)
     ok(6, f"{RERUNS} random pairs: powerup equals the average-power ratio at 1e-12 "
           "and powerup>1 iff the new version draws more power")
 

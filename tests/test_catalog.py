@@ -4,7 +4,6 @@ from spikemeter.catalog import (
     SourceTable,
     builtin_catalog,
     find_metric,
-    metric_keys,
 )
 
 # Expected classification grid: name, accessible, high fidelity, actionable,
@@ -92,7 +91,7 @@ def test_accessible_implies_not_high_fidelity_in_table1():
 
 
 def test_keys_unique_and_lookup_by_key():
-    keys = metric_keys()
+    keys = tuple(d.key for d in builtin_catalog())
     assert len(keys) == len(set(keys)) == 20
     for key in keys:
         assert find_metric(key).key == key

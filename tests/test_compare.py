@@ -80,9 +80,9 @@ class TestPowerup:
             old = measure("a", rng.uniform(1e-9, 10.0), rng.uniform(1e-6, 100.0))
             new = measure("b", rng.uniform(1e-9, 10.0), rng.uniform(1e-6, 100.0))
             p = powerup(speedup(old, new), greenup(old, new))
-            expected = new.avg_power / old.avg_power
+            expected = (new.energy / new.time) / (old.energy / old.time)
             assert p == pytest.approx(expected, rel=1e-12)
-            assert (p > 1.0) == (new.avg_power > old.avg_power)
+            assert (p > 1.0) == (new.energy / new.time > old.energy / old.time)
 
     def test_identical_measurements_one_everywhere(self):
         a = measure("a", 1.5, 2.5)
@@ -205,6 +205,13 @@ class TestInferencesPerCycle:
     def test_zero_inference_energy_rejected(self):
         with pytest.raises(ValueError):
             inferences_per_battery_cycle(0.0, battery_spec(3600.0))
+
+    def test_budget_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            inferences_per_battery_cycle(1e-320, battery_spec(3600.0))
+        with pytest.raises(ValueError, match="overflows"):
+            inferences_per_battery_cycle(1e-6, HardwareSpec(battery=BatterySpec(
+                capacity_mah=100.0, nominal_voltage=1e308)))
 
     def test_usable_fraction_applies(self):
         full = inferences_per_battery_cycle(1e-6, battery_spec(100.0))

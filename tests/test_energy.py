@@ -13,8 +13,6 @@ from spikemeter.energy import (
     MissingSpecError,
     average_power,
     energy_area_fom,
-    energy_per_inference,
-    energy_per_learning_sample,
     energy_per_sop,
     estimate_energy,
     hardware_spec_from_dict,
@@ -144,12 +142,12 @@ class TestEnergyPerInference:
     def test_identity_on_fixture(self):
         ops = fixture_ops()
         b = estimate_energy(ops, memory_accesses(ops), FIXTURE_SPEC, 1e-3)
-        assert energy_per_inference(b) == b.total == pytest.approx(70 * PJ)
+        assert b.total == pytest.approx(70 * PJ)
 
     def test_zero_breakdown(self):
         zero = OpCounts(0, 0, 0, 0)
         b = estimate_energy(zero, memory_accesses(zero), HardwareSpec(), 1.0)
-        assert energy_per_inference(b) == 0.0
+        assert b.total == 0.0
 
     def test_model_only_variant_excludes_overhead(self):
         ops = fixture_ops()
@@ -157,30 +155,30 @@ class TestEnergyPerInference:
             e_mac=4 * PJ, e_ac=1 * PJ, e_read=2 * PJ, e_write=2 * PJ, static_power=1e-6
         )
         b = estimate_energy(ops, memory_accesses(ops), spec, duration=1.0)
-        assert energy_per_inference(b) == pytest.approx(1e-6 + 70 * PJ)
-        assert energy_per_inference(b, model_only=True) == pytest.approx(70 * PJ)
+        assert b.total == pytest.approx(1e-6 + 70 * PJ)
+        assert b.model.model_total == pytest.approx(70 * PJ)
 
 
 class TestEnergyPerLearning:
     def test_reuses_estimator(self):
         ops = fixture_ops()
-        assert energy_per_learning_sample(
+        assert estimate_energy(
             ops, memory_accesses(ops), FIXTURE_SPEC, 1e-3
-        ) == pytest.approx(70 * PJ)
+        ).total == pytest.approx(70 * PJ)
 
     def test_zero_counts_static_only(self):
         zero = OpCounts(0, 0, 0, 0)
         spec = HardwareSpec(static_power=2e-6)
-        assert energy_per_learning_sample(
+        assert estimate_energy(
             zero, memory_accesses(zero), spec, 0.5
-        ) == pytest.approx(1e-6)
+        ).total == pytest.approx(1e-6)
 
     def test_linear_in_counts(self):
         ops = fixture_ops()
-        one = energy_per_learning_sample(ops, memory_accesses(ops), FIXTURE_SPEC, 1.0)
-        two = energy_per_learning_sample(
+        one = estimate_energy(ops, memory_accesses(ops), FIXTURE_SPEC, 1.0).total
+        two = estimate_energy(
             ops.scaled(2), memory_accesses(ops.scaled(2)), FIXTURE_SPEC, 1.0
-        )
+        ).total
         assert two == pytest.approx(2 * one, rel=1e-12)
 
 
@@ -289,7 +287,7 @@ class TestEnergyAreaFom:
         spec = HardwareSpec(channels=100, chip_area=1.0, sampling_frequency=1000.0)
         result = energy_area_fom(1e-3, spec)
         assert result.value == pytest.approx(1e-8)
-        assert result.assumed_formula
+        assert result.formula == "(power / channels) * chip_area / sampling_frequency"
 
     def test_area_proportionality(self):
         a = energy_area_fom(
@@ -312,24 +310,6 @@ class TestEnergyAreaFom:
     def test_missing_fields_listed(self):
         with pytest.raises(MissingSpecError, match="channels"):
             energy_area_fom(1e-3, HardwareSpec(chip_area=1.0, sampling_frequency=1.0))
-
-
-class TestProvenanceTags:
-    def test_every_hardware_side_result_is_tagged_estimated(self):
-        ops = fixture_ops()
-        spec = HardwareSpec(
-            e_mac=4e-12, e_ac=1e-12, e_read=2e-12, e_write=2e-12,
-            chip_area=1.0, channels=10, sampling_frequency=100.0,
-        )
-        b = estimate_energy(ops, memory_accesses(ops), spec, 1e-3)
-        power = average_power(b)
-        results = [
-            b,
-            power_density(power, spec),
-            energy_area_fom(power, spec),
-        ]
-        for result in results:
-            assert result.provenance == "estimated"
 
 
 class TestHardwareSpecFile:

@@ -136,6 +136,12 @@ PROBES = [
                               "frames": [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}, "kind"),
     ("trace", ("spikes", 1, "layer"), 7, "layer"),
     ("trace", ("spikes", 1, "layer"), "x", "layer"),
+    ("model", ("layers", 1, "weights", 0, 0), True, "weights"),
+    ("model", ("layers", 1, "biases", 2), False, "biases"),
+    ("workload", ("events", 1, 0), True, "events"),
+    ("trace", ("per_timestep", "acs", 3), False, "per_timestep.acs"),
+    ("trace", ("layer_sizes", 1), True, "layer_sizes"),
+    ("trace", ("spikes", 1, "events", 1, 1), False, "events"),
 ]
 
 

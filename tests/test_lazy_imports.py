@@ -96,8 +96,7 @@ PUBLIC_NAMES = {
                "energy_delay_product estimated_battery_life greenup "
                "inferences_per_battery_cycle powerup speedup",
     "energy": "EnergyBreakdown HardwareSpec MissingSpecError average_power energy_area_fom "
-              "energy_per_inference energy_per_learning_sample energy_per_sop "
-              "estimate_energy load_hardware_spec power_density",
+              "energy_per_sop estimate_energy load_hardware_spec power_density",
     "model": "LayerDescriptor ModelDescriptor NeuronParams ParameterCount connection_sparsity "
              "count_parameters load_model memory_footprint save_model",
     "oracle": "dense_oracle_counts",
@@ -105,8 +104,8 @@ PUBLIC_NAMES = {
                 "rate_encode run_inference step_lif",
     "store": "MetricSnapshot TrendReport default_alert_rules evaluate_alerts read_store "
              "record_external_metric record_snapshot register_metric trend_report",
-    "workload": "MemoryAccessCounts OpCounts activation_sparsity dense_synops "
-                "effective_synops memory_accesses",
+    "workload": "MemoryAccessCounts OpCounts activation_sparsity effective_synops "
+                "memory_accesses",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 from spikemeter import cli
 from spikemeter import report as rpt
 from spikemeter import store as st
+from spikemeter.catalog import CLASS_TAGS
 from spikemeter.report import RENDERERS, build_report
 from spikemeter.store import (
     MetricSnapshot,
@@ -681,21 +682,46 @@ def test_analyze_prints_the_units_the_store_holds(tmp_path, capsys):
     assert "parameters_non_trainable = 6 count [computed]\n" in out
 
 
+GOLDEN_METRICS = ("golden_simulate.jsonl", "golden_estimate.jsonl", "golden_analyze.jsonl",
+                  "golden_compare.jsonl")
+
+
 def test_golden_estimate_jsonl(tmp_path, capsys):
     """Demo model and workload, simulated at seed 42, priced against the
-    demo spec: the estimate's stdout must not change by a byte."""
-    trace = tmp_path / "trace.json"
-    code, _, _ = run_main(
-        ["simulate", "--model", demo_path("demo_model.json"),
-         "--workload", demo_path("demo_workload.json"), "--seed", "42",
-         "--trace-out", str(trace), "--format", "jsonl"],
-        capsys,
-    )
-    assert code == 0
-    code, out, _ = run_main(
-        ["estimate", "--trace", str(trace), "--hwspec", demo_path("demo_hwspec.json"),
-         "--format", "jsonl"],
-        capsys,
-    )
-    assert code == 0
-    assert out == (DATA / "golden_estimate.jsonl").read_text()
+    demo spec; the demo model analyzed; two inline versions compared with
+    accuracy improved, regressed and unchanged, each in both orientations:
+    each verb's jsonl stdout must not change by a byte."""
+    trace = str(tmp_path / "trace.json")
+    compare = [
+        ["compare", "--old-energy", "2e-9", "--old-time", "0.01", "--old-accuracy", old,
+         "--new-energy", "1.5e-9", "--new-time", "0.02", "--new-accuracy", new, *published]
+        for old, new in (("0.7", "0.8"), ("0.8", "0.7"), ("0.8", "0.8"))
+        for published in ([], ["--as-published"])
+    ]
+    runs = [
+        [["simulate", "--model", demo_path("demo_model.json"),
+          "--workload", demo_path("demo_workload.json"), "--seed", "42", "--trace-out", trace]],
+        [["estimate", "--trace", trace, "--hwspec", demo_path("demo_hwspec.json")]],
+        [["analyze", "--model", demo_path("demo_model.json")]],
+        compare,
+    ]
+    for golden, argvs in zip(GOLDEN_METRICS, runs):
+        out = ""
+        for argv in argvs:
+            code, stdout, _ = run_main(argv + ["--format", "jsonl"], capsys)
+            assert code == 0, argv
+            out += stdout
+        assert out == (DATA / golden).read_text(), golden
+
+
+def test_goldens_carry_the_catalog_tags():
+    """Every metric row whose key the catalog describes carries the catalog's
+    provenance tag."""
+    checked = 0
+    for golden in GOLDEN_METRICS:
+        for line in (DATA / golden).read_text().splitlines():
+            record = json.loads(line)
+            if record.get("key") in CLASS_TAGS:
+                assert record["provenance"] == CLASS_TAGS[record["key"]], (golden, record)
+                checked += 1
+    assert checked >= 20

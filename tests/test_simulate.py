@@ -12,9 +12,9 @@ from spikemeter.simulate import (
     run_inference,
     step_lif,
 )
-from spikemeter.workload import dense_synops, effective_synops
+from spikemeter.workload import effective_synops
 
-from conftest import random_model, random_train, simple_model
+from conftest import dense_synops, random_model, random_train, simple_model
 
 
 class TestRateEncode:

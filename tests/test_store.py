@@ -122,7 +122,16 @@ class TestRecordSnapshot:
         (lambda store: record_external_metric(store, "m", "v1", "effective_synops", 1.0,
                                               notes=None),
          "ingest record field 'notes': expected a string, got null"),
-    ], ids=["register-unit", "register-description", "snapshot-notes", "ingest-notes"])
+        (lambda store: record_snapshot(store, MetricSnapshot(["m"], "v1", {})),
+         "snapshot record field 'model': expected a string, got list"),
+        (lambda store: record_snapshot(store, MetricSnapshot("m", 3, {})),
+         "snapshot record field 'version': expected a string, got 3"),
+        (lambda store: record_external_metric(store, "m", 3, "effective_synops", 1.0),
+         "ingest record field 'version': expected a string, got 3"),
+        (lambda store: record_external_metric(store, "m", "v1", 5, 1.0),
+         "ingest record field 'metric': expected a string, got 5"),
+    ], ids=["register-unit", "register-description", "snapshot-notes", "ingest-notes",
+            "snapshot-model", "snapshot-version", "ingest-version", "ingest-metric"])
     def test_text_fields_are_strings_on_write(self, tmp_path, write, message):
         store = tmp_path / "s.jsonl"
         with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
@@ -423,13 +432,31 @@ class TestMalformedStoreLines:
             ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
               "metric": "effective_synops", "value": 10**400, "provenance": "ingested"},
              "value for 'effective_synops' must be a finite number"),
+            ({"kind": "register", "name": 5},
+             "register record field 'name': expected a string, got 5"),
+            ({"kind": "snapshot", "model": None, "version": "v2", "timestamp": 1.0,
+              "values": {}},
+             "snapshot record field 'model': expected a string, got null"),
+            ({"kind": "snapshot", "model": "m", "version": 3, "timestamp": 1.0, "values": {}},
+             "snapshot record field 'version': expected a string, got 3"),
+            ({"kind": "ingest", "model": ["m"], "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": 1.0, "provenance": "ingested"},
+             "ingest record field 'model': expected a string, got list"),
+            ({"kind": "ingest", "model": "m", "version": 1.5, "timestamp": 1.0,
+              "metric": "effective_synops", "value": 1.0, "provenance": "ingested"},
+             "ingest record field 'version': expected a string, got 1.5"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": 5, "value": 1.0, "provenance": "ingested"},
+             "ingest record field 'metric': expected a string, got 5"),
         ],
         ids=["register-polarity", "snapshot-timestamp", "ingest-provenance",
              "snapshot-provenance", "snapshot-value", "ingest-value", "snapshot-accuracy",
              "snapshot-value-bool", "ingest-value-bool", "snapshot-accuracy-bool",
              "snapshot-timestamp-string", "ingest-timestamp-string", "register-unit",
              "register-description", "snapshot-notes", "snapshot-notes-null", "ingest-notes",
-             "snapshot-value-nan", "ingest-value-beyond-float"],
+             "snapshot-value-nan", "ingest-value-beyond-float", "register-name",
+             "snapshot-model", "snapshot-version", "ingest-model", "ingest-version",
+             "ingest-metric"],
     )
     def test_bad_field_value_names_the_line(self, tmp_path, record, message):
         store = tmp_path / "s.jsonl"

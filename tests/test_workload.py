@@ -6,12 +6,11 @@ from spikemeter.workload import (
     MemoryAccessCounts,
     OpCounts,
     activation_sparsity,
-    dense_synops,
     effective_synops,
     memory_accesses,
 )
 
-from conftest import random_model, random_train, simple_model
+from conftest import dense_synops, random_model, random_train, simple_model
 
 
 def counts(macs=0, acs=0, eff=0, dense=None, leak=0):
