@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from . import report as rpt, store as st
 from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, MissingSpecError,
                       find_metric)
-from .fields import load_json, read_record
+from .fields import load_json, number, read_field, read_record
 
 if TYPE_CHECKING:
     from . import compare as cmp, workload as wl
@@ -132,6 +132,8 @@ def run_inference(*args, **kwargs):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    threshold = read_field({"--sparsity-threshold": args.sparsity_threshold},
+                           "--sparsity-threshold", number, "option", ValueError)
     from . import files, model as mdl, workload as wl
     from .simulate import SimulationConfig
 
@@ -158,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     ops = wl.effective_synops(trace)
     mem = wl.memory_accesses(ops)
-    sparsity = wl.activation_sparsity(trace, threshold=args.sparsity_threshold)
+    sparsity = wl.activation_sparsity(trace, threshold=threshold)
 
     rows = [
         {"key": "acs", "value": float(ops.acs), "unit": "ops"},
@@ -472,7 +474,8 @@ def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
                 raise ValueError(
                     f"unknown limit override {key!r}; expected one of {sorted(mapping)}"
                 )
-            kwargs[mapping[key]] = float(value)
+            kwargs[mapping[key]] = read_field({key: float(value)}, key, number,
+                                              "limit override", ValueError)
     return st.default_alert_rules(**kwargs)
 
 

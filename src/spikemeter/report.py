@@ -21,15 +21,12 @@ from .store import (
     AlertReport,
     AlertRule,
     InsufficientHistoryError,
-    MetricSnapshot,
     TrendReport,
     evaluate_alerts,
     pick_value,
     read_store,
     trend_report,
 )
-
-_RANK = {tag: i for i, tag in enumerate(PROVENANCE_TAGS)}
 
 CONVENTIONS = (
     "ratio metrics divide old by new: speedup/greenup > 1 means the new version "
@@ -46,10 +43,11 @@ class MetricEntry:
     value: float
     unit: str
     provenance: str
-    accessibility: bool | None
-    high_fidelity: bool | None
-    actionability: bool | None
-    trend_based: bool | None
+    # the catalog's four properties; None for a custom metric
+    accessibility: bool | None = None
+    high_fidelity: bool | None = None
+    actionability: bool | None = None
+    trend_based: bool | None = None
     assumes_estimation: bool = False
     note: str = ""
 
@@ -80,69 +78,37 @@ def build_report(
     entries: list[MetricEntry] = []
     for key in sorted(latest.values):
         descriptor = find_metric(key)
-        custom = data.registered.get(key)
+        if descriptor is not None:
+            about = dict(
+                name=descriptor.name,
+                unit=descriptor.unit,
+                accessibility=descriptor.accessibility,
+                high_fidelity=descriptor.high_fidelity,
+                actionability=descriptor.actionability,
+                trend_based=descriptor.trend_based,
+                assumes_estimation=descriptor.assumes_estimation,
+                note=descriptor.description,
+            )
+        else:  # the store holds no value of a metric neither built in nor registered
+            custom = data.registered[key]
+            about = dict(name=custom.name, unit=custom.unit,
+                         note=custom.description or "custom metric")
         by_provenance = latest.values[key]
-        ordered = sorted(by_provenance.items(), key=lambda item: _RANK.get(item[0], len(_RANK)))
-        for provenance, value in ordered:
-            if descriptor is not None:
-                entries.append(
-                    MetricEntry(
-                        key=key,
-                        name=descriptor.name,
-                        value=float(value),
-                        unit=descriptor.unit,
-                        provenance=provenance,
-                        accessibility=descriptor.accessibility,
-                        high_fidelity=descriptor.high_fidelity,
-                        actionability=descriptor.actionability,
-                        trend_based=descriptor.trend_based,
-                        assumes_estimation=descriptor.assumes_estimation,
-                        note=descriptor.description,
-                    )
-                )
-            else:
-                entries.append(
-                    MetricEntry(
-                        key=key,
-                        name=custom.name if custom else key,
-                        value=float(value),
-                        unit=custom.unit if custom else "",
-                        provenance=provenance,
-                        accessibility=None,
-                        high_fidelity=None,
-                        actionability=None,
-                        trend_based=None,
-                        note=(custom.description if custom else "") or "custom metric",
-                    )
-                )
+        for provenance in PROVENANCE_TAGS:
+            if provenance in by_provenance:
+                entries.append(MetricEntry(key=key, value=float(by_provenance[provenance]),
+                                           provenance=provenance, **about))
 
-    flat = {
-        key: value
-        for key in latest.values
-        if (value := pick_value(latest.values[key], find_metric(key), None)) is not None
-    }
-    snapshot = MetricSnapshot(
-        model_name=model,
-        version=latest.version,
-        values=flat,
-        timestamp=latest.timestamp,
-        accuracy=latest.accuracy,
+    alerts = evaluate_alerts(
+        {key: pick_value(by_provenance, find_metric(key), None)
+         for key, by_provenance in latest.values.items()},
+        rules,
     )
-    alerts = evaluate_alerts(snapshot, rules)
 
     trends: list[TrendReport] = []
-    seen = set()
-    for record in history:
-        for key in record.values:
-            if key in seen:
-                continue
-            seen.add(key)
-            descriptor = find_metric(key)
-            trendable = (descriptor is not None and descriptor.trend_based) or (
-                descriptor is None and key in data.registered
-            )
-            if not trendable:
-                continue
+    for key in dict.fromkeys(key for record in history for key in record.values):
+        descriptor = find_metric(key)
+        if descriptor is None or descriptor.trend_based:  # every custom metric trends
             try:
                 trends.append(trend_report(data, model, key))
             except InsufficientHistoryError:

@@ -18,10 +18,12 @@ another tool) is refused on read, naming the line.  Ingest records attach
 externally obtained values (a power-meter reading, a training log) to a
 version without touching what was already recorded -- the same metric may
 then carry both an estimated and an ingested value, distinguishable by
-provenance.  Each write takes an exclusive ``flock`` on the store file,
-parses the store once, runs every check against that parse and appends all
-of its lines in one write, or none if a check fails: concurrent writers
-cannot both pass the same check, and a rejected write leaves the store
+provenance.  The line rules have one home, :func:`_apply`: the reader runs
+it on every line it reads, and each write runs it on every line it would
+append, against the store parsed under an exclusive ``flock`` on the store
+file, and appends all of its lines in one write, or none if one fails.  So
+the store only gains lines the reader accepts, concurrent writers cannot
+both pass the same check, and a rejected write leaves the store
 byte-identical.  Readers take no lock.
 """
 
@@ -92,11 +94,6 @@ def _check_value(metric: str, value, provenance) -> None:
         )
 
 
-def _check_accuracy(accuracy) -> None:
-    if accuracy is not None and not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
-        raise StoreError("accuracy must lie in [0, 1]")
-
-
 def _text(record: dict, key: str, required: bool = False) -> str:
     """A store line's text field, written or read: a string.  An optional one
     (``unit``, ``description``, ``notes``) is "" when absent; a required one
@@ -116,13 +113,6 @@ class MetricSnapshot:
     accuracy: float | None = None
     provenance: dict[str, str] = field(default_factory=dict)
     notes: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.model_name or not self.version:
-            raise StoreError("snapshot needs a model name and a version")
-        _check_accuracy(self.accuracy)
-        for key, value in self.values.items():
-            _check_value(key, value, self.provenance.get(key, _COMPUTED))
 
 
 @dataclass(frozen=True)
@@ -157,13 +147,6 @@ class StoreData:
     def find(self, model: str, version: str) -> VersionRecord | None:
         return self.models.get(model, {}).get(version)
 
-    def check_new_version(self, model: str, version: str) -> None:
-        """A version is recorded once per model."""
-        if self.find(model, version) is not None:
-            raise DuplicateVersionError(
-                f"version {version!r} already recorded for model {model!r}"
-            )
-
     def add(self, model: str, record: VersionRecord) -> VersionRecord:
         self.models.setdefault(model, {})[record.version] = record
         return record
@@ -171,6 +154,88 @@ class StoreData:
 
 def _timestamp(record: dict) -> float:
     return read_field(record, "timestamp", number, f"{record['kind']} record", StoreError)
+
+
+def _names(record: dict) -> tuple[str, str]:
+    """A snapshot's or an ingest's model and version: non-empty strings."""
+    model, version = _text(record, "model", True), _text(record, "version", True)
+    if not model or not version:
+        raise StoreError(f"{record['kind']} record needs a model name and a version")
+    return model, version
+
+
+def _check_known(metrics, data: StoreData) -> None:
+    """Every metric a line carries is built in (by key or display name) or
+    registered on an earlier line."""
+    unknown = [name for name in metrics if name not in CLASS_TAGS
+               and name not in data.registered and find_metric(name) is None]
+    if unknown:
+        raise UnknownMetricError(f"unknown metrics {sorted(unknown)}; register them first")
+
+
+def _apply(data: StoreData, record: dict) -> None:
+    """Apply one store line to ``data``, or raise StoreError saying what
+    breaks the line's rules.  This is the one home of those rules: the
+    reader runs it on every line it reads, and every writer on every line
+    before it is appended."""
+    kind = record["kind"]
+    try:
+        if kind == "register":
+            name = _text(record, "name", True)
+            data.registered[name] = CustomMetric(
+                name=name,
+                unit=_text(record, "unit"),
+                polarity=Polarity(record.get("polarity", Polarity.HIGHER_IS_WORSE.value)),
+                description=_text(record, "description"),
+            )
+        elif kind == "snapshot":
+            model, version = _names(record)
+            if data.find(model, version) is not None:
+                raise DuplicateVersionError(
+                    f"version {version!r} already recorded for model {model!r}"
+                )
+            values = {}
+            tags = record.get("provenance", {})
+            for key, val in record["values"].items():
+                tag = tags.get(key, _COMPUTED)
+                _check_value(key, val, tag)
+                values[key] = {tag: val}
+            _check_known(values, data)
+            accuracy = record.get("accuracy")
+            if accuracy is not None and not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
+                raise StoreError("accuracy must lie in [0, 1]")
+            data.add(model, VersionRecord(
+                version=version,
+                timestamp=_timestamp(record),
+                values=values,
+                accuracy=accuracy,
+                notes=_text(record, "notes"),
+            ))
+        elif kind == "ingest":
+            model, version = _names(record)
+            metric, provenance = _text(record, "metric", True), record["provenance"]
+            _check_value(metric, record["value"], provenance)
+            _check_known((metric,), data)
+            _text(record, "notes")
+            timestamp = _timestamp(record)
+            target = data.find(model, version)
+            if target is None:
+                target = data.add(model, VersionRecord(
+                    version=version,
+                    timestamp=timestamp,
+                    values={},
+                    accuracy=None,
+                    notes="",
+                ))
+            target.values.setdefault(metric, {})[provenance] = record["value"]
+        else:
+            raise StoreError(f"unknown record kind {kind!r}")
+    except StoreError:
+        raise
+    except KeyError as exc:
+        raise StoreError(f"{kind} record lacks field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed {kind} record: {exc}") from exc
 
 
 def _parse_line(line: str, lineno: int) -> dict:
@@ -204,93 +269,49 @@ def read_store(path: str | Path) -> StoreData:
         if not line.strip():
             continue
         record = _parse_line(line, lineno)
-        kind = record["kind"]
         try:
-            if kind == "register":
-                name = _text(record, "name", True)
-                data.registered[name] = CustomMetric(
-                    name=name,
-                    unit=_text(record, "unit"),
-                    polarity=Polarity(record.get("polarity", Polarity.HIGHER_IS_WORSE.value)),
-                    description=_text(record, "description"),
-                )
-            elif kind == "snapshot":
-                model, version = _text(record, "model", True), _text(record, "version", True)
-                data.check_new_version(model, version)
-                values = {}
-                tags = record.get("provenance", {})
-                for key, val in record["values"].items():
-                    tag = tags.get(key, _COMPUTED)
-                    _check_value(key, val, tag)
-                    values[key] = {tag: val}
-                _check_accuracy(record.get("accuracy"))
-                data.add(model, VersionRecord(
-                    version=version,
-                    timestamp=_timestamp(record),
-                    values=values,
-                    accuracy=record.get("accuracy"),
-                    notes=_text(record, "notes"),
-                ))
-            elif kind == "ingest":
-                model, version = _text(record, "model", True), _text(record, "version", True)
-                metric, provenance = _text(record, "metric", True), record["provenance"]
-                _check_value(metric, record["value"], provenance)
-                _text(record, "notes")
-                target = data.find(model, version)
-                if target is None:
-                    target = data.add(model, VersionRecord(
-                        version=version,
-                        timestamp=_timestamp(record),
-                        values={},
-                        accuracy=None,
-                        notes="",
-                    ))
-                target.values.setdefault(metric, {})[provenance] = record["value"]
-            else:
-                raise StoreError(f"unknown record kind {kind!r}")
+            _apply(data, record)
         except StoreError as exc:
             raise type(exc)(f"store line {lineno}: {exc}") from exc
-        except KeyError as exc:
-            raise StoreError(f"store line {lineno}: {kind} record lacks field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise StoreError(f"store line {lineno}: malformed {kind} record: {exc}") from exc
     return data
 
 
-def _commit(path: str | Path, check: Callable[[StoreData], list[dict]]) -> StoreData:
-    """Append in one write the records ``check`` returns for the parsed store,
-    under an exclusive lock held from the read through the write, so the
-    checks and the append see the same store; a check that raises appends nothing.
-    Returns that parse, as ``check`` left it.
+def _commit(path: str | Path, lines: Callable[[StoreData], Iterable[dict]]) -> StoreData:
+    """Append in one write the records ``lines`` gives for the parsed store,
+    under an exclusive lock held from the read through the write.  Each
+    record is applied to the parse by the reader's rules (:func:`_apply`)
+    before the next is drawn, so a record that breaks them appends nothing,
+    and later records see the earlier ones.  Returns the parse with the
+    records applied.
 
-    On a path that does not exist yet the checks first run against an empty
-    store, before anything is opened, so a write they reject creates no file.
+    On a path that does not exist yet the records are first applied to an
+    empty store, before anything is opened, so a write they reject creates
+    no file.
     """
+    def accepted(data: StoreData) -> list[dict]:
+        records = []
+        for record in lines(data):
+            _apply(data, record)
+            records.append(record)
+        return records
+
     if not Path(path).exists():
-        check(StoreData())
+        accepted(StoreData())
     with open(path, "a") as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
         data = read_store(path)
-        records = check(data)
+        records = accepted(data)
         handle.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
         handle.flush()
     return data
 
 
-def _known_metric(name: str, data: StoreData) -> bool:
-    return find_metric(name) is not None or name in data.registered
-
-
 def _registration(metric: CustomMetric, data: StoreData) -> list[dict]:
-    """The register line ``metric`` needs, applied to ``data`` so later
-    checks see it; none for a built-in or an identical registration on file."""
+    """The register line ``metric`` needs; none for a built-in or an
+    identical registration on file."""
     if find_metric(metric.name) is not None or data.registered.get(metric.name) == metric:
         return []
-    line = {"kind": "register", **asdict(metric), "polarity": metric.polarity.value}
-    for key in ("name", "unit", "description"):
-        _text(line, key)
-    data.registered[metric.name] = metric
-    return [line]
+    return [{"kind": "register", **asdict(metric)}]
 
 
 def register_metric(
@@ -334,19 +355,14 @@ def record_snapshot(
         "accuracy": snapshot.accuracy,
         "notes": snapshot.notes,
     }
-    for key in ("model", "version", "notes"):
-        _text(record, key)
 
-    def check(data: StoreData) -> list[dict]:
-        data.check_new_version(snapshot.model_name, snapshot.version)
-        records = [line for metric in register if metric.name not in data.registered
-                   for line in _registration(metric, data)]
-        unknown = [key for key in snapshot.values if not _known_metric(key, data)]
-        if unknown:
-            raise UnknownMetricError(f"unknown metrics {sorted(unknown)}; register them first")
-        return records + [record]
+    def lines(data: StoreData) -> Iterable[dict]:
+        for metric in register:
+            if metric.name not in data.registered:
+                yield from _registration(metric, data)
+        yield record
 
-    data = _commit(store, check)
+    data = _commit(store, lines)
     return {m.name: data.registered[m.name] for m in register if m.name in data.registered}
 
 
@@ -363,7 +379,6 @@ def record_external_metric(
 ) -> None:
     """Attach an externally obtained value (measurement, training log) to a
     version.  The provenance tag travels with the value into every report."""
-    _check_value(metric, value, provenance)
     record = {
         "kind": "ingest",
         "model": model,
@@ -374,15 +389,7 @@ def record_external_metric(
         "provenance": provenance,
         "notes": notes,
     }
-    for key in ("model", "version", "metric", "notes"):
-        _text(record, key)
-
-    def check(data: StoreData) -> list[dict]:
-        if not _known_metric(metric, data):
-            raise UnknownMetricError(f"unknown metric {metric!r}; register it first")
-        return [record]
-
-    _commit(store, check)
+    _commit(store, lambda data: [record])
 
 
 def pick_value(
@@ -422,16 +429,6 @@ class TrendReport:
     direction: Direction
 
 
-def _metric_meta(name: str, data: StoreData) -> tuple[str, Polarity]:
-    descriptor = find_metric(name)
-    if descriptor is not None:
-        return descriptor.unit, descriptor.polarity
-    if name in data.registered:
-        custom = data.registered[name]
-        return custom.unit, custom.polarity
-    raise UnknownMetricError(f"unknown metric {name!r}")
-
-
 def trend_report(
     data: StoreData, model: str, metric: str, *, provenance: str | None = None
 ) -> TrendReport:
@@ -446,7 +443,9 @@ def trend_report(
     """
     descriptor = find_metric(metric)
     key = descriptor.key if descriptor is not None else metric
-    unit, polarity = _metric_meta(key, data)
+    about = descriptor or data.registered.get(key)  # unit and polarity
+    if about is None:
+        raise UnknownMetricError(f"unknown metric {key!r}")
     series: list[tuple[str, float]] = []
     for record in data.history(model):
         if key in record.values:
@@ -467,12 +466,12 @@ def trend_report(
         direction = Direction.FLAT
     else:
         increased = last > first
-        worse = polarity is Polarity.HIGHER_IS_WORSE
+        worse = about.polarity is Polarity.HIGHER_IS_WORSE
         direction = Direction.DEGRADING if increased == worse else Direction.IMPROVING
     return TrendReport(
         metric=key,
-        unit=unit,
-        polarity=polarity,
+        unit=about.unit,
+        polarity=about.polarity,
         series=tuple(series),
         deltas=tuple(deltas),
         direction=direction,
@@ -561,16 +560,17 @@ def default_alert_rules(
 
 
 def evaluate_alerts(
-    snapshot: MetricSnapshot, rules: tuple[AlertRule, ...] | None = None
+    values: dict[str, float], rules: tuple[AlertRule, ...] | None = None
 ) -> AlertReport:
-    """One alert per violated rule; rules whose metric is absent are skipped
-    and listed, never treated as violations."""
+    """One alert per rule that ``values`` (metric -> value) violates; rules
+    whose metric is absent are skipped and listed, never treated as
+    violations."""
     if rules is None:
         rules = default_alert_rules()
     alerts = []
     skipped = []
     for rule in rules:
-        value = snapshot.values.get(rule.metric)
+        value = values.get(rule.metric)
         if value is None:
             skipped.append(rule.metric)
             continue

@@ -115,8 +115,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_actionability_thresholds():
     # sparsity: strict below-0.60 rule
-    low = evaluate_alerts(MetricSnapshot("m", "v", {"activation_sparsity": 0.59}))
-    at = evaluate_alerts(MetricSnapshot("m", "v", {"activation_sparsity": 0.60}))
+    low = evaluate_alerts({"activation_sparsity": 0.59})
+    at = evaluate_alerts({"activation_sparsity": 0.60})
     assert [a.metric for a in low.alerts] == ["activation_sparsity"]
     assert at.alerts == ()
     # same boundary through the workload-level report (2 spikes / 5 slots = 0.60)
@@ -130,8 +130,8 @@ def test_criterion_4_actionability_thresholds():
     assert power_density(0.01001, spec).violation
     assert not power_density(0.01, spec).violation
     assert power_density(0.01, spec).mw_per_cm2 == 10.0
-    assert evaluate_alerts(MetricSnapshot("m", "v", {"power_density": 10.01})).alerts
-    assert not evaluate_alerts(MetricSnapshot("m", "v", {"power_density": 10.0})).alerts
+    assert evaluate_alerts({"power_density": 10.01}).alerts
+    assert not evaluate_alerts({"power_density": 10.0}).alerts
 
     # battery life: >= 10 years passes
     exact = estimated_battery_life(
@@ -142,12 +142,8 @@ def test_criterion_4_actionability_thresholds():
     )
     assert exact.years == 10.0 and exact.meets_10y
     assert not short.meets_10y
-    assert evaluate_alerts(
-        MetricSnapshot("m", "v", {"estimated_battery_life": 9.99})
-    ).alerts
-    assert not evaluate_alerts(
-        MetricSnapshot("m", "v", {"estimated_battery_life": 10.0})
-    ).alerts
+    assert evaluate_alerts({"estimated_battery_life": 9.99}).alerts
+    assert not evaluate_alerts({"estimated_battery_life": 10.0}).alerts
     ok(4, "sparsity 0.59/0.60, power density 10.01/10.00, battery 9.99/10.0 "
           "all behave exactly at the boundaries")
 

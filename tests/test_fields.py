@@ -128,6 +128,7 @@ PROBES = [
     ("trace", ("model",), "x", "model"),
     ("trace", ("timesteps",), 2.5, "timesteps"),
     ("store", (1, "values", "effective_synops"), True, "effective_synops"),
+    ("store", (1, "values", "made_up"), 1.0, "made_up"),
     ("counts", ("mac",), 5, "mac"),
     ("workload", ("seed",), 3, "seed"),
     ("trace", ("seed",), 3, "seed"),

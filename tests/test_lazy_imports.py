@@ -65,7 +65,12 @@ def inputs(tmp_path) -> dict[str, str]:
      STORE_ONLY | {"spikemeter.compare", "spikemeter.energy", "spikemeter.workload"}),
     (["--help"], 0, False, STORE_ONLY),
     (["simulate", "--model", "{model}", "--workload", "{workload}"], 0, True, None),
-], ids=["compare", "history", "report", "estimate-counts", "help", "simulate"])
+    (["report", "--store", "{store}", "--model", "m", "--limit-overrides", "battery_years=nan"],
+     2, False, STORE_ONLY),
+    (["simulate", "--model", "{model}", "--workload", "{workload}",
+      "--sparsity-threshold", "nan"], 2, False, STORE_ONLY),
+], ids=["compare", "history", "report", "estimate-counts", "help", "simulate",
+        "report-nan-limit-override", "simulate-nan-sparsity-threshold"])
 def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,
                                                       loads_numpy, modules):
     """Numpy loads only where a verb needs it, and each store-only verb loads

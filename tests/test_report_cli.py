@@ -538,8 +538,13 @@ class TestOneStoreParsePerCommand:
              ["parameters_non_trainable", "snapshot"]),
             (["analyze", "--model", demo_path("demo_model.json"), *RECORD], 0,
              ["parameters_non_trainable", "snapshot"]),
+            (["estimate", "--trace", "{trace}", "--hwspec", demo_path("demo_hwspec.json"),
+              "--model-name", "golden", *RECORD, "--timestamp", "nan"], 2, []),
+            (["analyze", "--model", demo_path("demo_model.json"), *RECORD,
+              "--timestamp", "inf"], 2, []),
         ],
-        ids=["report", "history", "compare", "estimate-record", "analyze-record"],
+        ids=["report", "history", "compare", "estimate-record", "analyze-record",
+             "estimate-record-nan-timestamp", "analyze-record-inf-timestamp"],
     )
     def test_reads_store_once(self, tmp_path, capsys, monkeypatch, demo_trace, argv,
                               expected_code, appended):

@@ -5,11 +5,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from spikemeter import cli
-from spikemeter.catalog import Provenance
+from spikemeter.catalog import Polarity, Provenance
 from spikemeter.fields import FieldError, number
 from spikemeter.store import (
     CustomMetric,
@@ -130,8 +130,19 @@ class TestRecordSnapshot:
          "ingest record field 'version': expected a string, got 3"),
         (lambda store: record_external_metric(store, "m", "v1", 5, 1.0),
          "ingest record field 'metric': expected a string, got 5"),
+        (lambda store: record_external_metric(store, "m", "", "effective_synops", 1.0),
+         "ingest record needs a model name and a version"),
+        (lambda store: record_snapshot(store, MetricSnapshot("m", "", {})),
+         "snapshot record needs a model name and a version"),
+        (lambda store: record_snapshot(store, snap("v1", {}, ts=float("nan"))),
+         "snapshot record field 'timestamp': expected a finite number, got NaN"),
+        (lambda store: record_external_metric(store, "m", "v1", "effective_synops", 1.0,
+                                              timestamp=float("inf")),
+         "ingest record field 'timestamp': expected a finite number, got Infinity"),
     ], ids=["register-unit", "register-description", "snapshot-notes", "ingest-notes",
-            "snapshot-model", "snapshot-version", "ingest-version", "ingest-metric"])
+            "snapshot-model", "snapshot-version", "ingest-version", "ingest-metric",
+            "ingest-version-empty", "snapshot-version-empty", "snapshot-timestamp-nan",
+            "ingest-timestamp-inf"])
     def test_text_fields_are_strings_on_write(self, tmp_path, write, message):
         store = tmp_path / "s.jsonl"
         with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
@@ -289,17 +300,17 @@ class TestTrendReport:
 
 class TestAlerts:
     def test_low_sparsity_alerts(self):
-        report = evaluate_alerts(snap("v1", {"activation_sparsity": 0.55}))
+        report = evaluate_alerts({"activation_sparsity": 0.55})
         assert [a.metric for a in report.alerts] == ["activation_sparsity"]
         assert "sparsity" in report.alerts[0].rationale
 
     def test_power_density_violation(self):
-        report = evaluate_alerts(snap("v1", {"power_density": 20.0}))
+        report = evaluate_alerts({"power_density": 20.0})
         assert [a.metric for a in report.alerts] == ["power_density"]
         assert report.alerts[0].threshold == 10.0
 
     def test_healthy_battery_life_no_alert(self):
-        report = evaluate_alerts(snap("v1", {"estimated_battery_life": 38.0}))
+        report = evaluate_alerts({"estimated_battery_life": 38.0})
         assert report.alerts == ()
 
     def test_boundaries_are_strict(self):
@@ -308,16 +319,16 @@ class TestAlerts:
             "power_density": 10.0,
             "estimated_battery_life": 10.0,
         }
-        assert evaluate_alerts(snap("v1", values)).alerts == ()
+        assert evaluate_alerts(values).alerts == ()
         values = {
             "activation_sparsity": 0.59,
             "power_density": 10.01,
             "estimated_battery_life": 9.99,
         }
-        assert len(evaluate_alerts(snap("v1", values)).alerts) == 3
+        assert len(evaluate_alerts(values).alerts) == 3
 
     def test_missing_metrics_skip_rules(self):
-        report = evaluate_alerts(snap("v1", {"activation_sparsity": 0.9}))
+        report = evaluate_alerts({"activation_sparsity": 0.9})
         assert report.alerts == ()
         assert set(report.skipped) == {"power_density", "estimated_battery_life"}
 
@@ -326,11 +337,11 @@ class TestAlerts:
             sparsity_threshold=0.9, power_density_limit=5.0, battery_target_years=20.0
         )
         report = evaluate_alerts(
-            snap("v1", {
+            {
                 "activation_sparsity": 0.85,
                 "power_density": 6.0,
                 "estimated_battery_life": 15.0,
-            }),
+            },
             rules,
         )
         assert len(report.alerts) == 3
@@ -448,6 +459,20 @@ class TestMalformedStoreLines:
             ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
               "metric": 5, "value": 1.0, "provenance": "ingested"},
              "ingest record field 'metric': expected a string, got 5"),
+            ({"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 1.0,
+              "values": {"effective_synops": 1.0, "made_up": 1.0}},
+             "unknown metrics ['made_up']; register them first"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": 1.0,
+              "metric": "made_up", "value": 1.0, "provenance": "ingested"},
+             "unknown metrics ['made_up']; register them first"),
+            ({"kind": "snapshot", "model": "m", "version": "", "timestamp": 1.0, "values": {}},
+             "snapshot record needs a model name and a version"),
+            ({"kind": "ingest", "model": "", "version": "v1", "timestamp": 1.0,
+              "metric": "effective_synops", "value": 1.0, "provenance": "ingested"},
+             "ingest record needs a model name and a version"),
+            ({"kind": "ingest", "model": "m", "version": "v1", "timestamp": float("nan"),
+              "metric": "effective_synops", "value": 1.0, "provenance": "ingested"},
+             "ingest record field 'timestamp': expected a finite number, got NaN"),
         ],
         ids=["register-polarity", "snapshot-timestamp", "ingest-provenance",
              "snapshot-provenance", "snapshot-value", "ingest-value", "snapshot-accuracy",
@@ -456,7 +481,8 @@ class TestMalformedStoreLines:
              "register-description", "snapshot-notes", "snapshot-notes-null", "ingest-notes",
              "snapshot-value-nan", "ingest-value-beyond-float", "register-name",
              "snapshot-model", "snapshot-version", "ingest-model", "ingest-version",
-             "ingest-metric"],
+             "ingest-metric", "snapshot-unregistered-metric", "ingest-unregistered-metric",
+             "snapshot-version-empty", "ingest-model-empty", "ingest-timestamp-nan"],
     )
     def test_bad_field_value_names_the_line(self, tmp_path, record, message):
         store = tmp_path / "s.jsonl"
@@ -580,6 +606,62 @@ def mutated_store(draw) -> str:
         else:
             record[key] = draw(hs.sampled_from(JSON_VALUES))
     return "".join(json.dumps(r) + "\n" for r in records)
+
+
+# One call of each writer that every rule accepts on VALID_STORE, as its
+# keyword arguments.
+WRITES = {
+    "register": {"name": "fpga_luts", "unit": "LUTs", "polarity": Polarity.HIGHER_IS_BETTER,
+                 "description": ""},
+    "snapshot": {"model_name": "m", "version": "v3", "timestamp": 4.0, "accuracy": 0.9,
+                 "values": {"effective_synops": 80.0, "lut_count": 8.0},
+                 "provenance": {"effective_synops": "computed"}, "notes": ""},
+    "ingest": {"model": "m", "version": "v3", "metric": "energy_per_inference",
+               "value": 1e-3, "provenance": "ingested", "timestamp": 5.0, "notes": ""},
+}
+WRITERS = {
+    "register": lambda store, args: register_metric(store, **args),
+    "snapshot": lambda store, args: record_snapshot(store, MetricSnapshot(**args)),
+    "ingest": lambda store, args: record_external_metric(store, **args),
+}
+
+
+@hs.composite
+def mutated_write(draw) -> tuple[str, dict]:
+    """One of WRITES with one argument, or one entry of a dict argument,
+    swapped for a value of any JSON type.  A registration's name is looked up
+    in the catalog before any line is built, so it keeps its type."""
+    kind = draw(hs.sampled_from(sorted(WRITES)))
+    args = dict(WRITES[kind])
+    key = draw(hs.sampled_from([key for key in sorted(args) if key != "name"]))
+    if isinstance(args[key], dict):
+        entry = draw(hs.sampled_from(sorted(args[key])))
+        args[key] = {**args[key], entry: draw(hs.sampled_from(JSON_VALUES))}
+    else:
+        args[key] = draw(hs.sampled_from(JSON_VALUES))
+    return kind, args
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(write=mutated_write(), existing=hs.booleans())
+@example(write=("snapshot", {**WRITES["snapshot"], "timestamp": float("nan")}), existing=True)
+@example(write=("ingest", {**WRITES["ingest"], "timestamp": float("inf")}), existing=False)
+def test_writers_append_only_what_the_reader_loads(tmp_path, write, existing):
+    """A write either raises StoreError and leaves the store as it was (or
+    absent), or appends lines the reader loads."""
+    store = tmp_path / "s.jsonl"
+    store.unlink(missing_ok=True)
+    if existing:
+        store.write_text("".join(json.dumps(record) + "\n" for record in VALID_STORE))
+    before = store.read_bytes() if existing else None
+    kind, args = write
+    try:
+        WRITERS[kind](store, args)
+    except StoreError:
+        assert (store.read_bytes() if store.exists() else None) == before
+        return
+    read_store(store)
 
 
 def passes_number(value) -> bool:
