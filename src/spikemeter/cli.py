@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from . import report as rpt, store as st
 from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, MissingSpecError,
                       find_metric)
-from .fields import load_json, number, read_field, read_record
+from .fields import load_json, number, optional, read_field, read_record
 
 if TYPE_CHECKING:
     from . import compare as cmp, workload as wl
@@ -235,6 +235,8 @@ def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    rate = read_field({"--inference-rate": args.inference_rate}, "--inference-rate",
+                      optional(number), "option", ValueError)
     from . import compare as cmp, energy as en, workload as wl
 
     spec = en.load_hardware_spec(args.hwspec)
@@ -319,12 +321,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 )
             elif name == "inferences_per_battery_cycle":
                 budget = cmp.inferences_per_battery_cycle(
-                    breakdown.total, spec, inference_rate_hz=args.inference_rate
+                    breakdown.total, spec, inference_rate_hz=rate
                 )
                 optional_values[name] = float(budget.idealized)
                 note = ""
                 if budget.duty_cycled is not None:
-                    note = f"duty-cycled at {args.inference_rate:g} Hz: {budget.duty_cycled}"
+                    note = f"duty-cycled at {rate:g} Hz: {budget.duty_cycled}"
                 rows.append(
                     {"key": name, "value": float(budget.idealized), "unit": "inferences",
                      "note": note}

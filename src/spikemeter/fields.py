@@ -7,7 +7,8 @@ A rule takes a decoded JSON value and returns it converted, or raises
 as 2) and fits 64 bits; a number is finite and never a bool or a string; an
 array is a rectangular list of numbers, never bools, converted by numpy.
 
-:func:`load_json` decodes a file; :func:`read_record` reads a JSON object
+:func:`load_json` decodes a file (:func:`load_json_with_bools` also tells
+whether it can hold a bool at all); :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
 defaults make keys optional and whose annotations pick the rules;
 :func:`read_field` reads one value at a dotted path; :func:`check_keys` refuses
@@ -32,15 +33,35 @@ from pathlib import Path
 REQUIRED = object()  # read_field's default: the key must be present
 
 
+def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
+def _decode(text: str, path: str | Path, what: str, error: type[Exception]):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
 def load_json(path: str | Path, what: str, error: type[Exception]):
     """The JSON document in the UTF-8 file at ``path``; ``what`` names the
     file kind when it cannot be read or decoded, raised as ``error``."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise error(f"malformed {what} {path}: {exc}") from exc
+    return _decode(_read_text(path, what, error), path, what, error)
+
+
+def load_json_with_bools(path: str | Path, what: str, error: type[Exception]):
+    """:func:`load_json`'s document, and whether the file's text holds a
+    ``true`` or ``false`` anywhere, inside strings too.  When it does not,
+    no value in the document is a bool, and the :func:`array` rules reading
+    it may take ``bools=False``."""
+    text = _read_text(path, what, error)
+    return _decode(text, path, what, error), "true" in text or "false" in text
 
 
 class FieldError(ValueError):
@@ -151,10 +172,12 @@ def _holds_bool(value: list, arr) -> bool:
     return any(_has_bool(value[i]) for i in rows.nonzero()[0])
 
 
-def array(shape: tuple | None = None, *, integers: bool = False):
+def array(shape: tuple | None = None, *, integers: bool = False, bools: bool = True):
     """A rule for a rectangular JSON list of numbers (of integers), read as a
     float64 (int64) numpy array.  ``shape`` gives each dimension's length,
-    None for any; ``[]`` reads as zero rows of any shape."""
+    None for any; ``[]`` reads as zero rows of any shape.  ``bools=False``
+    says the value comes from a document holding no bool (see
+    :func:`load_json_with_bools`), so the scan for them is skipped."""
     expected = "an integer array" if integers else "a number array"
     if shape is not None:
         expected += f" of shape [{', '.join('*' if d is None else str(d) for d in shape)}]"
@@ -173,7 +196,7 @@ def array(shape: tuple | None = None, *, integers: bool = False):
         elif arr.dtype.kind not in ("i" if integers else "if"):
             kind = _DTYPE_KINDS.get(arr.dtype.kind, "non-numeric")
             raise FieldError(f"expected {expected}, got {kind} entries")
-        elif _holds_bool(value, arr):
+        elif bools and _holds_bool(value, arr):
             raise FieldError(f"expected {expected}, got bool entries")
         if shape is not None and (
             arr.ndim != len(shape) or any(d not in (None, n) for d, n in zip(shape, arr.shape))

@@ -33,6 +33,15 @@ skips exactly the zero products.  Only the membrane recurrence -- recurrent
 feedback, bias, leak, threshold and reset -- steps through time; the tallies
 are counted afterwards from boolean records of the spikes and of the
 potentials that entered each step nonzero.
+
+The tallies cost integer and bitwise work per event, with no float matrix
+product and so no BLAS call.  While the layer steps, each presynaptic
+neuron's nonzero weights are read off as a fan-out count and a bit row of
+the neurons they reach, packed into uint64 words.  The events -- nonzero
+inputs, and the layer's own spikes one timestep later -- are grouped by
+timestep: their fan-out counts summed give the ACs and MACs, and their bit
+rows OR-ed give the neurons that received a contribution, which count one
+update even where the contributions cancel to 0.0.
 """
 from __future__ import annotations
 
@@ -246,8 +255,8 @@ def run_inference(
     tallies = np.zeros((4, T), dtype=np.int64)
     spikes: list[np.ndarray] = [np.array(train.events, copy=True)]
     for layer in model.weighted_layers:
-        fired, entering = _run_layer(layer, spikes[-1])
-        tallies += _tally_layer(layer, spikes[-1], fired, entering)
+        fired, entering, feed, rec_fan = _run_layer(layer, spikes[-1])
+        tallies += _tally_layer(layer, spikes[-1], fired, entering, feed, rec_fan)
         spikes.append(np.ascontiguousarray(fired.T, dtype=np.float64))
     acs, macs, leak_macs, updates = tallies
 
@@ -269,92 +278,120 @@ def run_inference(
 _BLOCK_CELLS = 1 << 16
 
 
-def _run_layer(layer: LayerDescriptor, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Fan:
+    """Where each presynaptic neuron's nonzero weights lead: to ``counts[j]``
+    postsynaptic neurons, marked in the bit row ``rows[j]`` (packed into
+    uint64 words, so OR-ing rows marks every neuron any of them reach)."""
+
+    def __init__(self, presynaptic: int, postsynaptic: int) -> None:
+        self.counts = np.zeros(presynaptic, dtype=np.int64)
+        self.rows = np.zeros((presynaptic, -(-postsynaptic // 64)), dtype=np.uint64)
+
+    def add(self, j0: int, connected: np.ndarray) -> None:
+        """Record presynaptic neurons j0, j0 + 1, ... from the rows of
+        ``connected``, a presynaptic x postsynaptic boolean matrix."""
+        bits = np.packbits(connected, axis=1)
+        self.rows.view(np.uint8)[j0:j0 + len(bits), :bits.shape[1]] = bits
+        self.counts[j0:j0 + len(bits)] = connected.sum(axis=1)
+
+
+def _run_layer(
+    layer: LayerDescriptor, source: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, _Fan, _Fan | None]:
     """Run one layer over every timestep of ``source`` (neuron x timestep).
 
-    Returns two timestep x neuron boolean records: which neurons fired, and
-    which entered the timestep with a nonzero potential.
+    Returns two timestep x neuron boolean records -- which neurons fired,
+    and which entered the timestep with a nonzero potential -- and the fans
+    of the feed-forward and recurrent (None without) weights, read off the
+    transposed copies the layer steps with.
     """
     T = source.shape[1]
     current = np.zeros((T, layer.out_size), dtype=np.float64)
+    feed = _Fan(layer.in_size, layer.out_size)
     block = max(1, _BLOCK_CELLS // layer.out_size)
     for j0 in range(0, layer.in_size, block):
         columns = layer.weights[:, j0:j0 + block].T.copy()  # one contiguous row per input
-        for j in np.flatnonzero(np.any(columns != 0.0, axis=1)):
-            ts = np.flatnonzero(source[j0 + j])
+        feed.add(j0, columns != 0.0)
+        for j in feed.counts[j0:j0 + block].nonzero()[0]:
+            ts = source[j0 + j].nonzero()[0]
             if ts.size:
                 current[ts] += np.multiply.outer(source[j0 + j, ts], columns[j])
 
-    recurrent = None
+    recurrent = rec_fan = None
     if layer.recurrent_weights is not None:
         recurrent = np.ascontiguousarray(layer.recurrent_weights.T)
+        rec_fan = _Fan(layer.out_size, layer.out_size)
+        rec_fan.add(0, recurrent != 0.0)
     biases = layer.biases
     beta = layer.neuron.beta
     threshold = layer.neuron.threshold
     to_zero = layer.neuron.reset_mode is ResetMode.TO_ZERO
     fired = np.zeros((T, layer.out_size), dtype=bool)
-    entering = np.zeros((T, layer.out_size), dtype=bool)
     v = np.zeros(layer.out_size, dtype=np.float64)
-    prev = np.zeros(layer.out_size, dtype=bool)
-    for cur, entered, spiked in zip(current, entering, fired):
+    decayed = np.empty_like(v)
+    prev = fired[0]  # no spikes before the first step
+    # Each row of ``current`` becomes the step's potential: the input plus
+    # the decayed potential, the same IEEE sum as beta * v + input.
+    for cur, spiked in zip(current, fired):
         if recurrent is not None:
             for k in prev.nonzero()[0].tolist():
                 cur += recurrent[k]
         if biases is not None:
             cur += biases
-        np.not_equal(v, 0.0, out=entered)
-        v *= beta
-        v += cur
-        np.greater_equal(v, threshold, out=spiked)
+        np.multiply(v, beta, out=decayed)
+        cur += decayed
+        np.greater_equal(cur, threshold, out=spiked)
         if to_zero:
-            v[spiked] = 0.0
+            cur[spiked] = 0.0
         else:
-            v[spiked] -= threshold
-        prev = spiked
-    return fired, entering
+            cur[spiked] -= threshold
+        v, prev = cur, spiked
+    entering = np.zeros_like(fired)
+    np.not_equal(current[:-1], 0.0, out=entering[1:])
+    return fired, entering, feed, rec_fan
 
 
-def _tally_layer(
-    layer: LayerDescriptor, source: np.ndarray, fired: np.ndarray, entering: np.ndarray
-) -> np.ndarray:
+def _reach(t: np.ndarray, j: np.ndarray, fan: _Fan, offset: int, reached: np.ndarray,
+           tally: np.ndarray) -> None:
+    """For events (t[e], j[e]) ordered by t: OR the bit rows ``fan.rows[j]``
+    into ``reached[offset + t]`` and add the counts ``fan.counts[j]`` to
+    ``tally[offset + t]``."""
+    if t.size:
+        starts = np.concatenate(([True], t[1:] != t[:-1])).nonzero()[0]
+        at = offset + t[starts]
+        reached[at] |= np.bitwise_or.reduceat(fan.rows[j], starts, axis=0)
+        tally[at] += np.add.reduceat(fan.counts[j], starts)
+
+
+def _tally_layer(layer: LayerDescriptor, source: np.ndarray, fired: np.ndarray,
+                 entering: np.ndarray, feed: _Fan, rec_fan: _Fan | None) -> np.ndarray:
     """One layer's per-timestep tallies, counted a block of timesteps at a
-    time from its input and the records _run_layer returns.  Rows: ACs, MACs,
-    leak MACs, membrane updates."""
-    T = source.shape[1]
+    time from its input events and what _run_layer returns.  Rows: ACs,
+    MACs, leak MACs, membrane updates."""
+    T, out_size = fired.shape
     tallies = np.zeros((4, T), dtype=np.int64)
     acs, macs, leak_macs, updates = tallies
-    connected = layer.weights != 0.0
-    fanout = np.count_nonzero(connected, axis=0)
-    # float32 sums of 0/1 products are > 0 exactly when one product is 1
-    connected = connected.T.astype(np.float32)
-    if layer.recurrent_weights is not None:
-        rec_connected = layer.recurrent_weights != 0.0
-        rec_fanout = np.count_nonzero(rec_connected, axis=0)
-        rec_connected = rec_connected.T.astype(np.float32)
-        shifted = np.zeros_like(fired)  # the spikes each timestep feeds back
-        shifted[1:] = fired[:-1]
-    beta = layer.neuron.beta
-    block = max(1, _BLOCK_CELLS // max(layer.in_size, layer.out_size))
+    reached = np.zeros((T, feed.rows.shape[1]), dtype=np.uint64)
+    block = max(1, _BLOCK_CELLS // max(layer.in_size, out_size))
     for t0 in range(0, T, block):
         t1 = min(T, t0 + block)
-        x = source[:, t0:t1].T
-        active = x != 0.0
-        spiking = x == 1.0
-        acs[t0:t1] += spiking @ fanout
-        macs[t0:t1] += (active & ~spiking) @ fanout
-        contributed = active.astype(np.float32) @ connected > 0.0
-        if layer.recurrent_weights is not None:
-            prev = shifted[t0:t1]
-            acs[t0:t1] += prev @ rec_fanout
-            contributed |= prev.astype(np.float32) @ rec_connected > 0.0
-        if layer.biases is not None:
-            contributed |= layer.biases != 0.0
-        live = entering[t0:t1]
-        if beta != 0.0 and beta != 1.0:
-            n_leak = np.count_nonzero(live, axis=1)
-            leak_macs[t0:t1] += n_leak
-            macs[t0:t1] += n_leak
-        if beta != 1.0:
-            contributed |= live
-        updates[t0:t1] += np.count_nonzero(contributed, axis=1)
+        x = source[:, t0:t1]
+        t, j = np.divmod(np.flatnonzero((x != 0.0).T), layer.in_size)
+        spike = x[j, t] == 1.0
+        _reach(t[spike], j[spike], feed, t0, reached, acs)
+        _reach(t[~spike], j[~spike], feed, t0, reached, macs)
+        if rec_fan is not None:  # spikes feed back one timestep later
+            lo = max(t0 - 1, 0)
+            t, k = np.divmod(np.flatnonzero(fired[lo:t1 - 1]), out_size)
+            _reach(t, k, rec_fan, lo + 1, reached, acs)
+    contributed = np.unpackbits(reached.view(np.uint8), axis=1, count=out_size).view(bool)
+    if layer.biases is not None:
+        contributed |= layer.biases != 0.0
+    beta = layer.neuron.beta
+    if beta != 1.0:
+        contributed |= entering
+        if beta != 0.0:
+            leak_macs[:] = entering.sum(axis=1)
+            macs += leak_macs
+    updates[:] = contributed.sum(axis=1)
     return tallies

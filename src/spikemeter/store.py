@@ -18,13 +18,13 @@ another tool) is refused on read, naming the line.  Ingest records attach
 externally obtained values (a power-meter reading, a training log) to a
 version without touching what was already recorded -- the same metric may
 then carry both an estimated and an ingested value, distinguishable by
-provenance.  The line rules have one home, :func:`_apply`: the reader runs
-it on every line it reads, and each write runs it on every line it would
-append, against the store parsed under an exclusive ``flock`` on the store
-file, and appends all of its lines in one write, or none if one fails.  So
-the store only gains lines the reader accepts, concurrent writers cannot
-both pass the same check, and a rejected write leaves the store
-byte-identical.  Readers take no lock.
+provenance, but never two values of one provenance.  The line rules have
+one home, :func:`_apply`: the reader runs it on every line it reads, and
+each write runs it on every line it would append, against the store parsed
+under an exclusive ``flock`` on the store file, and appends all of its
+lines in one write, or none if one fails.  So the store only gains lines
+the reader accepts, concurrent writers cannot both pass the same check, and
+a rejected write leaves the store byte-identical.  Readers take no lock.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ def _apply(data: StoreData, record: dict) -> None:
             _text(record, "notes")
             timestamp = _timestamp(record)
             target = data.find(model, version)
+            if target is not None and provenance in target.values.get(metric, {}):
+                raise StoreError(f"version {version!r} of model {model!r} already has a "
+                                 f"{provenance!r} value for {metric!r}")
             if target is None:
                 target = data.add(model, VersionRecord(
                     version=version,
@@ -306,6 +309,14 @@ def _commit(path: str | Path, lines: Callable[[StoreData], Iterable[dict]]) -> S
     return data
 
 
+def _check_names(names: Iterable) -> None:
+    """A writer's metric names are strings, as the catalog lookups and the
+    store's lines need; JSON gives a reader no other kind of key."""
+    for name in names:
+        if not isinstance(name, str):
+            raise StoreError(f"metric names must be strings, got {type(name).__name__}")
+
+
 def _registration(metric: CustomMetric, data: StoreData) -> list[dict]:
     """The register line ``metric`` needs; none for a built-in or an
     identical registration on file."""
@@ -323,6 +334,7 @@ def register_metric(
     description: str = "",
 ) -> None:
     """Declare a custom metric so snapshots and ingests may carry it."""
+    _check_names((name,))
     if find_metric(name) is not None:
         return  # built-ins need no registration, nor a store file
     metric = CustomMetric(name, unit, polarity, description)
@@ -338,6 +350,7 @@ def record_snapshot(
     Returns the registration on file after the append of each metric in
     ``register`` that is not built in."""
     register = tuple(register)  # the checks may run twice
+    _check_names([*snapshot.values, *(metric.name for metric in register)])
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
         if key not in provenance:

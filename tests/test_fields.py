@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from spikemeter import cli
 from spikemeter.energy import BatterySpec, HardwareSpec
+from spikemeter.fields import load_json_with_bools
 from spikemeter.model import NeuronParams, Precision, TrainableFlags
 
 DATA = resources.files("spikemeter") / "data"
@@ -156,6 +157,55 @@ def test_bad_field_exits_2_naming_it(valid, tmp_path, kind, path, value, field):
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert f"'{field}'" in err
+
+
+# The loaders skip the bool scan of their arrays when the file's text holds
+# no "true" or "false" at all.  Text inside a string counts, so a bool among
+# numbers is still found where the file's only other such text is a name.
+ANALOG = {"layer": 0, "kind": "analog", "frames": [[1, 0, 0, 0], [1, 1, 0, 0.5]]}
+
+
+def bool_probe(kind: str, valid: dict, bool_entry):
+    """``kind``'s valid document with analog numbers, a name reading "true",
+    and ``bool_entry`` (None for none) among the numbers."""
+    if kind == "workload":  # no string field to name
+        last = 0 if bool_entry is None else bool_entry
+        return {"kind": "analog", "layer": 2, "timesteps": 4,
+                "frames": [[0.5, 0, 0, 0], [0, 0.25, 0, last]]}
+    if kind == "trace":
+        doc = mutated(valid["trace"], ("spikes", 0), ANALOG)
+        doc = mutated(doc, ("model", "name"), "true")
+        return doc if bool_entry is None else mutated(doc, ("spikes", 0, "frames", 1, 2),
+                                                      bool_entry)
+    doc = mutated(valid["model"], ("name",), "true")
+    return doc if bool_entry is None else mutated(doc, ("layers", 1, "weights", 0, 0),
+                                                  bool_entry)
+
+
+@pytest.mark.parametrize("bool_entry", [None, True, False])
+@pytest.mark.parametrize("kind, field", [("workload", "frames"), ("trace", "frames"),
+                                         ("model", "weights")])
+def test_bool_among_numbers_exits_2_whatever_strings_hold(valid, tmp_path, kind, field,
+                                                          bool_entry):
+    code, err = run(kind, bool_probe(kind, valid, bool_entry), valid, tmp_path)
+    if bool_entry is None:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert f"'{field}': expected a number array" in err
+        assert err.endswith(" got bool entries\n")
+
+
+@pytest.mark.parametrize("text, bools", [
+    ('{"frames": [[0.5, 0, 1]]}', False),
+    ('{"frames": [[0.5, 0, true]]}', True),
+    ('{"name": "untrue", "frames": [[0.5, 0, 1]]}', True),
+    ('[false]', True),
+], ids=["none", "true", "in-a-string", "false"])
+def test_load_json_with_bools_finds_any_bool_text(tmp_path, text, bools):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert load_json_with_bools(path, "doc", ValueError) == (json.loads(text), bools)
 
 
 # Files the JSON decoder cannot turn into a value: nesting past the

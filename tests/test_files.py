@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spikemeter import cli
 from spikemeter.files import (
     WorkloadFileError,
+    _dump_array,
     load_trace,
     load_workload,
     prepare_input,
@@ -117,6 +118,18 @@ class TestTraceRoundTrip:
         assert again.static_metrics == {"parameters": 8.0}
         assert again.model_name == "fixture"
 
+    def test_unwritable_static_metrics_leave_the_old_file(self, tmp_path):
+        model = simple_model([[0.9, 0.4], [0.3, 0.8]], beta=0.5, threshold=0.7)
+        train = SpikeTrain.from_events(2, 3, [(0, 0), (1, 2)])
+        trace = run_inference(model, train, SimulationConfig(timesteps=3))
+        path = tmp_path / "trace.json"
+        save_trace(trace, path)
+        before = path.read_bytes()
+        trace.static_metrics = {"parameters": object()}
+        with pytest.raises(TypeError):
+            save_trace(trace, path)
+        assert path.read_bytes() == before
+
     def test_non_trace_file_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"format": "something-else"}))
@@ -187,6 +200,20 @@ def test_save_trace_writes_the_json_dumps_bytes(tmp_path, trace):
     again = load_trace(path)
     assert again.equals(trace)
     assert again.static_metrics == trace.static_metrics
+
+
+@pytest.mark.parametrize("array", [
+    np.zeros((2, 3)), np.array([[0.0, 0.0], [0.0, -7.5]]), np.array([[3.0, 0.0], [0.0, 0.0]]),
+    np.zeros((0, 2), dtype=np.int64), np.zeros((3, 0)), np.array([[0, 5], [2, 0]]),
+    np.arange(12).reshape(4, 3), np.array([0.0, -0.0, 2.0]),
+], ids=["zeros", "zero-row-first", "zero-row-last", "no-rows", "no-columns", "int-pairs",
+        "int-triples", "vector"])
+def test_dump_array_writes_json_dumps_of_the_list(array):
+    """Entries the trace writer never meets too: a float matrix of zeros
+    alone is a binary layer there, written as events."""
+    pieces = []
+    _dump_array(array, pieces.append)
+    assert "".join(pieces) == json.dumps(array.tolist())
 
 
 class TestTraceValidation:

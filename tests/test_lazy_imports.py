@@ -69,8 +69,13 @@ def inputs(tmp_path) -> dict[str, str]:
      2, False, STORE_ONLY),
     (["simulate", "--model", "{model}", "--workload", "{workload}",
       "--sparsity-threshold", "nan"], 2, False, STORE_ONLY),
+    (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}", "--inference-rate", "inf"],
+     2, False, STORE_ONLY),
+    (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}", "--inference-rate", "nan"],
+     2, False, STORE_ONLY),
 ], ids=["compare", "history", "report", "estimate-counts", "help", "simulate",
-        "report-nan-limit-override", "simulate-nan-sparsity-threshold"])
+        "report-nan-limit-override", "simulate-nan-sparsity-threshold",
+        "estimate-inf-inference-rate", "estimate-nan-inference-rate"])
 def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,
                                                       loads_numpy, modules):
     """Numpy loads only where a verb needs it, and each store-only verb loads
@@ -81,6 +86,9 @@ def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, exp
     assert proc.returncode == 0, proc.stderr
     numpy_loaded, code, loaded = proc.stderr.splitlines()[-1].split(" ")
     assert (numpy_loaded, code) == (str(loads_numpy), str(expected_code))
+    if expected_code == 2:  # the message names the option, or the override, it rejects
+        option, override = argv[-2], argv[-1].partition("=")[0]
+        assert f"field '{option}'" in proc.stderr or f"field '{override}'" in proc.stderr
     if modules is not None:
         assert set(loaded.split(",")) == modules
 

@@ -3,7 +3,8 @@ import pytest
 
 from spikemeter.model import LayerDescriptor, LayerKind, ModelDescriptor, NeuronParams, ResetMode
 from spikemeter.oracle import dense_oracle_counts
-from spikemeter.simulate import AnalogTrain, SimulationConfig, SpikeTrain, run_inference
+from spikemeter.simulate import (_BLOCK_CELLS, AnalogTrain, SimulationConfig, SpikeTrain,
+                                 run_inference)
 
 from conftest import fc_layer, input_layer, random_model, random_train, simple_model
 
@@ -113,6 +114,51 @@ def case_long_recurrent_analog():
     return model, AnalogTrain(frames)
 
 
+def recurrent_model(weights, recurrent_weights, beta, threshold=1.0) -> ModelDescriptor:
+    """One recurrent layer, no biases."""
+    weights = np.asarray(weights, dtype=np.float64)
+    layer = LayerDescriptor(
+        kind=LayerKind.RECURRENT, in_size=weights.shape[1], out_size=weights.shape[0],
+        weights=weights, recurrent_weights=np.asarray(recurrent_weights, dtype=np.float64),
+        neuron=NeuronParams(beta=beta, threshold=threshold),
+    )
+    return ModelDescriptor(name="recurrent", version="v1",
+                           layers=(input_layer(layer.in_size), layer))
+
+
+def case_contributions_cancel():
+    # each neuron's two inputs sum to exactly 0.0, so its potential never
+    # leaves zero and never leaks, yet each step with input is one update
+    model = simple_model([[0.5, -0.5], [0.25, -0.25]], beta=0.5)
+    return model, AnalogTrain(np.array([[0.5, 0.0, 0.5, 0.0], [0.5, 0.0, 0.5, 0.0]]))
+
+
+def case_spikes_at_last_timestep():
+    # both neurons fire only at the last step: their feedback has no step to reach
+    model = recurrent_model([[2.0], [2.0]], [[0.0, 1.0], [1.0, 0.0]], beta=0.0)
+    return model, SpikeTrain(np.array([[0.0, 0.0, 1.0]]))
+
+
+def case_all_zero_recurrent_column():
+    # neuron 0 fires every step, but its recurrent column holds only zeros
+    # (one of them -0.0), so its feedback costs nothing and reaches no one;
+    # neurons 1 and 2 never fire and, with beta 1, update only on input
+    recurrent = [[0.0, 0.3, 0.0], [-0.0, 0.0, 0.3], [0.0, 0.3, 0.0]]
+    model = recurrent_model([[2.0, 0.0], [0.0, 0.1], [0.0, 0.1]], recurrent, beta=1.0)
+    return model, SpikeTrain(np.array([[1.0] * 8, [1.0, 0.0] * 4]))
+
+
+def case_many_time_blocks():
+    # wide enough that _tally_layer counts 32 timesteps per block, so the
+    # run spans several blocks and recurrent spikes feed back across them
+    rng = np.random.default_rng(8)
+    inputs, hidden, steps = _BLOCK_CELLS // 32, 4, 3 * 32 + 5
+    weights = rng.uniform(0.0, 0.6, (hidden, inputs))
+    weights[rng.random(weights.shape) < 0.5] = 0.0
+    model = recurrent_model(weights, rng.uniform(-0.5, 1.0, (hidden, hidden)), beta=0.9)
+    return model, SpikeTrain((rng.random((inputs, steps)) < 0.02).astype(np.float64))
+
+
 def beta_reset_case(beta, reset):
     def build():
         rng = np.random.default_rng(7)
@@ -130,6 +176,10 @@ EDGE_CASES = {
     "every-neuron-every-step": case_every_neuron_fires_every_step,
     "analog-with-exact-ones": case_analog_with_exact_ones,
     "recurrent-analog-T400": case_long_recurrent_analog,
+    "contributions-cancel": case_contributions_cancel,
+    "spikes-at-last-timestep": case_spikes_at_last_timestep,
+    "all-zero-recurrent-column": case_all_zero_recurrent_column,
+    "many-time-blocks": case_many_time_blocks,
     **{f"beta={beta}-{reset.value}": beta_reset_case(beta, reset)
        for beta in (0.0, 1.0, 0.9) for reset in ResetMode},
 }
@@ -140,6 +190,26 @@ def test_layer_major_edge_case_matches_oracle(build):
     model, train = build()
     config = SimulationConfig(timesteps=train.timesteps)
     assert run_inference(model, train, config).equals(dense_oracle_counts(model, train, config))
+
+
+@pytest.mark.parametrize("build, tallies", [
+    (case_contributions_cancel, {"macs": [4, 0, 4, 0], "membrane_updates": [2, 0, 2, 0]}),
+    (case_spikes_at_last_timestep, {"acs": [0, 0, 2], "membrane_updates": [0, 0, 2]}),
+    (case_all_zero_recurrent_column, {"acs": [3, 1] * 4, "membrane_updates": [3, 1] * 4}),
+], ids=["contributions-cancel", "spikes-at-last-timestep", "all-zero-recurrent-column"])
+def test_edge_case_tallies(build, tallies):
+    model, train = build()
+    trace = run_inference(model, train, SimulationConfig(timesteps=train.timesteps))
+    for key, expected in tallies.items():
+        assert getattr(trace, key).tolist() == expected, key
+
+
+def test_many_time_blocks_feed_back_across_blocks():
+    model, train = case_many_time_blocks()
+    block = _BLOCK_CELLS // max(model.input_size, model.weighted_layers[0].out_size)
+    fired = run_inference(model, train, SimulationConfig(timesteps=train.timesteps)).spikes[1]
+    assert train.timesteps > 3 * block
+    assert fired[:, block - 1].any() and fired[:, 2 * block - 1].any()
 
 
 # Rounding makes these sums depend on their order.  (0.1 + 0.2) + 0.3 sits

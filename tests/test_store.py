@@ -229,6 +229,33 @@ class TestExternalMetrics:
         with pytest.raises(UnknownMetricError):
             record_external_metric(store, "m", "v1", "mystery", 1.0)
 
+    @pytest.mark.parametrize("provenance", ["ingested", "estimated"])
+    def test_value_of_one_provenance_is_never_replaced(self, tmp_path, provenance):
+        """A version's metric holds one value per provenance, whether the
+        snapshot or an earlier ingest wrote it: a second is refused on write,
+        leaving the store byte-identical, and on read, naming the line."""
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, MetricSnapshot(
+            model_name="m", version="v1", timestamp=1.0,
+            values={"energy_per_inference": 7e-8},
+            provenance={"energy_per_inference": "estimated"},
+        ))
+        record_external_metric(store, "m", "v1", "energy_per_inference", 1.0, timestamp=2.0)
+        before = store.read_bytes()
+        message = (f"version 'v1' of model 'm' already has a '{provenance}' value for "
+                   "'energy_per_inference'")
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            record_external_metric(store, "m", "v1", "energy_per_inference", 2.0, provenance,
+                                   timestamp=3.0)
+        assert store.read_bytes() == before
+        line = json.loads(before.splitlines()[-1])
+        store.write_bytes(before + json.dumps({**line, "provenance": provenance}).encode() + b"\n")
+        with pytest.raises(StoreError, match=f"^store line 3: {re.escape(message)}$"):
+            read_store(store)
+        code = cli.main(["history", "--store", str(store), "--model", "m",
+                         "--metric", "energy_per_inference"])
+        assert code == 2
+
 
 class TestTrendReport:
     def test_increasing_synops_degrades(self, tmp_path):
@@ -629,11 +656,10 @@ WRITERS = {
 @hs.composite
 def mutated_write(draw) -> tuple[str, dict]:
     """One of WRITES with one argument, or one entry of a dict argument,
-    swapped for a value of any JSON type.  A registration's name is looked up
-    in the catalog before any line is built, so it keeps its type."""
+    swapped for a value of any JSON type."""
     kind = draw(hs.sampled_from(sorted(WRITES)))
     args = dict(WRITES[kind])
-    key = draw(hs.sampled_from([key for key in sorted(args) if key != "name"]))
+    key = draw(hs.sampled_from(sorted(args)))
     if isinstance(args[key], dict):
         entry = draw(hs.sampled_from(sorted(args[key])))
         args[key] = {**args[key], entry: draw(hs.sampled_from(JSON_VALUES))}
@@ -662,6 +688,25 @@ def test_writers_append_only_what_the_reader_loads(tmp_path, write, existing):
         assert (store.read_bytes() if store.exists() else None) == before
         return
     read_store(store)
+
+
+@pytest.mark.parametrize("write", [
+    lambda store: register_metric(store, 5),
+    lambda store: register_metric(store, ("fpga_luts",)),
+    lambda store: record_snapshot(store, MetricSnapshot("m", "v3", {5: 1.0}, timestamp=4.0)),
+    lambda store: record_snapshot(store, MetricSnapshot("m", "v3", {None: 1.0}, timestamp=4.0),
+                                  register=[CustomMetric("fpga_luts")]),
+], ids=["register-int", "register-tuple", "snapshot-int-key", "snapshot-none-key"])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+def test_non_string_metric_name_raises_store_error(tmp_path, write, existing):
+    """json.dumps would write a non-string name as another string, or fail."""
+    store = tmp_path / "s.jsonl"
+    if existing:
+        store.write_text("".join(json.dumps(record) + "\n" for record in VALID_STORE))
+    before = store.read_bytes() if existing else None
+    with pytest.raises(StoreError):
+        write(store)
+    assert (store.read_bytes() if store.exists() else None) == before
 
 
 def passes_number(value) -> bool:
