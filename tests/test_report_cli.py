@@ -11,7 +11,7 @@ import pytest
 from spikemeter import cli
 from spikemeter import report as rpt
 from spikemeter import store as st
-from spikemeter.catalog import CLASS_TAGS
+from spikemeter.catalog import CLASS_TAGS, Polarity
 from spikemeter.report import RENDERERS, build_report
 from spikemeter.store import (
     MetricSnapshot,
@@ -83,6 +83,49 @@ def build_golden_store(path) -> None:
     )
 
 
+def build_custom_store(path) -> None:
+    """Two versions carrying registered custom metrics, one with a unit and
+    one without, and ingested values of catalogued metrics, one of them
+    ingested for the latest version only."""
+    register_metric(path, "lut_count", unit="LUTs", description="FPGA lookup tables")
+    register_metric(path, "spike_latency", polarity=Polarity.HIGHER_IS_BETTER)
+    for version, timestamp, luts, latency, sparsity, edp, training in (
+        ("v1", 1_700_000_000.0, 4096.0, 3.0, 0.9, 1.5e-12, 3600.0),
+        ("v2", 1_700_000_100.0, 4100.5, 2.25, 0.8, 1.25e-12, 5400.0),
+    ):
+        record_snapshot(path, MetricSnapshot(
+            model_name="custom", version=version, timestamp=timestamp,
+            values={"lut_count": luts, "spike_latency": latency,
+                    "activation_sparsity": sparsity, "energy_delay_product": edp},
+        ))
+        record_external_metric(path, "custom", version, "training_time", training,
+                               timestamp=timestamp + 50)
+    record_external_metric(path, "custom", "v2", "power_density", 12.345678,
+                           timestamp=1_700_000_200.0)
+
+
+# store -> (builder, report argv, exit code, golden file stem)
+REPORT_STORES = {
+    "golden": (build_golden_store, ["--model", "golden"], 4, "golden_report"),
+    "custom": (build_custom_store, ["--model", "custom", "--limit-overrides",
+                                    "sparsity=0.85,power_density=5"], 4, "golden_report_custom"),
+    "unknown-model": (build_golden_store, ["--model", "ghost"], 0, "golden_report_empty"),
+}
+REPORT_SUFFIXES = {"jsonl": "jsonl", "csv": "csv", "markdown": "md", "text": "txt"}
+
+
+@pytest.mark.parametrize("store_kind", REPORT_STORES)
+@pytest.mark.parametrize("fmt", REPORT_SUFFIXES)
+def test_golden_report(tmp_path, capsys, fmt, store_kind):
+    """Each report format, rendered by the CLI, must not change by a byte."""
+    build, argv, expected_code, stem = REPORT_STORES[store_kind]
+    store = tmp_path / "s.jsonl"
+    build(store)
+    code, out, _ = run_main(["report", "--store", str(store), *argv, "--format", fmt], capsys)
+    assert code == expected_code
+    assert out == (DATA / f"{stem}.{REPORT_SUFFIXES[fmt]}").read_text()
+
+
 class TestReportDocument:
     def test_empty_history_is_valid(self, tmp_path):
         doc = build_report(tmp_path / "empty.jsonl", "ghost")
@@ -119,18 +162,6 @@ class TestReportDocument:
         assert "effective_synops" in metrics
         assert "activation_sparsity" in metrics
 
-    def test_golden_jsonl(self, tmp_path):
-        store = tmp_path / "s.jsonl"
-        build_golden_store(store)
-        rendered = RENDERERS["jsonl"](build_report(store, "golden"))
-        assert rendered == (DATA / "golden_report.jsonl").read_text()
-
-    def test_golden_csv(self, tmp_path):
-        store = tmp_path / "s.jsonl"
-        build_golden_store(store)
-        rendered = RENDERERS["csv"](build_report(store, "golden"))
-        assert rendered == (DATA / "golden_report.csv").read_text()
-
     def test_csv_and_jsonl_carry_identical_values(self, tmp_path):
         import csv as csv_module
         import io
@@ -149,16 +180,6 @@ class TestReportDocument:
             if row["record"] == "metric":
                 from_csv[(row["metric"], row["provenance"])] = float(row["value"])
         assert from_csv == from_jsonl
-
-    def test_markdown_and_text_render(self, tmp_path):
-        store = tmp_path / "s.jsonl"
-        build_golden_store(store)
-        doc = build_report(store, "golden")
-        markdown = RENDERERS["markdown"](doc)
-        text = RENDERERS["text"](doc)
-        assert "Activation Sparsity" in markdown
-        assert "alerts:" in text
-
 
 class TestCliExitCodes:
     def test_simulate_success(self, capsys):
