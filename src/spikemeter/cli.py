@@ -175,14 +175,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {"key": "activation_sparsity", "value": sparsity.activation_sparsity, "unit": "ratio"},
         {"key": "duration", "value": trace.duration, "unit": "s"},
     ]
+    if args.trace_out:  # before printing: a failed save prints nothing
+        files.save_trace(trace, args.trace_out)
     _emit_metrics(rows, args.format, "computed")
     if sparsity.alert:
         if args.format == "jsonl":
             print(rpt.json_line({"record": "note", "text": sparsity.alert}))
         else:
             print(f"note: {sparsity.alert}")
-    if args.trace_out:
-        files.save_trace(trace, args.trace_out)
     return EXIT_OK
 
 
@@ -334,9 +334,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         except MissingSpecError:
             if args.metrics != "auto":
                 raise
-    _emit_metrics(rows, args.format, "estimated")
 
-    if args.record:
+    if args.record:  # before printing: a refused record prints nothing
         store = _require_store(args)
         model_name = args.model_name or (trace.model_name if trace else "")
         version = args.version or (trace.model_version if trace else "")
@@ -355,6 +354,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         values.update(optional_values)
         _record(store, values, model_name=model_name, version=version,
                 accuracy=args.accuracy, timestamp=args.timestamp)
+    _emit_metrics(rows, args.format, "estimated")
     return EXIT_OK
 
 
@@ -483,9 +483,9 @@ def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rules = _parse_limit_overrides(args.limit_overrides)
-    doc = rpt.build_report(_require_store(args), args.model, rules)
-    sys.stdout.write(rpt.RENDERERS[args.format](doc))
-    return EXIT_ALERT if doc.alerts.violated else EXIT_OK
+    records = rpt.build_report(_require_store(args), args.model, rules)
+    sys.stdout.write(rpt.RENDERERS[args.format](records))
+    return EXIT_ALERT if records[0]["alert_count"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--limit-overrides",
                    help="e.g. sparsity=0.5,power_density=20,battery_years=5")
-    _add_format_arg(p, choices=("text", "jsonl", "csv", "markdown"))
+    _add_format_arg(p, choices=tuple(rpt.RENDERERS))
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -219,9 +219,12 @@ def _dump_array(array: np.ndarray, write) -> None:
 
 def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
     """Stream the trace's bytes to ``path``.  ``static_metrics`` is checked
-    before the file is opened, so a value JSON cannot hold leaves an existing
-    file as it was; an interrupt partway leaves a truncated file, which
-    :func:`load_trace` refuses."""
+    before the file is opened, so a key other than a string or a value JSON
+    cannot hold leaves an existing file as it was; an interrupt partway leaves
+    a truncated file, which :func:`load_trace` refuses."""
+    for key in trace.static_metrics:
+        if not isinstance(key, str):
+            raise ValueError(f"static_metrics key {key!r} is not a string")
     json.dumps(trace.static_metrics, sort_keys=True)
     with open(path, "w") as out:
         _dump(_trace_fields(trace), out.write)

@@ -3,9 +3,11 @@
 A report gathers, for one model, the latest recorded value of every metric
 (one entry per provenance, so an estimated and a measured figure for the
 same metric stay side by side), the actionability alerts, and trend
-sections for the trend-based metrics.  Machine formats (jsonl, csv) are
-schema-stable and render identical values; every numeric entry carries its
-unit, provenance tag and the metric's four-property classification.
+sections for the trend-based metrics.  The report is its jsonl records:
+:func:`build_report` returns them in order, and the csv, markdown and text
+renderers format those records and read nothing else, so every format
+renders identical values; every numeric entry carries its unit, provenance
+tag and the metric's four-property classification.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import csv as csv_module
 import io
 import json
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict
 
 from .catalog import find_metric
 from .store import (
@@ -21,6 +24,7 @@ from .store import (
     AlertReport,
     AlertRule,
     InsufficientHistoryError,
+    StoreData,
     TrendReport,
     evaluate_alerts,
     pick_value,
@@ -35,97 +39,72 @@ CONVENTIONS = (
     "activation sparsity counts silent non-input neuron-timesteps",
 )
 
-
-@dataclass(frozen=True)
-class MetricEntry:
-    key: str
-    name: str
-    value: float
-    unit: str
-    provenance: str
-    # the catalog's four properties; None for a custom metric
-    accessibility: bool | None = None
-    high_fidelity: bool | None = None
-    actionability: bool | None = None
-    trend_based: bool | None = None
-    assumes_estimation: bool = False
-    note: str = ""
+# A metric record's four-property classification, as the catalog states it;
+# None for a custom metric.
+FLAGS = ("accessible", "high_fidelity", "actionable", "trend_based")
 
 
-@dataclass
-class ReportDocument:
-    model: str
-    version: str | None
-    entries: list[MetricEntry] = field(default_factory=list)
-    alerts: AlertReport = field(default_factory=lambda: AlertReport((), ()))
-    trends: list[TrendReport] = field(default_factory=list)
-    conventions: tuple[str, ...] = CONVENTIONS
+def _about(key: str, data: StoreData) -> dict:
+    """What a metric record says of its metric besides the value: from the
+    catalog descriptor, or from the registration of a custom metric."""
+    descriptor = find_metric(key)
+    if descriptor is None:  # the store holds no value of a metric neither built in nor registered
+        custom = data.registered[key]
+        return {"name": custom.name, "unit": custom.unit, **dict.fromkeys(FLAGS),
+                "assumes_estimation": False}
+    return {"name": descriptor.name, "unit": descriptor.unit,
+            "accessible": descriptor.accessibility, "high_fidelity": descriptor.high_fidelity,
+            "actionable": descriptor.actionability, "trend_based": descriptor.trend_based,
+            "assumes_estimation": descriptor.assumes_estimation}
 
 
 def build_report(
     store_path, model: str, rules: tuple[AlertRule, ...] | None = None
-) -> ReportDocument:
-    """Assemble the report for a model from its store history.
+) -> list[dict]:
+    """The report for a model from its store history, as its jsonl records
+    in order: one ``report`` header, the ``convention`` notes, then the
+    ``metric``, ``alert``, ``alert_skipped`` and ``trend`` records.
 
-    An empty history yields an empty but valid document.
+    An empty history yields a header and the conventions alone.
     """
     data = read_store(store_path)
     history = data.history(model)
-    if not history:
-        return ReportDocument(model=model, version=None)
-    latest = history[-1]
-
-    entries: list[MetricEntry] = []
-    for key in sorted(latest.values):
-        descriptor = find_metric(key)
-        if descriptor is not None:
-            about = dict(
-                name=descriptor.name,
-                unit=descriptor.unit,
-                accessibility=descriptor.accessibility,
-                high_fidelity=descriptor.high_fidelity,
-                actionability=descriptor.actionability,
-                trend_based=descriptor.trend_based,
-                assumes_estimation=descriptor.assumes_estimation,
-                note=descriptor.description,
-            )
-        else:  # the store holds no value of a metric neither built in nor registered
-            custom = data.registered[key]
-            about = dict(name=custom.name, unit=custom.unit,
-                         note=custom.description or "custom metric")
-        by_provenance = latest.values[key]
-        for provenance in PROVENANCE_TAGS:
-            if provenance in by_provenance:
-                entries.append(MetricEntry(key=key, value=float(by_provenance[provenance]),
-                                           provenance=provenance, **about))
-
-    alerts = evaluate_alerts(
-        {key: pick_value(by_provenance, find_metric(key), None)
-         for key, by_provenance in latest.values.items()},
-        rules,
-    )
-
+    metrics: list[dict] = []
+    alerts = AlertReport((), ())
     trends: list[TrendReport] = []
-    for key in dict.fromkeys(key for record in history for key in record.values):
-        descriptor = find_metric(key)
-        if descriptor is None or descriptor.trend_based:  # every custom metric trends
-            try:
-                trends.append(trend_report(data, model, key))
-            except InsufficientHistoryError:
-                continue
-    trends.sort(key=lambda t: t.metric)
-
-    return ReportDocument(
-        model=model,
-        version=latest.version,
-        entries=entries,
-        alerts=alerts,
-        trends=trends,
-    )
+    if history:
+        latest = history[-1]
+        for key in sorted(latest.values):
+            about, by_provenance = _about(key, data), latest.values[key]
+            metrics += [{"record": "metric", "key": key, "value": float(by_provenance[tag]),
+                         "provenance": tag, **about}
+                        for tag in PROVENANCE_TAGS if tag in by_provenance]
+        alerts = evaluate_alerts(
+            {key: pick_value(by_provenance, find_metric(key), None)
+             for key, by_provenance in latest.values.items()},
+            rules,
+        )
+        for key in dict.fromkeys(key for record in history for key in record.values):
+            descriptor = find_metric(key)
+            if descriptor is None or descriptor.trend_based:  # every custom metric trends
+                try:
+                    trends.append(trend_report(data, model, key))
+                except InsufficientHistoryError:
+                    continue
+        trends.sort(key=lambda t: t.metric)
+    return [
+        {"record": "report", "model": model, "version": history[-1].version if history else None,
+         "metrics": len(metrics), "alert_count": len(alerts.alerts)},
+        *({"record": "convention", "text": text} for text in CONVENTIONS),
+        *metrics,
+        *({"record": "alert", **asdict(alert)} for alert in alerts.alerts),
+        *({"record": "alert_skipped", "metric": metric} for metric in alerts.skipped),
+        *(trend_record(t) for t in trends),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Renderers
+# Renderers: each takes build_report's records and reads nothing else
 # ---------------------------------------------------------------------------
 
 
@@ -133,6 +112,24 @@ def _flag(value: bool | None) -> str:
     if value is None:
         return "-"
     return "yes" if value else "no"
+
+
+def _by_kind(records: list[dict]) -> defaultdict[str, list[dict]]:
+    """The records grouped by kind, each group in report order."""
+    groups = defaultdict(list)
+    for record in records:
+        groups[record["record"]].append(record)
+    return groups
+
+
+def _alert_message(a: dict) -> str:
+    relation = "<" if a["comparison"] == "below" else ">"
+    unit = f" {a['unit']}" if a["unit"] else ""
+    return f"{a['metric']} = {a['value']:g}{unit} {relation} {a['threshold']:g}: {a['rationale']}"
+
+
+def _series(t: dict) -> str:
+    return " -> ".join(f"{v}={x:g}" for v, x in t["series"])
 
 
 def json_line(obj: dict) -> str:
@@ -156,57 +153,8 @@ def trend_record(t: TrendReport) -> dict:
     }
 
 
-def render_jsonl(doc: ReportDocument) -> str:
-    lines = [
-        json_line(
-            {
-                "record": "report",
-                "model": doc.model,
-                "version": doc.version,
-                "metrics": len(doc.entries),
-                "alert_count": len(doc.alerts.alerts),
-            }
-        )
-    ]
-    for text in doc.conventions:
-        lines.append(json_line({"record": "convention", "text": text}))
-    for e in doc.entries:
-        lines.append(
-            json_line(
-                {
-                    "record": "metric",
-                    "key": e.key,
-                    "name": e.name,
-                    "value": e.value,
-                    "unit": e.unit,
-                    "provenance": e.provenance,
-                    "accessible": e.accessibility,
-                    "high_fidelity": e.high_fidelity,
-                    "actionable": e.actionability,
-                    "trend_based": e.trend_based,
-                    "assumes_estimation": e.assumes_estimation,
-                }
-            )
-        )
-    for a in doc.alerts.alerts:
-        lines.append(
-            json_line(
-                {
-                    "record": "alert",
-                    "metric": a.metric,
-                    "value": a.value,
-                    "threshold": a.threshold,
-                    "comparison": a.comparison,
-                    "unit": a.unit,
-                    "rationale": a.rationale,
-                }
-            )
-        )
-    for s in doc.alerts.skipped:
-        lines.append(json_line({"record": "alert_skipped", "metric": s}))
-    for t in doc.trends:
-        lines.append(json_line(trend_record(t)))
-    return "\n".join(lines) + "\n"
+def render_jsonl(records: list[dict]) -> str:
+    return "".join(json_line(record) + "\n" for record in records)
 
 
 CSV_COLUMNS = (
@@ -216,114 +164,92 @@ CSV_COLUMNS = (
     "value",
     "unit",
     "provenance",
-    "accessible",
-    "high_fidelity",
-    "actionable",
-    "trend_based",
+    *FLAGS,
     "threshold",
     "direction",
     "detail",
 )
 
+# csv columns of each record kind that has a row; the rest stay empty
+_CSV_ROWS = {
+    "metric": lambda m: {"metric": m["key"], "name": m["name"], "value": repr(m["value"]),
+                         "unit": m["unit"], "provenance": m["provenance"],
+                         **{flag: _flag(m[flag]) for flag in FLAGS}},
+    "alert": lambda a: {"metric": a["metric"], "value": repr(a["value"]), "unit": a["unit"],
+                        "threshold": repr(a["threshold"]), "detail": a["rationale"]},
+    "trend": lambda t: {"metric": t["metric"], "unit": t["unit"], "direction": t["direction"],
+                        "detail": ";".join(f"{v}:{x!r}" for v, x in t["series"])},
+}
 
-def render_csv(doc: ReportDocument) -> str:
+
+def render_csv(records: list[dict]) -> str:
     out = io.StringIO()
-    writer = csv_module.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for e in doc.entries:
-        writer.writerow(
-            [
-                "metric",
-                e.key,
-                e.name,
-                repr(e.value),
-                e.unit,
-                e.provenance,
-                _flag(e.accessibility),
-                _flag(e.high_fidelity),
-                _flag(e.actionability),
-                _flag(e.trend_based),
-                "",
-                "",
-                "",
-            ]
-        )
-    for a in doc.alerts.alerts:
-        writer.writerow(
-            ["alert", a.metric, "", repr(a.value), a.unit, "", "", "", "", "",
-             repr(a.threshold), "", a.rationale]
-        )
-    for t in doc.trends:
-        series = ";".join(f"{v}:{x!r}" for v, x in t.series)
-        writer.writerow(
-            ["trend", t.metric, "", "", t.unit, "", "", "", "", "", "",
-             t.direction.value, series]
-        )
+    writer = csv_module.DictWriter(out, CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
+    for record in records:
+        row = _CSV_ROWS.get(record["record"])
+        if row is not None:
+            writer.writerow({"record": record["record"], **row(record)})
     return out.getvalue()
 
 
-def render_markdown(doc: ReportDocument) -> str:
-    lines = [f"# Energy report: {doc.model} {doc.version or '(no snapshots)'}", ""]
-    if doc.entries:
+def render_markdown(records: list[dict]) -> str:
+    groups = _by_kind(records)
+    head = groups["report"][0]
+    lines = [f"# Energy report: {head['model']} {head['version'] or '(no snapshots)'}", ""]
+    if groups["metric"]:
         lines += [
             "| metric | value | unit | provenance | accessible | high fidelity | actionable | trend-based |",
             "|---|---|---|---|---|---|---|---|",
         ]
-        for e in doc.entries:
-            lines.append(
-                f"| {e.name} | {e.value:g} | {e.unit} | {e.provenance} "
-                f"| {_flag(e.accessibility)} | {_flag(e.high_fidelity)} "
-                f"| {_flag(e.actionability)} | {_flag(e.trend_based)} |"
-            )
+        for m in groups["metric"]:
+            flags = " | ".join(_flag(m[flag]) for flag in FLAGS)
+            lines.append(f"| {m['name']} | {m['value']:g} | {m['unit']} | {m['provenance']} "
+                         f"| {flags} |")
         lines.append("")
-    if doc.alerts.alerts:
+    if groups["alert"]:
         lines.append("## Alerts")
-        for a in doc.alerts.alerts:
-            lines.append(f"- **{a.metric}**: {a.message()}")
+        lines += [f"- **{a['metric']}**: {_alert_message(a)}" for a in groups["alert"]]
         lines.append("")
-    if doc.trends:
+    if groups["trend"]:
         lines.append("## Trends")
-        for t in doc.trends:
-            series = " -> ".join(f"{v}={x:g}" for v, x in t.series)
-            lines.append(f"- {t.metric}: {series} ({t.direction.value})")
+        lines += [f"- {t['metric']}: {_series(t)} ({t['direction']})"
+                  for t in groups["trend"]]
         lines.append("")
     lines.append("## Conventions")
-    for text in doc.conventions:
-        lines.append(f"- {text}")
+    lines += [f"- {c['text']}" for c in groups["convention"]]
     return "\n".join(lines) + "\n"
 
 
-def render_text(doc: ReportDocument) -> str:
+def render_text(records: list[dict]) -> str:
+    groups = _by_kind(records)
+    head = groups["report"][0]
     lines = [
-        f"model {doc.model} version {doc.version or '(no snapshots)'} — "
-        f"{len(doc.entries)} metric values, {len(doc.alerts.alerts)} alert(s)"
+        f"model {head['model']} version {head['version'] or '(no snapshots)'} — "
+        f"{head['metrics']} metric values, {head['alert_count']} alert(s)"
     ]
-    if doc.entries:
+    if groups["metric"]:
         lines.append("metrics:")
-        for e in doc.entries:
+        for m in groups["metric"]:
             flags = (
-                f"accessible={_flag(e.accessibility)} fidelity={_flag(e.high_fidelity)} "
-                f"actionable={_flag(e.actionability)} trend={_flag(e.trend_based)}"
+                f"accessible={_flag(m['accessible'])} fidelity={_flag(m['high_fidelity'])} "
+                f"actionable={_flag(m['actionable'])} trend={_flag(m['trend_based'])}"
             )
-            unit = f" {e.unit}" if e.unit else ""
-            star = " (assumes estimation)" if e.assumes_estimation else ""
-            lines.append(
-                f"  {e.name}: {e.value:g}{unit} [{e.provenance}] {flags}{star}"
-            )
-    if doc.alerts.alerts:
+            unit = f" {m['unit']}" if m["unit"] else ""
+            star = " (assumes estimation)" if m["assumes_estimation"] else ""
+            lines.append(f"  {m['name']}: {m['value']:g}{unit} [{m['provenance']}] {flags}{star}")
+    if groups["alert"]:
         lines.append("alerts:")
-        for a in doc.alerts.alerts:
-            lines.append(f"  ! {a.message()}")
-    if doc.alerts.skipped:
-        lines.append(f"rules skipped (metric absent): {', '.join(doc.alerts.skipped)}")
-    if doc.trends:
+        lines += [f"  ! {_alert_message(a)}" for a in groups["alert"]]
+    if groups["alert_skipped"]:
+        skipped = ", ".join(s["metric"] for s in groups["alert_skipped"])
+        lines.append(f"rules skipped (metric absent): {skipped}")
+    if groups["trend"]:
         lines.append("trends:")
-        for t in doc.trends:
-            series = " -> ".join(f"{v}={x:g}" for v, x in t.series)
-            lines.append(f"  {t.metric}: {series} [{t.direction.value}]")
+        lines += [f"  {t['metric']}: {_series(t)} [{t['direction']}]"
+                  for t in groups["trend"]]
     lines.append("conventions:")
-    for text in doc.conventions:
-        lines.append(f"  - {text}")
+    lines += [f"  - {c['text']}" for c in groups["convention"]]
     return "\n".join(lines) + "\n"
 
 

@@ -350,6 +350,9 @@ def record_snapshot(
     Returns the registration on file after the append of each metric in
     ``register`` that is not built in."""
     register = tuple(register)  # the checks may run twice
+    if not isinstance(snapshot.values, dict):
+        raise StoreError("snapshot values must map metric names to values, "
+                         f"got {type(snapshot.values).__name__}")
     _check_names([*snapshot.values, *(metric.name for metric in register)])
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
@@ -514,22 +517,11 @@ class Alert:
     rationale: str
     unit: str = ""
 
-    def message(self) -> str:
-        relation = "<" if self.comparison == "below" else ">"
-        return (
-            f"{self.metric} = {self.value:g}{(' ' + self.unit) if self.unit else ''} "
-            f"{relation} {self.threshold:g}: {self.rationale}"
-        )
-
 
 @dataclass(frozen=True)
 class AlertReport:
     alerts: tuple[Alert, ...]
     skipped: tuple[str, ...]  # rules whose metric the snapshot lacks
-
-    @property
-    def violated(self) -> bool:
-        return bool(self.alerts)
 
 
 def default_alert_rules(

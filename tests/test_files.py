@@ -129,6 +129,10 @@ class TestTraceRoundTrip:
         with pytest.raises(TypeError):
             save_trace(trace, path)
         assert path.read_bytes() == before
+        trace.static_metrics = {1: 2.0}  # json.dumps would write the key as "1"
+        with pytest.raises(ValueError, match="static_metrics key 1 is not a string"):
+            save_trace(trace, path)
+        assert path.read_bytes() == before
 
     def test_non_trace_file_rejected(self, tmp_path):
         path = tmp_path / "x.json"

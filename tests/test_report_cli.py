@@ -117,48 +117,56 @@ REPORT_SUFFIXES = {"jsonl": "jsonl", "csv": "csv", "markdown": "md", "text": "tx
 @pytest.mark.parametrize("store_kind", REPORT_STORES)
 @pytest.mark.parametrize("fmt", REPORT_SUFFIXES)
 def test_golden_report(tmp_path, capsys, fmt, store_kind):
-    """Each report format, rendered by the CLI, must not change by a byte."""
+    """Each report format, rendered by the CLI, must not change by a byte;
+    and each renders the same bytes from the golden jsonl's records."""
     build, argv, expected_code, stem = REPORT_STORES[store_kind]
     store = tmp_path / "s.jsonl"
     build(store)
     code, out, _ = run_main(["report", "--store", str(store), *argv, "--format", fmt], capsys)
     assert code == expected_code
-    assert out == (DATA / f"{stem}.{REPORT_SUFFIXES[fmt]}").read_text()
+    golden = (DATA / f"{stem}.{REPORT_SUFFIXES[fmt]}").read_text()
+    assert out == golden
+    records = [json.loads(line) for line in (DATA / f"{stem}.jsonl").read_text().splitlines()]
+    assert RENDERERS[fmt](records) == golden
+
+
+def of_kind(records: list[dict], kind: str) -> list[dict]:
+    return [record for record in records if record["record"] == kind]
 
 
 class TestReportDocument:
     def test_empty_history_is_valid(self, tmp_path):
-        doc = build_report(tmp_path / "empty.jsonl", "ghost")
-        assert doc.version is None
-        assert doc.entries == []
-        assert not doc.alerts.violated
+        records = build_report(tmp_path / "empty.jsonl", "ghost")
+        assert records[0] == {"record": "report", "model": "ghost", "version": None,
+                              "metrics": 0, "alert_count": 0}
+        assert [r["record"] for r in records[1:]] == ["convention"] * len(rpt.CONVENTIONS)
 
     def test_flags_come_from_catalog(self, tmp_path):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)
-        doc = build_report(store, "golden")
-        entry = next(e for e in doc.entries if e.key == "activation_sparsity")
-        assert (entry.accessibility, entry.high_fidelity, entry.actionability,
-                entry.trend_based) == (True, False, True, True)
+        entry = next(r for r in of_kind(build_report(store, "golden"), "metric")
+                     if r["key"] == "activation_sparsity")
+        assert (entry["accessible"], entry["high_fidelity"], entry["actionable"],
+                entry["trend_based"]) == (True, False, True, True)
 
     def test_estimated_and_ingested_both_present(self, tmp_path):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)
-        doc = build_report(store, "golden")
-        tags = [e.provenance for e in doc.entries if e.key == "energy_per_inference"]
+        tags = [r["provenance"] for r in of_kind(build_report(store, "golden"), "metric")
+                if r["key"] == "energy_per_inference"]
         assert tags == ["estimated", "ingested"]
 
     def test_alert_fires_for_low_sparsity(self, tmp_path):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)
-        doc = build_report(store, "golden")
-        assert [a.metric for a in doc.alerts.alerts] == ["activation_sparsity"]
+        records = build_report(store, "golden")
+        assert [r["metric"] for r in of_kind(records, "alert")] == ["activation_sparsity"]
+        assert records[0]["alert_count"] == 1
 
     def test_trend_sections_cover_trend_based_metrics(self, tmp_path):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)
-        doc = build_report(store, "golden")
-        metrics = {t.metric for t in doc.trends}
+        metrics = {r["metric"] for r in of_kind(build_report(store, "golden"), "trend")}
         assert "effective_synops" in metrics
         assert "activation_sparsity" in metrics
 
@@ -168,18 +176,19 @@ class TestReportDocument:
 
         store = tmp_path / "s.jsonl"
         build_golden_store(store)
-        doc = build_report(store, "golden")
+        records = build_report(store, "golden")
         from_jsonl = {}
-        for line in RENDERERS["jsonl"](doc).splitlines():
+        for line in RENDERERS["jsonl"](records).splitlines():
             record = json.loads(line)
             if record["record"] == "metric":
                 from_jsonl[(record["key"], record["provenance"])] = record["value"]
         from_csv = {}
-        reader = csv_module.DictReader(io.StringIO(RENDERERS["csv"](doc)))
+        reader = csv_module.DictReader(io.StringIO(RENDERERS["csv"](records)))
         for row in reader:
             if row["record"] == "metric":
                 from_csv[(row["metric"], row["provenance"])] = float(row["value"])
         assert from_csv == from_jsonl
+
 
 class TestCliExitCodes:
     def test_simulate_success(self, capsys):
@@ -651,6 +660,24 @@ class TestRejectedRecordAppendsNothing:
         assert code == 2
         assert err == "error: unknown metrics ['lut_count']; register them first\n"
         assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--trace", "{trace}", "--hwspec", demo_path("demo_hwspec.json"),
+     "--store", "{store}", "--record", "--version", "v3", "--accuracy", "nan"],
+    ["simulate", "--model", demo_path("demo_model.json"),
+     "--workload", demo_path("demo_workload.json"), "--trace-out", "{directory}"],
+], ids=["estimate-record-nan-accuracy", "simulate-trace-out-directory"])
+def test_refused_verb_prints_nothing(tmp_path, capsys, demo_trace, argv):
+    """A verb that exits 2 fails before it prints, and leaves the store as it was."""
+    store = tmp_path / "s.jsonl"
+    build_golden_store(store)
+    before = store.read_bytes()
+    argv = [arg.format(trace=demo_trace, store=store, directory=tmp_path) for arg in argv]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert store.read_bytes() == before
 
 
 class TestRecordProvenance:

@@ -696,10 +696,13 @@ def test_writers_append_only_what_the_reader_loads(tmp_path, write, existing):
     lambda store: record_snapshot(store, MetricSnapshot("m", "v3", {5: 1.0}, timestamp=4.0)),
     lambda store: record_snapshot(store, MetricSnapshot("m", "v3", {None: 1.0}, timestamp=4.0),
                                   register=[CustomMetric("fpga_luts")]),
-], ids=["register-int", "register-tuple", "snapshot-int-key", "snapshot-none-key"])
+    lambda store: record_snapshot(store, MetricSnapshot("m", "v3", 0, timestamp=4.0)),
+], ids=["register-int", "register-tuple", "snapshot-int-key", "snapshot-none-key",
+        "snapshot-int-values"])
 @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
 def test_non_string_metric_name_raises_store_error(tmp_path, write, existing):
-    """json.dumps would write a non-string name as another string, or fail."""
+    """json.dumps would write a non-string name as another string, or fail;
+    values that are not a dict hold no names at all."""
     store = tmp_path / "s.jsonl"
     if existing:
         store.write_text("".join(json.dumps(record) + "\n" for record in VALID_STORE))
