@@ -75,6 +75,7 @@ _SUBMODULE_NAMES = {
     "workload": (
         "MemoryAccessCounts",
         "OpCounts",
+        "TraceCounts",
         "activation_sparsity",
         "effective_synops",
         "memory_accesses",

@@ -13,14 +13,17 @@ gate pays for no import it does not need.  Besides this module:
 * ``compare`` loads those and ``compare``;
 * ``estimate --counts`` loads those, ``compare``, ``energy`` and
   ``workload``, and still no numpy;
-* only ``simulate``, ``analyze`` and ``estimate --trace`` load numpy, with
-  ``model`` and, to simulate or read a trace, ``files`` and ``simulate``.
+* ``estimate --trace`` loads those and ``files``, whose trace reader is
+  pure Python, and still no numpy;
+* only ``simulate`` and ``analyze`` load numpy, with ``model`` and, to
+  simulate, ``files``, ``rng`` and ``simulate``.
 
 So this module imports only ``catalog``, ``fields``, ``store`` and
 ``report`` at top level (``MissingSpecError`` lives in ``catalog`` for that),
 and each verb imports the rest when it runs.  Keep ``files``, ``model`` and
 ``simulate`` out of the top-level imports of ``compare``, ``energy``,
-``report``, ``store`` and ``workload`` too.  ``tests/test_lazy_imports.py``
+``report``, ``store`` and ``workload`` too, and numpy, ``model`` and
+``simulate`` out of those of ``files``.  ``tests/test_lazy_imports.py``
 checks each verb's module set in a child process.
 """
 
@@ -157,10 +160,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     train = files.prepare_input(workload, config)
     trace = run_inference(m, train, config)
     trace.static_metrics = _static_metrics(m)
+    counts = trace.counts()
 
-    ops = wl.effective_synops(trace)
+    ops = wl.effective_synops(counts)
     mem = wl.memory_accesses(ops)
-    sparsity = wl.activation_sparsity(trace, threshold=threshold)
+    sparsity = wl.activation_sparsity(counts, threshold=threshold)
 
     rows = [
         {"key": "acs", "value": float(ops.acs), "unit": "ops"},
@@ -173,7 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {"key": "memory_reads", "value": float(mem.reads), "unit": "accesses"},
         {"key": "memory_writes", "value": float(mem.writes), "unit": "accesses"},
         {"key": "activation_sparsity", "value": sparsity.activation_sparsity, "unit": "ratio"},
-        {"key": "duration", "value": trace.duration, "unit": "s"},
+        {"key": "duration", "value": counts.duration, "unit": "s"},
     ]
     if args.trace_out:  # before printing: a failed save prints nothing
         files.save_trace(trace, args.trace_out)
@@ -246,7 +250,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
         trace = files.load_trace(args.trace)
         ops = wl.effective_synops(trace)
-        crossings = trace.total_crossings
+        crossings = sum(trace.crossings)
         duration = trace.duration
     else:
         ops, crossings, file_duration = _load_counts(args.counts)

@@ -23,14 +23,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .catalog import POWER_DENSITY_LIMIT, MissingSpecError
 from .fields import load_json, read_record
-from .workload import MemoryAccessCounts, OpCounts, derive_accesses
-
-if TYPE_CHECKING:
-    from .simulate import WorkloadTrace
+from .workload import MemoryAccessCounts, OpCounts, TraceCounts, derive_accesses
 
 JOULES_PER_MAH_VOLT = 3.6  # 1 mAh = 3.6 coulombs
 
@@ -155,7 +151,7 @@ class EnergyBreakdown:
 def _price_model(spec, macs, acs, crossings, updates_effective, updates_dense, reads, writes):
     """(synop, membrane, memory) joules: the one home of the pricing formula.
 
-    Elementwise, so it prices integer totals and per-timestep arrays alike.
+    It prices op totals and one timestep's tallies alike.
     """
     effective = spec.membrane_count_mode is MembraneCountMode.EFFECTIVE
     updates = updates_effective if effective else updates_dense
@@ -242,7 +238,7 @@ class SopEnergyResult:
 def energy_per_sop(
     breakdown: EnergyBreakdown,
     ops: OpCounts,
-    trace: WorkloadTrace,
+    trace: TraceCounts,
     spec: HardwareSpec,
     *,
     include_leak_macs: bool = True,
@@ -252,20 +248,23 @@ def energy_per_sop(
     The averaging uses the model-attributable energy only (overhead is not
     an op cost).  "Peak" is defined over per-timestep windows: the largest
     single-timestep model energy, priced by the same formula as the total,
-    divided by the timestep duration.
+    divided by the timestep duration.  Each window is priced from Python
+    ints, so no tally wraps however large it is.
     """
     if ops.total_sops <= 0:
         raise ValueError("energy per SOP is undefined with zero synaptic operations")
     avg_pj = breakdown.model.model_total * 1e12 / ops.total_sops
 
-    reads, writes = derive_accesses(
-        trace.macs, trace.acs, trace.leak_macs, include_leak_macs=include_leak_macs
-    )
-    synop, membrane, memory = _price_model(
-        spec, trace.macs, trace.acs, trace.crossings_per_timestep(),
-        trace.membrane_updates, trace.non_input_neurons, reads, writes,
-    )
-    peak_energy = float((synop + membrane + memory).max())
+    dense = trace.non_input_neurons
+    peak_energy = 0.0
+    for macs, acs, leak_macs, crossings, updates in zip(
+        trace.macs, trace.acs, trace.leak_macs, trace.crossings, trace.membrane_updates
+    ):
+        reads, writes = derive_accesses(macs, acs, leak_macs, include_leak_macs=include_leak_macs)
+        synop, membrane, memory = _price_model(
+            spec, macs, acs, crossings, updates, dense, reads, writes
+        )
+        peak_energy = max(peak_energy, synop + membrane + memory)
     return SopEnergyResult(
         average_pj_per_sop=avg_pj,
         peak_window_power_w=peak_energy / trace.timestep_duration,

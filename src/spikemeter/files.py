@@ -20,28 +20,35 @@ sort_keys=True) + "\n"``, so identical runs serialize identically;
 building the lists.
 Unknown keys are refused at the top level and in each spike-layer entry;
 an entry's ``kind`` is ``binary`` or ``analog`` and its ``layer`` is its
-index in the list.
+index in the list.  :func:`load_trace` checks the whole file but returns only
+what the metrics and the pricing read, a :class:`~.workload.TraceCounts`.  It
+reads a valid trace in pure Python, so ``estimate --trace`` loads no numpy;
+only a value that breaks one of :func:`fields.array`'s rules goes to that
+rule, and so to numpy, for its message.
+
+This module imports numpy and ``simulate`` only inside the functions that
+build or write numpy arrays: the workload reader and the trace writer.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fields import (REQUIRED, array, check_keys, integer, list_of, load_json_with_bools, number,
                      obj, one_of, optional, read_field, string)
-from .simulate import (
-    AnalogTrain,
-    SimulationConfig,
-    SimulationError,
-    SpikeTrain,
-    WorkloadTrace,
-    _Train,
-    rate_encode,
-)
+from .workload import TraceCounts
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .simulate import SimulationConfig, WorkloadTrace, _Train
 
 TRACE_FORMAT = "spikemeter-trace-v1"
 _TALLIES = ("acs", "macs", "leak_macs", "membrane_updates")
@@ -108,8 +115,19 @@ def workload_from_dict(raw: dict, *, bools: bool = True) -> WorkloadSpec:
     })
 
 
+def rate_encode(*args, **kwargs):
+    """``simulate.rate_encode``, imported on first call.  :func:`prepare_input`
+    looks this name up in the module when it runs, so a wrapper set on
+    ``files.rate_encode`` (a tracer, say) sees every encoding."""
+    from .simulate import rate_encode
+
+    return rate_encode(*args, **kwargs)
+
+
 def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
     """Turn a workload spec into the input train for run_inference."""
+    from .simulate import AnalogTrain, SimulationError, SpikeTrain
+
     if workload.timesteps is not None and workload.timesteps != config.timesteps:
         raise SimulationError(
             f"workload declares {workload.timesteps} timesteps, "
@@ -136,6 +154,7 @@ def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
 
 def _trace_fields(trace: WorkloadTrace, form=lambda array: array) -> dict:
     """The trace file's content, each array in it given as ``form(array)``."""
+    import numpy as np
 
     def layer(index: int, events: np.ndarray) -> dict:
         if np.all((events == 0.0) | (events == 1.0)):
@@ -157,13 +176,15 @@ def _trace_fields(trace: WorkloadTrace, form=lambda array: array) -> dict:
 
 def trace_to_dict(trace: WorkloadTrace) -> dict:
     """The trace file's content as plain JSON values."""
-    return _trace_fields(trace, np.ndarray.tolist)
+    return _trace_fields(trace, lambda array: array.tolist())
 
 
 def _dump(value, write) -> None:
     """Pass the text of ``json.dumps(value, sort_keys=True)`` to ``write``,
     piece by piece, for JSON values and ndarrays nested in dicts with string
     keys and lists."""
+    import numpy as np
+
     if isinstance(value, np.ndarray):
         _dump_array(value, write)
     elif isinstance(value, dict):
@@ -190,6 +211,8 @@ def _dump_array(array: np.ndarray, write) -> None:
     """``json.dumps(array.tolist())``.  A float matrix, written a row at a
     time, gets text only for its entries other than +0.0 and writes each run
     of +0.0 entries as one repeated string; analog frames are mostly zeros."""
+    import numpy as np
+
     if array.dtype.kind != "f" or array.ndim != 2 or array.size == 0:
         write(json.dumps(array.tolist()))
         return
@@ -226,76 +249,139 @@ def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
         if not isinstance(key, str):
             raise ValueError(f"static_metrics key {key!r} is not a string")
     json.dumps(trace.static_metrics, sort_keys=True)
-    with open(path, "w") as out:
-        _dump(_trace_fields(trace), out.write)
-        out.write("\n")
-
-
-def load_trace(path: str | Path) -> WorkloadTrace:
-    raw, bools = load_json_with_bools(path, "trace file", WorkloadFileError)
-    if not isinstance(raw, dict) or raw.get("format") != TRACE_FORMAT:
-        raise WorkloadFileError(f"not a {TRACE_FORMAT} file: {path}")
-    return _trace_from_dict(raw, bools)
+    try:
+        with open(path, "w") as out:
+            _dump(_trace_fields(trace), out.write)
+            out.write("\n")
+    except OSError as exc:
+        raise WorkloadFileError(f"cannot write trace file {path}: {exc}") from exc
 
 
 _TRACE_KEYS = ("format", "model", "timesteps", "timestep_duration", "layer_sizes",
                "per_timestep", "spikes", "static_metrics")
+_INT64 = range(-(2**63), 2**63)
 
 
-def _trace_from_dict(raw: dict, bools: bool) -> WorkloadTrace:
-    """The trace in ``raw``, load_trace's own parse: each spike layer's list
-    is dropped from it once read into an array.  ``bools`` goes to the array
-    rules."""
+def _ints(values: list) -> bool:
+    """Whether the list ``values`` holds only ints that fit 64 bits, so that
+    numpy would read it as an int64 array."""
+    return not values or (set(map(type, values)) == {int}
+                          and min(values) in _INT64 and max(values) in _INT64)
+
+
+def _numbers(row: list) -> bool:
+    """Whether the list ``row`` holds only floats and ints that fit 64 bits,
+    so that numpy would read it as a float64 or int64 array."""
+    kinds = set(map(type, row))
+    return kinds <= {float} or (kinds <= {float, int}
+                                and _ints([x for x in row if type(x) is int]))
+
+
+def _array_rule(shape: tuple, integers: bool, bools: bool, plain):
+    """:func:`fields.array`'s rule, read as lists.  ``plain(value)`` tells
+    when the rule passes on its own; only a value it cannot vouch for goes
+    to the numpy rule, which refuses it with the rule's message."""
+    numpy_rule = array(shape, integers=integers, bools=bools)
+    return lambda value: value if plain(value) else numpy_rule(value).tolist()
+
+
+def _int_vector(length: int | None, bools: bool):
+    """The rule for a list of ``length`` (any, for None) 64-bit integers."""
+    return _array_rule((length,), True, bools, lambda value: (
+        type(value) is list and length in (None, len(value)) and _ints(value)))
+
+
+def load_trace(path: str | Path) -> TraceCounts:
+    """The counts the trace file at ``path`` holds.  The whole file is
+    checked, in pure Python: a trace that does not describe a valid run is
+    refused with the message of the rule it breaks."""
+    raw, bools = load_json_with_bools(path, "trace file", WorkloadFileError)
+    if not isinstance(raw, dict) or raw.get("format") != TRACE_FORMAT:
+        raise WorkloadFileError(f"not a {TRACE_FORMAT} file: {path}")
 
     def field(path: str, rule, default=REQUIRED):
         return read_field(raw, path, rule, "trace", WorkloadFileError, default)
 
     check_keys(raw, _TRACE_KEYS, "trace", WorkloadFileError)
     timesteps = field("timesteps", integer)
-    sizes = field("layer_sizes", array((None,), integers=True, bools=bools))
-    layer_sizes = tuple(sizes.tolist())
+    layer_sizes = tuple(field("layer_sizes", _int_vector(None, bools)))
     payloads = field("spikes", list_of(obj))
     if len(payloads) != len(layer_sizes):
         raise WorkloadFileError(
             f"trace has {len(payloads)} spike layers for {len(layer_sizes)} layer sizes"
         )
-    counts = array((timesteps,), integers=True, bools=bools)
-    tallies = {key: field(f"per_timestep.{key}", counts) for key in _TALLIES}
+    tally = _int_vector(timesteps, bools)
+    tallies = {key: field(f"per_timestep.{key}", tally) for key in _TALLIES}
     for key, values in tallies.items():
-        if np.any(values < 0):
+        if values and min(values) < 0:
             raise WorkloadFileError(f"trace field 'per_timestep.{key}': expected counts >= 0")
-    spikes = []
+    crossings = [0] * timesteps
+    non_input_spikes = 0
     for i, (payload, size) in enumerate(zip(payloads, layer_sizes)):
-        spikes.append(_layer_events(i, payload, size, timesteps, bools))
-        payload.clear()
-    return WorkloadTrace(
+        per_step = _layer_counts(i, payload, size, timesteps, bools)
+        if i < len(layer_sizes) - 1:
+            for t, n in per_step.items():
+                crossings[t] += n
+        if i:
+            non_input_spikes += sum(per_step.values())
+    return TraceCounts(
         layer_sizes=layer_sizes,
-        spikes=spikes,
-        **tallies,
         timesteps=timesteps,
         timestep_duration=field("timestep_duration", number),
+        **tallies,
+        crossings=crossings,
+        non_input_spikes=non_input_spikes,
         model_name=field("model.name", string, ""),
         model_version=field("model.version", string, ""),
         static_metrics=field("static_metrics", obj, {}),
     )
 
 
-def _layer_events(index: int, payload: dict, size: int, timesteps: int,
-                  bools: bool) -> np.ndarray:
+def _events_rule(bools: bool):
+    def plain(value) -> bool:
+        return (type(value) is list and set(map(type, value)) <= {list}
+                and set(map(len, value)) <= {2} and _ints(list(chain.from_iterable(value))))
+
+    return _array_rule((None, 2), True, bools, plain)
+
+
+def _frames_rule(bools: bool):
+    def plain(value) -> bool:
+        return (type(value) is list and set(map(type, value)) <= {list}
+                and len(set(map(len, value))) <= 1 and all(map(_numbers, value)))
+
+    return _array_rule((None, None), False, bools, plain)
+
+
+def _layer_counts(index: int, payload: dict, size: int, timesteps: int,
+                  bools: bool) -> Counter:
+    """Spike layer ``index``'s nonzero entries per timestep.  Duplicate
+    events count once."""
     where = f"trace layer {index}"
-    kind = read_field(payload, "kind", one_of("binary", "analog"), where, WorkloadFileError)
-    binary = kind == "binary"
-    key, shape = ("events", (None, 2)) if binary else ("frames", (None, None))
+
+    def field(key: str, rule):
+        return read_field(payload, key, rule, where, WorkloadFileError)
+
+    binary = field("kind", one_of("binary", "analog")) == "binary"
+    key = "events" if binary else "frames"
     check_keys(payload, ("layer", "kind", key), where, WorkloadFileError)
-    layer = read_field(payload, "layer", integer, where, WorkloadFileError)
+    layer = field("layer", integer)
     if layer != index:
         raise WorkloadFileError(f"{where} field 'layer': expected {index}, got {layer}")
-    value = read_field(payload, key, array(shape, integers=binary, bools=bools), where,
-                       WorkloadFileError)
-    try:
-        train = SpikeTrain.from_events(size, timesteps, value) if binary else AnalogTrain(value)
-    except SimulationError as exc:
-        raise WorkloadFileError(f"{where}: {exc}") from exc
-    if train.events.shape != (size, timesteps):
+    if binary:
+        events = field("events", _events_rule(bools))
+        for n, t in events:
+            if not (0 <= n < size and 0 <= t < timesteps):
+                raise WorkloadFileError(f"{where}: event ({n}, {t}) outside train dimensions")
+        if size < 0:
+            raise WorkloadFileError("negative dimensions are not allowed")
+        return Counter(map(itemgetter(1), set(map(tuple, events))))
+    frames = field("frames", _frames_rule(bools))
+    per_step = Counter()
+    for row in frames:
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise WorkloadFileError(f"{where}: events must be finite")
+        per_step.update(compress(range(len(row)), row))
+    if (len(frames), len(frames[0]) if frames else 0) != (size, timesteps):
         raise WorkloadFileError(f"{where}: frames shape mismatch")
-    return train.events
+    return per_step

@@ -52,6 +52,7 @@ import numpy as np
 
 from .model import LayerDescriptor, ModelDescriptor, NeuronParams, ResetMode
 from .rng import uniforms
+from .workload import TraceCounts
 
 
 class SimulationError(ValueError):
@@ -166,7 +167,7 @@ class WorkloadTrace:
 
     ``spikes[0]`` is the input train as supplied (possibly analog); all
     later layers are binary.  Tallies are effective (event-driven) counts;
-    the dense membrane-update figure is non_input_neurons * timesteps.
+    :meth:`counts` gives what the metrics and the pricing read.
     """
 
     layer_sizes: tuple[int, ...]
@@ -182,14 +183,6 @@ class WorkloadTrace:
     static_metrics: dict = field(default_factory=dict)
 
     @property
-    def duration(self) -> float:
-        return self.timesteps * self.timestep_duration
-
-    @property
-    def non_input_neurons(self) -> int:
-        return sum(self.layer_sizes[1:])
-
-    @property
     def total_acs(self) -> int:
         return int(self.acs.sum())
 
@@ -198,27 +191,29 @@ class WorkloadTrace:
         return int(self.macs.sum())
 
     @property
-    def total_leak_macs(self) -> int:
-        return int(self.leak_macs.sum())
-
-    @property
-    def total_membrane_updates(self) -> int:
-        return int(self.membrane_updates.sum())
-
-    @property
-    def non_input_spikes(self) -> int:
-        return int(sum(int(np.count_nonzero(s)) for s in self.spikes[1:]))
-
-    def crossings_per_timestep(self) -> np.ndarray:
-        """Events forwarded across a layer boundary, per timestep."""
-        out = np.zeros(self.timesteps, dtype=np.int64)
-        for layer in self.spikes[:-1]:
-            out += np.count_nonzero(layer, axis=0)
-        return out
-
-    @property
     def total_crossings(self) -> int:
-        return int(self.crossings_per_timestep().sum())
+        return sum(self.counts().crossings)
+
+    def counts(self) -> TraceCounts:
+        """The trace's counts as Python ints; ``files.load_trace`` reads the
+        same from the trace file."""
+        crossings = np.zeros(self.timesteps, dtype=np.int64)
+        for layer in self.spikes[:-1]:
+            crossings += np.count_nonzero(layer, axis=0)
+        return TraceCounts(
+            layer_sizes=self.layer_sizes,
+            timesteps=self.timesteps,
+            timestep_duration=self.timestep_duration,
+            acs=self.acs.tolist(),
+            macs=self.macs.tolist(),
+            leak_macs=self.leak_macs.tolist(),
+            membrane_updates=self.membrane_updates.tolist(),
+            crossings=crossings.tolist(),
+            non_input_spikes=sum(int(np.count_nonzero(layer)) for layer in self.spikes[1:]),
+            model_name=self.model_name,
+            model_version=self.model_version,
+            static_metrics=self.static_metrics,
+        )
 
     def equals(self, other: "WorkloadTrace") -> bool:
         return (

@@ -300,12 +300,15 @@ def _commit(path: str | Path, lines: Callable[[StoreData], Iterable[dict]]) -> S
 
     if not Path(path).exists():
         accepted(StoreData())
-    with open(path, "a") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        data = read_store(path)
-        records = accepted(data)
-        handle.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
-        handle.flush()
+    try:
+        with open(path, "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            data = read_store(path)
+            records = accepted(data)
+            handle.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
+            handle.flush()
+    except OSError as exc:
+        raise StoreError(f"cannot write store {path}: {exc}") from exc
     return data
 
 

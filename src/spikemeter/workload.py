@@ -2,17 +2,17 @@
 synaptic operations, membrane updates, activation sparsity, and derived
 memory accesses (three loads and one store per MAC, two loads and one store
 per AC).
+
+They read a :class:`TraceCounts`, the counts a trace holds as Python ints,
+which ``files.load_trace`` reads from a trace file without numpy and
+``WorkloadTrace.counts`` takes from a simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
 from .catalog import SPARSITY_THRESHOLD
-
-if TYPE_CHECKING:
-    from .simulate import WorkloadTrace
 
 # Derived memory traffic per arithmetic op: a MAC loads two operands and an
 # accumulator and stores the result; an AC skips the multiplicand load.
@@ -20,6 +20,38 @@ READS_PER_MAC = 3
 READS_PER_AC = 2
 WRITES_PER_MAC = 1
 WRITES_PER_AC = 1
+
+
+@dataclass(frozen=True)
+class TraceCounts:
+    """What the metrics and the pricing read off one inference's trace.
+
+    The four tallies and ``crossings`` hold one Python int per timestep;
+    ``crossings`` counts the events forwarded across a layer boundary, the
+    nonzero entries of every layer but the last.  ``non_input_spikes``
+    counts the nonzero entries of every layer but the input.
+    """
+
+    layer_sizes: tuple[int, ...]
+    timesteps: int
+    timestep_duration: float
+    acs: list[int]
+    macs: list[int]
+    leak_macs: list[int]
+    membrane_updates: list[int]
+    crossings: list[int]
+    non_input_spikes: int
+    model_name: str = ""
+    model_version: str = ""
+    static_metrics: dict = field(default_factory=dict)
+
+    @property
+    def duration(self) -> float:
+        return self.timesteps * self.timestep_duration
+
+    @property
+    def non_input_neurons(self) -> int:
+        return sum(self.layer_sizes[1:])
 
 
 @dataclass(frozen=True)
@@ -92,20 +124,20 @@ class SparsityReport:
     alert: str | None
 
 
-def effective_synops(trace: WorkloadTrace) -> OpCounts:
+def effective_synops(trace: TraceCounts) -> OpCounts:
     """Sum the trace's per-timestep tallies into one OpCounts."""
     return OpCounts(
-        macs=trace.total_macs,
-        acs=trace.total_acs,
-        membrane_updates_effective=trace.total_membrane_updates,
+        macs=sum(trace.macs),
+        acs=sum(trace.acs),
+        membrane_updates_effective=sum(trace.membrane_updates),
         membrane_updates_dense=trace.non_input_neurons * trace.timesteps,
-        leak_macs=trace.total_leak_macs,
+        leak_macs=sum(trace.leak_macs),
     )
 
 
 def derive_accesses(macs, acs, leak_macs, *, include_leak_macs: bool = True):
-    """(reads, writes) at the fixed per-op ratios; elementwise, so it takes
-    integer totals and per-timestep arrays alike.
+    """(reads, writes) at the fixed per-op ratios, for op totals or for one
+    timestep's tallies.
 
     Leak MACs are part of the MAC tally by default; pass
     ``include_leak_macs=False`` to derive traffic from synaptic ops only.
@@ -122,7 +154,7 @@ def memory_accesses(ops: OpCounts, *, include_leak_macs: bool = True) -> MemoryA
 
 
 def activation_sparsity(
-    *traces: WorkloadTrace, threshold: float = SPARSITY_THRESHOLD
+    *traces: TraceCounts, threshold: float = SPARSITY_THRESHOLD
 ) -> SparsityReport:
     """Fraction of silent neuron-timesteps over the non-input layers.
 

@@ -249,7 +249,7 @@ class TestEnergyPerSop:
             membrane_updates=np.zeros(T, dtype=np.int64),
             timesteps=T,
             timestep_duration=1e-3,
-        )
+        ).counts()
 
     def test_seven_pj_per_sop(self):
         ops = fixture_ops()
@@ -385,7 +385,7 @@ class TestPeakWindowPricing:
             membrane_updates=np.array(self.UPDATES, dtype=np.int64),
             timesteps=3,
             timestep_duration=1e-3,
-        )
+        ).counts()
 
     @pytest.mark.parametrize("include_leak", [True, False])
     @pytest.mark.parametrize("mode", ["effective", "dense"])
@@ -393,11 +393,11 @@ class TestPeakWindowPricing:
         from spikemeter.workload import effective_synops
 
         trace = self.make_trace()
-        assert trace.crossings_per_timestep().tolist() == [3, 3, 0]
+        assert trace.crossings == [3, 3, 0]
         spec = HardwareSpec(**self.SPEC, membrane_count_mode=MembraneCountMode(mode))
         ops = effective_synops(trace)
         mem = memory_accesses(ops, include_leak_macs=include_leak)
-        b = estimate_energy(ops, mem, spec, trace.duration, crossings=trace.total_crossings)
+        b = estimate_energy(ops, mem, spec, trace.duration, crossings=sum(trace.crossings))
         result = energy_per_sop(b, ops, trace, spec, include_leak_macs=include_leak)
         windows = self.WINDOWS_PJ[(mode, include_leak)]
         assert result.peak_window_power_w == pytest.approx(

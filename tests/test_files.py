@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.json"
         save_trace(trace, path)
         again = load_trace(path)
-        assert again.equals(trace)
+        assert again == trace.counts()
         assert again.timestep_duration == trace.timestep_duration
         assert again.static_metrics == {"parameters": 8.0}
         assert again.model_name == "fixture"
@@ -196,13 +197,13 @@ def edge_trace(timesteps: int, analog: list[list[float]]) -> WorkloadTrace:
 @example(trace=edge_trace(5, [[0.0] * 5, EDGE_FLOATS, [0.0, -0.0, 0.0, 1e-05, 0.0]]))
 def test_save_trace_writes_the_json_dumps_bytes(tmp_path, trace):
     """The trace file is defined as these bytes; save_trace formats arrays
-    itself and must write them exactly, then read back as the same trace."""
+    itself and must write them exactly, then read back as the trace's counts."""
     path = tmp_path / "trace.json"
     save_trace(trace, path)
     assert path.read_bytes() == (json.dumps(trace_to_dict(trace), sort_keys=True)
                                  + "\n").encode()
     again = load_trace(path)
-    assert again.equals(trace)
+    assert again == trace.counts()
     assert again.static_metrics == trace.static_metrics
 
 
@@ -290,3 +291,69 @@ class TestTraceValidation:
         with pytest.raises(WorkloadFileError, match=message):
             load_trace(path)
         self.assert_estimate_exits_2(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("mutate, entry, message", [
+        *[(lambda raw: raw["spikes"].__setitem__(0, {
+            "layer": 0, "kind": "analog", "frames": [["X", 0.0, 0.0], [1.0, 0.0, 0.5]]}),
+           entry, message) for entry, message in [
+            ("NaN", "trace layer 0: events must be finite"),
+            ("1e999", "trace layer 0: events must be finite"),
+            ("-Infinity", "trace layer 0: events must be finite"),
+            ("null", "trace layer 0 field 'frames': expected a number array of shape [*, *], "
+                     "got non-numeric entries"),
+            ("true", "trace layer 0 field 'frames': expected a number array of shape [*, *], "
+                     "got bool entries"),
+        ]],
+        *[(lambda raw: raw["per_timestep"]["macs"].__setitem__(1, "X"), entry,
+           f"trace field 'per_timestep.macs': expected an integer array of shape [3], got {got}")
+          for entry, got in [("2.5", "non-integer entries"), ("2.0", "non-integer entries"),
+                             (str(2**63), "non-integer entries"),
+                             (str(2**64), "non-numeric entries"), ("false", "bool entries")]],
+        *[(lambda raw: raw["spikes"][0]["events"].insert(1, "X"), entry,
+           f"trace layer 0: event {shown} outside train dimensions")
+          for entry, shown in [("[-1, 0]", "(-1, 0)"), ("[2, 0]", "(2, 0)"),
+                               ("[0, 3]", "(0, 3)"), ("[1, -1]", "(1, -1)")]],
+    ], ids=["nan-frame", "1e999-frame", "minus-infinity-frame", "null-frame", "bool-frame",
+            "fractional-tally", "float-tally", "tally-2**63", "tally-2**64", "bool-tally",
+            "negative-neuron", "neuron-past-end", "timestep-past-end", "negative-timestep"])
+    def test_refused_entries_keep_their_messages(self, tmp_path, capsys, mutate, entry,
+                                                 message):
+        """Each entry, written into the file as the text ``entry``, is refused
+        with the message of the rule it breaks."""
+        path = self.write_trace(tmp_path, mutate)
+        Path(path).write_text(Path(path).read_text().replace('"X"', entry))
+        with pytest.raises(WorkloadFileError) as refused:
+            load_trace(path)
+        assert str(refused.value) == message
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"e_ac": 1e-12}))
+        assert cli.main(["estimate", "--trace", path, "--hwspec", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unsorted_and_duplicate_events_count_once(tmp_path):
+    """A hand-written trace may list events in any order and more than once;
+    each (neuron, timestep) counts once, as in the spike matrix the events
+    describe."""
+    events = [[[1, 1], [0, 0], [1, 0], [1, 1], [0, 0]],
+              [[2, 0], [0, 0], [2, 0], [1, 3], [0, 1]]]
+    layer_sizes, timesteps = (2, 3), 4
+    tallies = {"acs": [6, 3, 0, 0], "macs": [0, 1, 3, 3], "leak_macs": [0, 1, 3, 3],
+               "membrane_updates": [3, 3, 3, 3]}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "format": "spikemeter-trace-v1", "model": {"name": "demo", "version": "v1"},
+        "timesteps": timesteps, "timestep_duration": 1e-3, "layer_sizes": list(layer_sizes),
+        "per_timestep": tallies, "static_metrics": {},
+        "spikes": [{"layer": i, "kind": "binary", "events": layer}
+                   for i, layer in enumerate(events)],
+    }))
+    counts = load_trace(path)
+    assert (counts.crossings, counts.non_input_spikes) == ([2, 1, 0, 0], 4)
+    matrices = [SpikeTrain.from_events(size, timesteps, layer).events
+                for size, layer in zip(layer_sizes, events)]
+    assert counts == WorkloadTrace(
+        layer_sizes=layer_sizes, spikes=matrices,
+        **{key: np.array(values, dtype=np.int64) for key, values in tallies.items()},
+        timesteps=timesteps, timestep_duration=1e-3, model_name="demo", model_version="v1",
+    ).counts()

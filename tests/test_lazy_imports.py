@@ -51,8 +51,13 @@ def inputs(tmp_path) -> dict[str, str]:
         ), register=[CustomMetric("execution_time", unit="s")])
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"acs": 10, "duration": 1e-3}))
-    return {"store": str(store), "counts": str(counts), "hwspec": demo_path("demo_hwspec.json"),
-            "model": demo_path("demo_model.json"), "workload": demo_path("demo_workload.json")}
+    paths = {"store": str(store), "counts": str(counts), "trace": str(tmp_path / "trace.json"),
+             "hwspec": demo_path("demo_hwspec.json"), "model": demo_path("demo_model.json"),
+             "workload": demo_path("demo_workload.json")}
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--model", paths["model"], "--workload", paths["workload"],
+                         "--trace-out", paths["trace"]]) == 0
+    return paths
 
 
 @pytest.mark.parametrize("argv, expected_code, loads_numpy, modules", [
@@ -63,6 +68,10 @@ def inputs(tmp_path) -> dict[str, str]:
     (["report", "--store", "{store}", "--model", "m"], 0, False, STORE_ONLY),
     (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}"], 0, False,
      STORE_ONLY | {"spikemeter.compare", "spikemeter.energy", "spikemeter.workload"}),
+    (["estimate", "--trace", "{trace}", "--hwspec", "{hwspec}", "--store", "{store}", "--record",
+      "--version", "v3"], 0, False,
+     STORE_ONLY | {"spikemeter.compare", "spikemeter.energy", "spikemeter.workload",
+                   "spikemeter.files"}),
     (["--help"], 0, False, STORE_ONLY),
     (["simulate", "--model", "{model}", "--workload", "{workload}"], 0, True, None),
     (["report", "--store", "{store}", "--model", "m", "--limit-overrides", "battery_years=nan"],
@@ -73,7 +82,7 @@ def inputs(tmp_path) -> dict[str, str]:
      2, False, STORE_ONLY),
     (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}", "--inference-rate", "nan"],
      2, False, STORE_ONLY),
-], ids=["compare", "history", "report", "estimate-counts", "help", "simulate",
+], ids=["compare", "history", "report", "estimate-counts", "estimate-trace", "help", "simulate",
         "report-nan-limit-override", "simulate-nan-sparsity-threshold",
         "estimate-inf-inference-rate", "estimate-nan-inference-rate"])
 def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,

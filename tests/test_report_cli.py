@@ -336,6 +336,26 @@ class TestCliEstimate:
         assert values["model_total"] == 0.0
         assert values["energy_per_inference"] == pytest.approx(1e-6 * 0.004)
 
+    def test_peak_window_prices_tallies_past_int64(self, tmp_path, capsys, demo_trace):
+        """A tally the trace rules accept is priced exactly: 3 * 2**62 reads
+        in the last window would wrap in int64."""
+        raw = json.loads(Path(demo_trace).read_text())
+        raw["per_timestep"]["macs"] = [0, 1, 3, 2**62]
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(raw))
+        code, out, _ = run_main(
+            ["estimate", "--trace", str(trace), "--hwspec", demo_path("demo_hwspec.json"),
+             "--metrics", "energy_per_sop", "--format", "jsonl"],
+            capsys,
+        )
+        assert code == 0
+        # demo spec: 4 pJ per MAC, 2 pJ per read and per write, 1 pJ per
+        # update; the last window has 2**62 MACs, no ACs and 3 updates
+        macs = 2**62
+        window = macs * 4e-12 + 3 * 1e-12 + (3 * macs * 2e-12 + macs * 2e-12)
+        assert jsonl_values(out)["peak_window_power"] == pytest.approx(window / 1e-3, rel=1e-12)
+        assert jsonl_values(out)["peak_window_power"] > 5.5e10
+
     def test_record_then_compare_from_store(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
         spec = tmp_path / "spec.json"
@@ -678,6 +698,29 @@ def test_refused_verb_prints_nothing(tmp_path, capsys, demo_trace, argv):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["simulate", "--model", demo_path("demo_model.json"),
+      "--workload", demo_path("demo_workload.json"), "--trace-out", "{path}"], "trace file"),
+    (["estimate", "--trace", "{trace}", "--hwspec", demo_path("demo_hwspec.json"),
+      "--store", "{path}", "--record", "--version", "v3"], "store"),
+    (["analyze", "--model", demo_path("demo_model.json"), "--store", "{path}", "--record"],
+     "store"),
+], ids=["simulate-trace-out", "estimate-store", "analyze-store"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_names_the_file(tmp_path, capsys, demo_trace, argv, what, target):
+    """A path that cannot be written exits 2 with one line naming the file,
+    as the readers' ``cannot read`` messages do, and prints nothing."""
+    path = tmp_path / "out" if target == "directory" else tmp_path / "missing" / "out.json"
+    if target == "directory":
+        path.mkdir()
+    argv = [arg.format(path=path, trace=demo_trace) for arg in argv]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {what} {path}: [Errno ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
 
 
 class TestRecordProvenance:

@@ -28,7 +28,7 @@ class TestEffectiveSynops:
         trace = run_inference(
             fixture_2x3_model, fixture_input_spikes, SimulationConfig(timesteps=4)
         )
-        ops = effective_synops(trace)
+        ops = effective_synops(trace.counts())
         assert ops.acs == 9
         assert ops.acs + ops.macs == ops.total_sops
         assert ops.membrane_updates_effective <= ops.membrane_updates_dense
@@ -38,7 +38,7 @@ class TestEffectiveSynops:
         trace = run_inference(
             model, SpikeTrain(np.zeros((2, 3))), SimulationConfig(timesteps=3)
         )
-        ops = effective_synops(trace)
+        ops = effective_synops(trace.counts())
         assert (ops.macs, ops.acs, ops.membrane_updates_effective) == (0, 0, 0)
 
     def test_two_traces_add_componentwise(self):
@@ -50,11 +50,11 @@ class TestEffectiveSynops:
         t2 = run_inference(
             model, random_train(rng, model.input_size, 8), SimulationConfig(timesteps=8)
         )
-        combined = effective_synops(t1) + effective_synops(t2)
+        combined = effective_synops(t1.counts()) + effective_synops(t2.counts())
         assert combined.acs == t1.total_acs + t2.total_acs
         assert combined.macs == t1.total_macs + t2.total_macs
         assert combined.total_sops == (
-            effective_synops(t1).total_sops + effective_synops(t2).total_sops
+            effective_synops(t1.counts()).total_sops + effective_synops(t2.counts()).total_sops
         )
 
 
@@ -70,7 +70,7 @@ class TestDenseSynops:
         trace = run_inference(
             fixture_2x3_model, fixture_input_spikes, SimulationConfig(timesteps=4)
         )
-        assert effective_synops(trace).acs <= dense_synops(fixture_2x3_model, 4).acs
+        assert effective_synops(trace.counts()).acs <= dense_synops(fixture_2x3_model, 4).acs
 
 
 class TestMemoryAccesses:
@@ -108,7 +108,7 @@ class TestMemoryAccesses:
 
 
 def trace_with(spikes: int, neurons: int = 3, timesteps: int = 4):
-    """Trace over one hidden layer with the given number of spikes."""
+    """Counts of a trace over one hidden layer with the given number of spikes."""
     events = np.zeros((neurons, timesteps))
     placed = 0
     for n in range(neurons):
@@ -128,7 +128,7 @@ def trace_with(spikes: int, neurons: int = 3, timesteps: int = 4):
         membrane_updates=np.zeros(timesteps, dtype=np.int64),
         timesteps=timesteps,
         timestep_duration=1e-3,
-    )
+    ).counts()
 
 
 class TestActivationSparsity:
