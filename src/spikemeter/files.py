@@ -280,7 +280,7 @@ def _numbers(row: list) -> bool:
 def _array_rule(shape: tuple, integers: bool, bools: bool, plain):
     """:func:`fields.array`'s rule, read as lists.  ``plain(value)`` tells
     when the rule passes on its own; only a value it cannot vouch for goes
-    to the numpy rule, which refuses it with the rule's message."""
+    to the numpy rule, whose verdict and message stand."""
     numpy_rule = array(shape, integers=integers, bools=bools)
     return lambda value: value if plain(value) else numpy_rule(value).tolist()
 
@@ -337,20 +337,17 @@ def load_trace(path: str | Path) -> TraceCounts:
     )
 
 
-def _events_rule(bools: bool):
-    def plain(value) -> bool:
-        return (type(value) is list and set(map(type, value)) <= {list}
-                and set(map(len, value)) <= {2} and _ints(list(chain.from_iterable(value))))
-
-    return _array_rule((None, 2), True, bools, plain)
+def _plain_events(value) -> bool:
+    """Whether ``value`` is a list of [neuron, timestep] pairs of 64-bit ints."""
+    return (type(value) is list and set(map(type, value)) <= {list}
+            and set(map(len, value)) <= {2} and _ints(list(chain.from_iterable(value))))
 
 
-def _frames_rule(bools: bool):
-    def plain(value) -> bool:
-        return (type(value) is list and set(map(type, value)) <= {list}
-                and len(set(map(len, value))) <= 1 and all(map(_numbers, value)))
-
-    return _array_rule((None, None), False, bools, plain)
+def _plain_frames(value) -> bool:
+    """Whether ``value`` is a list of equally long rows that :func:`_numbers`
+    vouches for."""
+    return (type(value) is list and set(map(type, value)) <= {list}
+            and len(set(map(len, value))) <= 1 and all(map(_numbers, value)))
 
 
 def _layer_counts(index: int, payload: dict, size: int, timesteps: int,
@@ -369,14 +366,14 @@ def _layer_counts(index: int, payload: dict, size: int, timesteps: int,
     if layer != index:
         raise WorkloadFileError(f"{where} field 'layer': expected {index}, got {layer}")
     if binary:
-        events = field("events", _events_rule(bools))
+        events = field("events", _array_rule((None, 2), True, bools, _plain_events))
         for n, t in events:
             if not (0 <= n < size and 0 <= t < timesteps):
                 raise WorkloadFileError(f"{where}: event ({n}, {t}) outside train dimensions")
         if size < 0:
             raise WorkloadFileError("negative dimensions are not allowed")
         return Counter(map(itemgetter(1), set(map(tuple, events))))
-    frames = field("frames", _frames_rule(bools))
+    frames = field("frames", _array_rule((None, None), False, bools, _plain_frames))
     per_step = Counter()
     for row in frames:
         if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import spikemeter
-from spikemeter import cli
+from spikemeter import cli, files
+from spikemeter.simulate import SimulationConfig
 from spikemeter.store import CustomMetric, MetricSnapshot, record_snapshot
 
 from conftest import child_env
@@ -160,6 +161,7 @@ def test_every_traced_entry_point_is_a_module_attribute(entry_points):
             f"spikemeter.{module}.{attr}"
     assert inspect.isfunction(cli.run_inference)
     assert cli.run_inference.__module__ == "spikemeter.cli"
+    assert files.rate_encode.__module__ == "spikemeter.files"
 
 
 def test_simulate_calls_run_inference_through_the_cli_module(monkeypatch):
@@ -175,3 +177,18 @@ def test_simulate_calls_run_inference_through_the_cli_module(monkeypatch):
         assert cli.main(["simulate", "--model", demo_path("demo_model.json"),
                          "--workload", demo_path("demo_workload.json")]) == 0
     assert len(calls) == 1
+
+
+def test_prepare_input_calls_rate_encode_through_the_files_module(monkeypatch):
+    calls = []
+    rate_encode = files.rate_encode
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return rate_encode(*args, **kwargs)
+
+    monkeypatch.setattr(files, "rate_encode", wrapped)
+    workload = files.workload_from_dict({"kind": "rates", "values": [0.5, 1.0]})
+    train = files.prepare_input(workload, SimulationConfig(timesteps=4, seed=3))
+    assert len(calls) == 1
+    assert train.events[1].tolist() == [1.0] * 4
