@@ -158,6 +158,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         timestep_duration=args.timestep_duration,
     )
     train = files.prepare_input(workload, config)
+    del workload  # its decoded lists, 30 MB for 10^6 frame entries, go before the run
     trace = run_inference(m, train, config)
     trace.static_metrics = _static_metrics(m)
     counts = trace.counts()

@@ -5,10 +5,11 @@ by the store.
 A rule takes a decoded JSON value and returns it converted, or raises
 :class:`FieldError`.  An integer is never a bool or a fraction (``2.0`` reads
 as 2) and fits 64 bits; a number is finite and never a bool or a string; an
-array is a rectangular list of numbers, never bools, converted by numpy.
+array is a rectangular list of numbers, each entry judged by its type alone,
+and stays a list, but for a dataclass field annotated ``np.ndarray``, which
+holds it as a float64 numpy array.  This module imports no numpy.
 
-:func:`load_json` decodes a file (:func:`load_json_with_bools` also tells
-whether it can hold a bool at all); :func:`read_record` reads a JSON object
+:func:`load_json` decodes a file; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
 defaults make keys optional and whose annotations pick the rules;
 :func:`read_field` reads one value at a dotted path; :func:`check_keys` refuses
@@ -28,40 +29,25 @@ import sys
 import types
 import typing
 from enum import Enum
+from itertools import chain, compress
 from pathlib import Path
 
 REQUIRED = object()  # read_field's default: the key must be present
 
 
-def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+def load_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON document in the UTF-8 file at ``path``; ``what`` names the
+    file kind when it cannot be read or decoded, raised as ``error``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
-
-
-def _decode(text: str, path: str | Path, what: str, error: type[Exception]):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
-
-
-def load_json(path: str | Path, what: str, error: type[Exception]):
-    """The JSON document in the UTF-8 file at ``path``; ``what`` names the
-    file kind when it cannot be read or decoded, raised as ``error``."""
-    return _decode(_read_text(path, what, error), path, what, error)
-
-
-def load_json_with_bools(path: str | Path, what: str, error: type[Exception]):
-    """:func:`load_json`'s document, and whether the file's text holds a
-    ``true`` or ``false`` anywhere, inside strings too.  When it does not,
-    no value in the document is a bool, and the :func:`array` rules reading
-    it may take ``bools=False``."""
-    text = _read_text(path, what, error)
-    return _decode(text, path, what, error), "true" in text or "false" in text
 
 
 class FieldError(ValueError):
@@ -153,56 +139,72 @@ def list_of(rule):
     return read
 
 
-_DTYPE_KINDS = {"b": "bool", "U": "string", "f": "non-integer", "u": "out-of-range integer"}
+def _problem(entry, integers: bool) -> str | None:
+    """What makes ``entry`` no entry of a number (an integer) array, judged
+    by its type alone; None when it is one."""
+    if isinstance(entry, bool):
+        return "bool"
+    if isinstance(entry, str):
+        return "string"
+    if isinstance(entry, int):
+        return None if -(2**63) <= entry < 2**63 else "out-of-range integer"
+    if isinstance(entry, float):
+        return "non-integer" if integers else None
+    return "non-numeric"
 
 
-def _has_bool(value) -> bool:
-    if type(value) is not list:
-        return type(value) is bool
-    if value and type(value[0]) is list:
-        return any(map(_has_bool, value))
-    return bool in map(type, value)
+def _entries(value: list, depth: int):
+    """The items ``depth`` lists below the list ``value``, in row-major order."""
+    items = iter(value)
+    for _ in range(depth):
+        items = chain.from_iterable(items)
+    return items
 
 
-def _holds_bool(value: list, arr) -> bool:
-    """Whether the rectangular list ``value``, read as the numeric array
-    ``arr``, holds a JSON true or false.  numpy reads those as 1 and 0, so
-    only the rows holding a 1 or a 0 are scanned for them."""
-    rows = ((arr == 0) | (arr == 1)).reshape(len(arr), -1).any(axis=1)
-    return any(_has_bool(value[i]) for i in rows.nonzero()[0])
+def _ints_fit(value: list, depth: int, kinds: set) -> bool:
+    """Whether every int among ``value``'s entries, ``depth`` lists down and
+    of the types ``kinds``, fits 64 bits."""
+    if int not in kinds:
+        return True
+    ints = _entries(value, depth)
+    if kinds != {int}:
+        ints = compress(ints, map(int.__instancecheck__, _entries(value, depth)))
+    ints = list(ints)
+    return -(2**63) <= min(ints) and max(ints) < 2**63
 
 
-def array(shape: tuple | None = None, *, integers: bool = False, bools: bool = True):
-    """A rule for a rectangular JSON list of numbers (of integers), read as a
-    float64 (int64) numpy array.  ``shape`` gives each dimension's length,
-    None for any; ``[]`` reads as zero rows of any shape.  ``bools=False``
-    says the value comes from a document holding no bool (see
-    :func:`load_json_with_bools`), so the scan for them is skipped."""
+def array(shape: tuple | None = None, *, integers: bool = False):
+    """A rule for a rectangular JSON list of numbers (of integers), returned
+    as it is.  An entry is a float (in a number array) or an int that fits
+    64 bits; the first other entry, in row-major order, names the problem.
+    ``shape`` gives each dimension's length, None for any; ``[]`` reads as
+    zero rows of any shape."""
     expected = "an integer array" if integers else "a number array"
     if shape is not None:
         expected += f" of shape [{', '.join('*' if d is None else str(d) for d in shape)}]"
+    allowed = {int} if integers else {int, float}
 
     def read(value):
-        import numpy as np
-
         if not isinstance(value, list):
             raise FieldError(f"expected {expected}, got {_got(value)}")
-        try:
-            arr = np.array(value)
-        except (ValueError, OverflowError):
-            raise FieldError(f"expected {expected}, got ragged rows") from None
-        if arr.shape == (0,) and shape is not None:
-            arr = arr.reshape([0] + [d or 0 for d in shape[1:]])
-        elif arr.dtype.kind not in ("i" if integers else "if"):
-            kind = _DTYPE_KINDS.get(arr.dtype.kind, "non-numeric")
-            raise FieldError(f"expected {expected}, got {kind} entries")
-        elif bools and _holds_bool(value, arr):
-            raise FieldError(f"expected {expected}, got bool entries")
-        if shape is not None and (
-            arr.ndim != len(shape) or any(d not in (None, n) for d, n in zip(shape, arr.shape))
+        dims, kinds = [len(value)], set(map(type, value))
+        while list in kinds:  # the items found so far are rows: one more dimension
+            lengths = kinds == {list} and set(map(len, _entries(value, len(dims) - 1)))
+            if not lengths or len(lengths) > 1:
+                raise FieldError(f"expected {expected}, got ragged rows")
+            dims.append(lengths.pop())
+            kinds = set(map(type, _entries(value, len(dims) - 1)))
+        depth = len(dims) - 1
+        if not (kinds <= allowed and _ints_fit(value, depth, kinds)):
+            for entry in _entries(value, depth):
+                problem = _problem(entry, integers)
+                if problem:
+                    raise FieldError(f"expected {expected}, got {problem} entries")
+        if shape is not None and value and (
+            len(dims) != len(shape) or any(d not in (None, n) for d, n in zip(shape, dims))
         ):
-            raise FieldError(f"expected {expected}, got shape {list(arr.shape)}")
-        return arr.astype(np.int64 if integers else np.float64, copy=False)
+            raise FieldError(f"expected {expected}, got shape {dims}")
+        return value
 
     return read
 
@@ -221,8 +223,17 @@ def _rule(hint):
         return member(hint)
     numpy = sys.modules.get("numpy")  # loaded wherever an annotation names it
     if numpy is not None and hint is numpy.ndarray:
-        return array()
+        return functools.partial(_ndarray, numpy, array())
     return {bool: boolean, int: integer, float: number, str: string}[hint]
+
+
+def _ndarray(numpy, rule, value):
+    """``value`` read by the array ``rule``, as a float64 numpy array."""
+    rows = rule(value)
+    try:
+        return numpy.array(rows, dtype=numpy.float64)
+    except ValueError:  # nested past the dimensions numpy holds
+        raise FieldError("expected a number array, got too many dimensions") from None
 
 
 @functools.cache

@@ -22,12 +22,13 @@ Unknown keys are refused at the top level and in each spike-layer entry;
 an entry's ``kind`` is ``binary`` or ``analog`` and its ``layer`` is its
 index in the list.  :func:`load_trace` checks the whole file but returns only
 what the metrics and the pricing read, a :class:`~.workload.TraceCounts`.  It
-reads a valid trace in pure Python, so ``estimate --trace`` loads no numpy;
-only a value that breaks one of :func:`fields.array`'s rules goes to that
-rule, and so to numpy, for its message.
+reads the trace in pure Python, its arrays through :func:`fields.array`, so
+``estimate --trace`` loads no numpy.
 
-This module imports numpy and ``simulate`` only inside the functions that
-build or write numpy arrays: the workload reader and the trace writer.
+A :class:`WorkloadSpec` holds its arrays as the checked lists; numpy converts
+them when :func:`prepare_input` builds the input train.  This module imports
+numpy and ``simulate`` only inside the functions that build or write numpy
+arrays: the input builder and the trace writer.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fields import (REQUIRED, array, check_keys, integer, list_of, load_json_with_bools, number,
-                     obj, one_of, optional, read_field, string)
+from .fields import (REQUIRED, array, check_keys, integer, list_of, load_json, number, obj,
+                     one_of, optional, read_field, string)
 from .workload import TraceCounts
 
 if TYPE_CHECKING:
@@ -63,32 +64,27 @@ class WorkloadSpec:
     kind: str  # "spikes" | "rates" | "analog"
     layer: int | None = None
     timesteps: int | None = None
-    events: np.ndarray | None = None  # int64, one (neuron, timestep) row per event
-    values: np.ndarray | None = None  # float64 rates
-    frames: np.ndarray | None = None  # float64, neuron x timestep
+    events: list | None = None  # one [neuron, timestep] pair of 64-bit ints per event
+    values: list | None = None  # rates
+    frames: list | None = None  # neuron x timestep rows
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
-    raw, bools = load_json_with_bools(path, "workload file", WorkloadFileError)
-    return workload_from_dict(raw, bools=bools)
+    return workload_from_dict(load_json(path, "workload file", WorkloadFileError))
 
 
-def _workload_fields(bools: bool) -> dict:
-    """Each kind's keys besides "kind": (rule, default), REQUIRED when the
-    key must appear; ``bools`` goes to the array rules."""
-    return {
-        "spikes": {"layer": (integer, REQUIRED), "timesteps": (integer, REQUIRED),
-                   "events": (array((None, 2), integers=True, bools=bools), REQUIRED)},
-        "rates": {"values": (array((None,), bools=bools), REQUIRED),
-                  "timesteps": (optional(integer), None)},
-        "analog": {"layer": (integer, REQUIRED), "timesteps": (integer, REQUIRED),
-                   "frames": (array((None, None), bools=bools), REQUIRED)},
-    }
+# Each kind's keys besides "kind": (rule, default), REQUIRED when the key must appear.
+_WORKLOAD_FIELDS = {
+    "spikes": {"layer": (integer, REQUIRED), "timesteps": (integer, REQUIRED),
+               "events": (array((None, 2), integers=True), REQUIRED)},
+    "rates": {"values": (array((None,)), REQUIRED), "timesteps": (optional(integer), None)},
+    "analog": {"layer": (integer, REQUIRED), "timesteps": (integer, REQUIRED),
+               "frames": (array((None, None)), REQUIRED)},
+}
 
 
-def workload_from_dict(raw: dict, *, bools: bool = True) -> WorkloadSpec:
-    """The workload ``raw`` describes; ``bools=False`` when it was decoded
-    from text holding no ``true`` or ``false`` (:func:`fields.array`)."""
+def workload_from_dict(raw: dict) -> WorkloadSpec:
+    """The workload ``raw`` describes."""
     if not isinstance(raw, dict):
         raise WorkloadFileError("workload must be a JSON object")
     kind = raw.get("kind")
@@ -101,13 +97,12 @@ def workload_from_dict(raw: dict, *, bools: bool = True) -> WorkloadSpec:
             kind = "rates"
         elif "frames" in raw:
             kind = "analog"
-    kinds = _workload_fields(bools)
-    if not isinstance(kind, str) or kind not in kinds:
+    if not isinstance(kind, str) or kind not in _WORKLOAD_FIELDS:
         raise WorkloadFileError(
             f"workload kind must be 'spikes', 'rates' or 'analog', got {kind!r}"
         )
     where = f"{kind} workload"
-    fields = kinds[kind]
+    fields = _WORKLOAD_FIELDS[kind]
     check_keys(raw, ("kind", *fields), where, WorkloadFileError)
     return WorkloadSpec(kind, **{
         key: read_field(raw, key, rule, where, WorkloadFileError, default)
@@ -138,12 +133,14 @@ def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
     if workload.kind == "rates":
         return rate_encode(workload.values, config.timesteps, config.seed)
     if workload.kind == "analog":
-        if workload.frames.shape != (workload.layer, workload.timesteps):
+        frames = workload.frames
+        shape = (len(frames), len(frames[0]) if frames else 0)
+        if shape != (workload.layer, workload.timesteps):
             raise WorkloadFileError(
-                f"frames shape {workload.frames.shape} does not match "
+                f"frames shape {shape} does not match "
                 f"(layer, timesteps) = ({workload.layer}, {workload.timesteps})"
             )
-        return AnalogTrain(workload.frames)
+        return AnalogTrain(frames)
     raise WorkloadFileError(f"unsupported workload kind {workload.kind!r}")
 
 
@@ -259,43 +256,13 @@ def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
 
 _TRACE_KEYS = ("format", "model", "timesteps", "timestep_duration", "layer_sizes",
                "per_timestep", "spikes", "static_metrics")
-_INT64 = range(-(2**63), 2**63)
-
-
-def _ints(values: list) -> bool:
-    """Whether the list ``values`` holds only ints that fit 64 bits, so that
-    numpy would read it as an int64 array."""
-    return not values or (set(map(type, values)) == {int}
-                          and min(values) in _INT64 and max(values) in _INT64)
-
-
-def _numbers(row: list) -> bool:
-    """Whether the list ``row`` holds only floats and ints that fit 64 bits,
-    so that numpy would read it as a float64 or int64 array."""
-    kinds = set(map(type, row))
-    return kinds <= {float} or (kinds <= {float, int}
-                                and _ints([x for x in row if type(x) is int]))
-
-
-def _array_rule(shape: tuple, integers: bool, bools: bool, plain):
-    """:func:`fields.array`'s rule, read as lists.  ``plain(value)`` tells
-    when the rule passes on its own; only a value it cannot vouch for goes
-    to the numpy rule, whose verdict and message stand."""
-    numpy_rule = array(shape, integers=integers, bools=bools)
-    return lambda value: value if plain(value) else numpy_rule(value).tolist()
-
-
-def _int_vector(length: int | None, bools: bool):
-    """The rule for a list of ``length`` (any, for None) 64-bit integers."""
-    return _array_rule((length,), True, bools, lambda value: (
-        type(value) is list and length in (None, len(value)) and _ints(value)))
 
 
 def load_trace(path: str | Path) -> TraceCounts:
     """The counts the trace file at ``path`` holds.  The whole file is
     checked, in pure Python: a trace that does not describe a valid run is
     refused with the message of the rule it breaks."""
-    raw, bools = load_json_with_bools(path, "trace file", WorkloadFileError)
+    raw = load_json(path, "trace file", WorkloadFileError)
     if not isinstance(raw, dict) or raw.get("format") != TRACE_FORMAT:
         raise WorkloadFileError(f"not a {TRACE_FORMAT} file: {path}")
 
@@ -304,13 +271,17 @@ def load_trace(path: str | Path) -> TraceCounts:
 
     check_keys(raw, _TRACE_KEYS, "trace", WorkloadFileError)
     timesteps = field("timesteps", integer)
-    layer_sizes = tuple(field("layer_sizes", _int_vector(None, bools)))
+    layer_sizes = tuple(field("layer_sizes", array((None,), integers=True)))
+    for i, size in enumerate(layer_sizes):
+        if size < 1:
+            raise WorkloadFileError(
+                f"trace field 'layer_sizes.{i}': expected a layer size >= 1, got {size}")
     payloads = field("spikes", list_of(obj))
     if len(payloads) != len(layer_sizes):
         raise WorkloadFileError(
             f"trace has {len(payloads)} spike layers for {len(layer_sizes)} layer sizes"
         )
-    tally = _int_vector(timesteps, bools)
+    tally = array((timesteps,), integers=True)
     tallies = {key: field(f"per_timestep.{key}", tally) for key in _TALLIES}
     for key, values in tallies.items():
         if values and min(values) < 0:
@@ -318,7 +289,7 @@ def load_trace(path: str | Path) -> TraceCounts:
     crossings = [0] * timesteps
     non_input_spikes = 0
     for i, (payload, size) in enumerate(zip(payloads, layer_sizes)):
-        per_step = _layer_counts(i, payload, size, timesteps, bools)
+        per_step = _layer_counts(i, payload, size, timesteps)
         if i < len(layer_sizes) - 1:
             for t, n in per_step.items():
                 crossings[t] += n
@@ -337,21 +308,7 @@ def load_trace(path: str | Path) -> TraceCounts:
     )
 
 
-def _plain_events(value) -> bool:
-    """Whether ``value`` is a list of [neuron, timestep] pairs of 64-bit ints."""
-    return (type(value) is list and set(map(type, value)) <= {list}
-            and set(map(len, value)) <= {2} and _ints(list(chain.from_iterable(value))))
-
-
-def _plain_frames(value) -> bool:
-    """Whether ``value`` is a list of equally long rows that :func:`_numbers`
-    vouches for."""
-    return (type(value) is list and set(map(type, value)) <= {list}
-            and len(set(map(len, value))) <= 1 and all(map(_numbers, value)))
-
-
-def _layer_counts(index: int, payload: dict, size: int, timesteps: int,
-                  bools: bool) -> Counter:
+def _layer_counts(index: int, payload: dict, size: int, timesteps: int) -> Counter:
     """Spike layer ``index``'s nonzero entries per timestep.  Duplicate
     events count once."""
     where = f"trace layer {index}"
@@ -366,14 +323,12 @@ def _layer_counts(index: int, payload: dict, size: int, timesteps: int,
     if layer != index:
         raise WorkloadFileError(f"{where} field 'layer': expected {index}, got {layer}")
     if binary:
-        events = field("events", _array_rule((None, 2), True, bools, _plain_events))
+        events = field("events", array((None, 2), integers=True))
         for n, t in events:
             if not (0 <= n < size and 0 <= t < timesteps):
                 raise WorkloadFileError(f"{where}: event ({n}, {t}) outside train dimensions")
-        if size < 0:
-            raise WorkloadFileError("negative dimensions are not allowed")
         return Counter(map(itemgetter(1), set(map(tuple, events))))
-    frames = field("frames", _array_rule((None, None), False, bools, _plain_frames))
+    frames = field("frames", array((None, None)))
     per_step = Counter()
     for row in frames:
         if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):

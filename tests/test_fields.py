@@ -11,12 +11,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spikemeter import cli
 from spikemeter.energy import BatterySpec, HardwareSpec
-from spikemeter.fields import load_json_with_bools
+from spikemeter.fields import FieldError, array
 from spikemeter.model import NeuronParams, Precision, TrainableFlags
 
 DATA = resources.files("spikemeter") / "data"
@@ -159,9 +159,7 @@ def test_bad_field_exits_2_naming_it(valid, tmp_path, kind, path, value, field):
     assert f"'{field}'" in err
 
 
-# The loaders skip the bool scan of their arrays when the file's text holds
-# no "true" or "false" at all.  Text inside a string counts, so a bool among
-# numbers is still found where the file's only other such text is a name.
+# A bool among numbers is refused, whatever text the file's strings hold.
 ANALOG = {"layer": 0, "kind": "analog", "frames": [[1, 0, 0, 0], [1, 1, 0, 0.5]]}
 
 
@@ -196,16 +194,93 @@ def test_bool_among_numbers_exits_2_whatever_strings_hold(valid, tmp_path, kind,
         assert err.endswith(" got bool entries\n")
 
 
-@pytest.mark.parametrize("text, bools", [
-    ('{"frames": [[0.5, 0, 1]]}', False),
-    ('{"frames": [[0.5, 0, true]]}', True),
-    ('{"name": "untrue", "frames": [[0.5, 0, 1]]}', True),
-    ('[false]', True),
-], ids=["none", "true", "in-a-string", "false"])
-def test_load_json_with_bools_finds_any_bool_text(tmp_path, text, bools):
-    path = tmp_path / "doc.json"
-    path.write_text(text)
-    assert load_json_with_bools(path, "doc", ValueError) == (json.loads(text), bools)
+# --- the array rule: each entry judged by its type alone ---------------------
+
+# Entries and what the array rule calls each in a number array and in an
+# integer array, None where it is a valid entry.
+OUT_OF_RANGE = "out-of-range integer"
+CELLS = [
+    (0, None, None), (-1, None, None), (-(2**63), None, None), (2**63 - 1, None, None),
+    (0.5, None, "non-integer"), (2.0, None, "non-integer"), (-0.0, None, "non-integer"),
+    (float("nan"), None, "non-integer"), (float("inf"), None, "non-integer"),
+    (2**63, OUT_OF_RANGE, OUT_OF_RANGE), (-(2**63) - 1, OUT_OF_RANGE, OUT_OF_RANGE),
+    (2**64, OUT_OF_RANGE, OUT_OF_RANGE), (2**70, OUT_OF_RANGE, OUT_OF_RANGE),
+    (True, "bool", "bool"), (False, "bool", "bool"), ("", "string", "string"),
+    ("1", "string", "string"), (None, "non-numeric", "non-numeric"),
+]
+ZERO, HALF, TOO_BIG = CELLS[0], CELLS[4], CELLS[9]
+
+
+@st.composite
+def grids(draw) -> list[list[tuple]]:
+    """A rectangular list of rows of CELLS."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(CELLS), min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grids(), integers=st.booleans())
+@example(grid=[[ZERO, TOO_BIG]], integers=True)
+@example(grid=[[ZERO, TOO_BIG]], integers=False)
+@example(grid=[[HALF, TOO_BIG]], integers=False)
+@example(grid=[[TOO_BIG, TOO_BIG]], integers=True)
+def test_array_verdict_is_that_of_its_first_bad_entry(grid, integers):
+    """An array is refused exactly when it holds a bad entry, with the message
+    the first of them, in row-major order, gets on its own."""
+    rule = array((None, None), integers=integers)
+    rows = [[entry for entry, *_ in row] for row in grid]
+    bad = [(entry, problems[integers]) for row in grid for entry, *problems in row
+           if problems[integers]]
+    if not bad:
+        assert rule(rows) is rows
+        return
+    (entry, problem), *_ = bad
+    with pytest.raises(FieldError) as alone:
+        rule([[entry]])
+    kind = "an integer" if integers else "a number"
+    assert str(alone.value) == f"expected {kind} array of shape [*, *], got {problem} entries"
+    with pytest.raises(FieldError) as whole:
+        rule(rows)
+    assert str(whole.value) == str(alone.value)
+
+
+def array_sites(valid: dict, integers: bool) -> list[tuple[str, object, tuple]]:
+    """(file kind, valid document, path to an entry) for each array the
+    loaders read as an integer (a number) array."""
+    if integers:
+        return [("workload", valid["workload"], ("events", 1, 0)),
+                ("trace", valid["trace"], ("per_timestep", "acs", 3)),
+                ("trace", valid["trace"], ("spikes", 1, "events", 1, 1))]
+    return [("workload", bool_probe("workload", valid, None), ("frames", 1, 3)),
+            ("trace", bool_probe("trace", valid, None), ("spikes", 0, "frames", 1, 2)),
+            ("model", valid["model"], ("layers", 1, "weights", 0, 0)),
+            ("model", valid["model"], ("layers", 1, "biases", 2))]
+
+
+BAD_ENTRIES = [(integers, entry, problems[integers]) for integers in (False, True)
+               for entry, *problems in CELLS if problems[integers]]
+
+
+@pytest.mark.parametrize("integers, entry, problem", BAD_ENTRIES, ids=[
+    f"{'integer' if integers else 'number'}-{json.dumps(entry)}"
+    for integers, entry, _ in BAD_ENTRIES])
+def test_bad_entry_gets_one_message_from_every_loader(valid, tmp_path, integers, entry,
+                                                      problem):
+    for kind, doc, path in array_sites(valid, integers):
+        code, err = run(kind, mutated(doc, path, entry), valid, tmp_path)
+        assert code == 2 and len(err.splitlines()) == 1, (kind, path, err)
+        assert err.endswith(f" got {problem} entries\n"), (kind, path, err)
+
+
+def test_array_nested_past_numpys_dimensions_names_the_field(valid, tmp_path):
+    deep = 0.5
+    for _ in range(70):
+        deep = [deep]
+    code, err = run("model", mutated(valid["model"], ("layers", 1, "weights"), deep), valid,
+                    tmp_path)
+    assert (code, err) == (2, "error: layer 1: model field 'weights': expected a number "
+                              "array, got too many dimensions\n")
 
 
 # Files the JSON decoder cannot turn into a value: nesting past the

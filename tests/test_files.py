@@ -151,13 +151,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def layers(draw, timesteps: int) -> np.ndarray:
     """One layer's events: binary or analog, its rows all zero, fully dense
-    or mixed."""
+    or mixed.  A layer holds at least one neuron, as in any model."""
     binary = draw(st.booleans())
     nonzero = st.just(1.0) if binary else st.sampled_from(EDGE_FLOATS) | FINITE
     entry = {"zero": st.just(0.0), "dense": nonzero, "mixed": st.just(0.0) | nonzero}
     rows = [draw(st.lists(entry[draw(st.sampled_from(list(entry)))],
                           min_size=timesteps, max_size=timesteps))
-            for _ in range(draw(st.integers(0, 4)))]
+            for _ in range(draw(st.integers(1, 4)))]
     return np.array(rows, dtype=np.float64).reshape(len(rows), timesteps)
 
 
@@ -292,6 +292,26 @@ class TestTraceValidation:
             load_trace(path)
         self.assert_estimate_exits_2(path, tmp_path, capsys)
 
+    @pytest.mark.parametrize("size", [-1, 0])
+    @pytest.mark.parametrize("layer", [{"layer": 1, "kind": "binary", "events": []},
+                                       {"layer": 1, "kind": "analog", "frames": []}],
+                             ids=["binary", "analog"])
+    def test_layer_size_below_one_refused(self, tmp_path, capsys, layer, size):
+        """A layer holds at least one neuron, as in the model the trace came from."""
+        def mutate(raw):
+            raw["layer_sizes"][1] = size
+            raw["spikes"][1] = layer
+
+        path = self.write_trace(tmp_path, mutate)
+        message = f"trace field 'layer_sizes.1': expected a layer size >= 1, got {size}"
+        with pytest.raises(WorkloadFileError) as refused:
+            load_trace(path)
+        assert str(refused.value) == message
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"e_ac": 1e-12}))
+        assert cli.main(["estimate", "--trace", path, "--hwspec", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("mutate, entry, message", [
         *[(lambda raw: raw["spikes"].__setitem__(0, {
             "layer": 0, "kind": "analog", "frames": [["X", 0.0, 0.0], [1.0, 0.0, 0.5]]}),
@@ -307,8 +327,9 @@ class TestTraceValidation:
         *[(lambda raw: raw["per_timestep"]["macs"].__setitem__(1, "X"), entry,
            f"trace field 'per_timestep.macs': expected an integer array of shape [3], got {got}")
           for entry, got in [("2.5", "non-integer entries"), ("2.0", "non-integer entries"),
-                             (str(2**63), "non-integer entries"),
-                             (str(2**64), "non-numeric entries"), ("false", "bool entries")]],
+                             (str(2**63), "out-of-range integer entries"),
+                             (str(2**64), "out-of-range integer entries"),
+                             ("false", "bool entries")]],
         *[(lambda raw: raw["spikes"][0]["events"].insert(1, "X"), entry,
            f"trace layer 0: event {shown} outside train dimensions")
           for entry, shown in [("[-1, 0]", "(-1, 0)"), ("[2, 0]", "(2, 0)"),

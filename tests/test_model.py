@@ -103,6 +103,16 @@ class TestLoadModel:
         with pytest.raises(ModelValidationError, match="layer 1"):
             model_from_dict(raw)
 
+    @pytest.mark.parametrize("key, message", [
+        ("weights", r"weights shape \(0,\) does not match"),
+        ("biases", "biases length must equal out_size"),
+    ], ids=["weights", "biases"])
+    def test_empty_array_is_a_shape_mismatch(self, key, message):
+        raw = two_layer_dict()
+        raw["layers"][1][key] = []
+        with pytest.raises(ModelValidationError, match=f"layer 1: {message}"):
+            model_from_dict(raw)
+
     def test_empty_version_rejected(self):
         raw = two_layer_dict()
         raw["version"] = ""
