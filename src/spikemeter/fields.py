@@ -178,7 +178,7 @@ def array(shape: tuple | None = None, *, integers: bool = False):
     as it is.  An entry is a float (in a number array) or an int that fits
     64 bits; the first other entry, in row-major order, names the problem.
     ``shape`` gives each dimension's length, None for any; ``[]`` reads as
-    zero rows of any shape."""
+    zero rows, each of any shape."""
     expected = "an integer array" if integers else "a number array"
     if shape is not None:
         expected += f" of shape [{', '.join('*' if d is None else str(d) for d in shape)}]"
@@ -200,10 +200,11 @@ def array(shape: tuple | None = None, *, integers: bool = False):
                 problem = _problem(entry, integers)
                 if problem:
                     raise FieldError(f"expected {expected}, got {problem} entries")
-        if shape is not None and value and (
-            len(dims) != len(shape) or any(d not in (None, n) for d, n in zip(shape, dims))
-        ):
-            raise FieldError(f"expected {expected}, got shape {dims}")
+        if shape is not None:
+            if not value:  # zero rows: the inner dimensions are free
+                dims = [0] + [d or 0 for d in shape[1:]]
+            if len(dims) != len(shape) or any(d not in (None, n) for d, n in zip(shape, dims)):
+                raise FieldError(f"expected {expected}, got shape {dims}")
         return value
 
     return read

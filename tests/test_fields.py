@@ -273,6 +273,25 @@ def test_bad_entry_gets_one_message_from_every_loader(valid, tmp_path, integers,
         assert err.endswith(f" got {problem} entries\n"), (kind, path, err)
 
 
+@pytest.mark.parametrize("shape, integers, message", [
+    ((None,), False, None),
+    ((None, 2), True, None),
+    ((None, None), False, None),
+    ((3,), True, "expected an integer array of shape [3], got shape [0]"),
+    ((2, 2), False, "expected a number array of shape [2, 2], got shape [0, 2]"),
+])
+def test_empty_array_is_zero_rows(shape, integers, message):
+    """``[]`` holds zero rows: it passes a shape whose row count is free and
+    is refused, with its shape, where rows are required."""
+    rule = array(shape, integers=integers)
+    if message is None:
+        assert rule([]) == []
+        return
+    with pytest.raises(FieldError) as refused:
+        rule([])
+    assert str(refused.value) == message
+
+
 def test_array_nested_past_numpys_dimensions_names_the_field(valid, tmp_path):
     deep = 0.5
     for _ in range(70):

@@ -330,12 +330,16 @@ class TestTraceValidation:
                              (str(2**63), "out-of-range integer entries"),
                              (str(2**64), "out-of-range integer entries"),
                              ("false", "bool entries")]],
+        (lambda raw: raw["per_timestep"].__setitem__("macs", "X"), "[]",
+         "trace field 'per_timestep.macs': expected an integer array of shape [3], "
+         "got shape [0]"),
         *[(lambda raw: raw["spikes"][0]["events"].insert(1, "X"), entry,
            f"trace layer 0: event {shown} outside train dimensions")
           for entry, shown in [("[-1, 0]", "(-1, 0)"), ("[2, 0]", "(2, 0)"),
                                ("[0, 3]", "(0, 3)"), ("[1, -1]", "(1, -1)")]],
     ], ids=["nan-frame", "1e999-frame", "minus-infinity-frame", "null-frame", "bool-frame",
             "fractional-tally", "float-tally", "tally-2**63", "tally-2**64", "bool-tally",
+            "empty-tally",
             "negative-neuron", "neuron-past-end", "timestep-past-end", "negative-timestep"])
     def test_refused_entries_keep_their_messages(self, tmp_path, capsys, mutate, entry,
                                                  message):
