@@ -130,6 +130,51 @@ def test_golden_report(tmp_path, capsys, fmt, store_kind):
     assert RENDERERS[fmt](records) == golden
 
 
+def build_history_store(path) -> None:
+    """Three versions of one model: a degrading series from zero, a flat
+    one, an improving one, estimated and ingested values of one metric, and
+    a registered custom metric."""
+    register_metric(path, "lut_count", unit="LUTs")
+    for version, timestamp, synops, sparsity, energy, luts in (
+        ("v1", 1_700_000_000.0, 0.0, 0.5, 1e-3, 4096.0),
+        ("v2", 1_700_000_100.0, 100.0, 0.625, 2e-3, 4100.5),
+        ("v3", 1_700_000_200.0, 120.0, 0.7, 1.5e-3, 4000.0),
+    ):
+        record_snapshot(path, MetricSnapshot(
+            model_name="hist", version=version, timestamp=timestamp,
+            values={"effective_synops": synops, "activation_sparsity": sparsity,
+                    "parameters": 15.0, "energy_per_inference": energy, "lut_count": luts},
+        ))
+    for version, value in (("v1", 2.5e-3), ("v3", 2.25e-3)):
+        record_external_metric(path, "hist", version, "energy_per_inference", value,
+                               timestamp=1_700_000_300.0)
+
+
+# history argv after --model hist, one run each, in golden order
+HISTORY_RUNS = (
+    ["--metric", "effective_synops"],  # degrading, zero first value
+    ["--metric", "parameters"],  # flat
+    ["--metric", "activation_sparsity"],  # improving: higher is better
+    ["--metric", "Effective Synaptic Operations"],  # display name
+    ["--metric", "energy_per_inference", "--provenance", "ingested"],
+    ["--metric", "lut_count"],  # registered custom metric
+)
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("jsonl", "jsonl")])
+def test_golden_history(tmp_path, capsys, fmt, suffix):
+    """``history``'s output, every run in HISTORY_RUNS, must not change by a byte."""
+    store = tmp_path / "s.jsonl"
+    build_history_store(store)
+    out = ""
+    for argv in HISTORY_RUNS:
+        code, run_out, err = run_main(
+            ["history", "--store", str(store), "--model", "hist", *argv, "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        out += run_out
+    assert out == (DATA / f"golden_history.{suffix}").read_text()
+
+
 def of_kind(records: list[dict], kind: str) -> list[dict]:
     return [record for record in records if record["record"] == kind]
 
