@@ -63,7 +63,6 @@ _SUBMODULE_NAMES = {
     ),
     "store": (
         "MetricSnapshot",
-        "TrendReport",
         "default_alert_rules",
         "evaluate_alerts",
         "read_store",

@@ -313,7 +313,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 fom = en.energy_area_fom(power, spec)
                 optional_values[name] = fom.value
                 rows.append(
-                    {"key": name, "value": fom.value, "unit": fom.unit,
+                    {"key": name, "value": fom.value, "unit": find_metric(name).unit,
                      "note": f"assumed formula: {fom.formula}"}
                 )
             elif name == "estimated_battery_life":
@@ -453,14 +453,14 @@ def cmd_history(args: argparse.Namespace) -> int:
     data = st.read_store(_require_store(args))
     trend = st.trend_report(data, args.model, args.metric, provenance=args.provenance)
     if args.format == "jsonl":
-        print(rpt.json_line(rpt.trend_record(trend)))
+        print(rpt.json_line(trend))
     else:
-        series = " -> ".join(f"{v}={x:.12g}" for v, x in trend.series)
-        print(f"{trend.metric} [{trend.unit}]: {series}")
-        for d in trend.deltas:
-            pct = f"{d.percent:+.2f}%" if d.percent is not None else "n/a"
-            print(f"  {d.from_version} -> {d.to_version}: {d.absolute:+.12g} ({pct})")
-        print(f"direction: {trend.direction.value}")
+        series = " -> ".join(f"{v}={x:.12g}" for v, x in trend["series"])
+        print(f"{trend['metric']} [{trend['unit']}]: {series}")
+        for d in trend["deltas"]:
+            pct = f"{d['percent']:+.2f}%" if d["percent"] is not None else "n/a"
+            print(f"  {d['from']} -> {d['to']}: {d['absolute']:+.12g} ({pct})")
+        print(f"direction: {trend['direction']}")
     return EXIT_OK
 
 
@@ -481,8 +481,12 @@ def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
                 raise ValueError(
                     f"unknown limit override {key!r}; expected one of {sorted(mapping)}"
                 )
-            kwargs[mapping[key]] = read_field({key: float(value)}, key, number,
-                                              "limit override", ValueError)
+            try:
+                value = float(value)
+            except ValueError:
+                pass  # the number rule refuses the text, naming the key
+            kwargs[mapping[key]] = read_field({key: value}, key, number, "limit override",
+                                              ValueError)
     return st.default_alert_rules(**kwargs)
 
 

@@ -273,8 +273,7 @@ def energy_per_sop(
 
 @dataclass(frozen=True)
 class FomResult:
-    value: float  # W * cm^2 * s per channel
-    unit: str = "W*cm^2*s/channel"
+    value: float  # in the catalog's energy_area_fom unit
     formula: str = "(power / channels) * chip_area / sampling_frequency"
 
 

@@ -3,11 +3,12 @@ shared by the model, workload, trace, counts and hardware-spec loaders and
 by the store.
 
 A rule takes a decoded JSON value and returns it converted, or raises
-:class:`FieldError`.  An integer is never a bool or a fraction (``2.0`` reads
-as 2) and fits 64 bits; a number is finite and never a bool or a string; an
-array is a rectangular list of numbers, each entry judged by its type alone,
-and stays a list, but for a dataclass field annotated ``np.ndarray``, which
-holds it as a float64 numpy array.  This module imports no numpy.
+:class:`FieldError`.  An integer is a JSON int that fits 64 bits, never a
+bool or a float (``2.0`` is refused); a number is finite and never a bool or
+a string; an array is a rectangular list of numbers, each entry judged by its
+type alone (an integer array's by the integer rule), and stays a list, but
+for a dataclass field annotated ``np.ndarray``, which holds it as a float64
+numpy array.  This module imports no numpy.
 
 :func:`load_json` decodes a file; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
@@ -71,9 +72,9 @@ def _join(path: str, below: str) -> str:
 
 
 def integer(value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63:
+    """A JSON int that fits 64 bits, judged as an integer array's entries
+    are: a float such as ``2.0`` is no integer."""
+    if _problem(value, True) is None:
         return value
     raise FieldError(f"expected a 64-bit integer, got {_got(value)}")
 

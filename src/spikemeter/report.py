@@ -4,10 +4,11 @@ A report gathers, for one model, the latest recorded value of every metric
 (one entry per provenance, so an estimated and a measured figure for the
 same metric stay side by side), the actionability alerts, and trend
 sections for the trend-based metrics.  The report is its jsonl records:
-:func:`build_report` returns them in order, and the csv, markdown and text
-renderers format those records and read nothing else, so every format
-renders identical values; every numeric entry carries its unit, provenance
-tag and the metric's four-property classification.
+:func:`build_report` returns them in order, the alert and trend records as
+the store builds them, and the csv, markdown and text renderers format
+those records and read nothing else, so every format renders identical
+values; every numeric entry carries its unit, provenance tag and the
+metric's four-property classification.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ import csv as csv_module
 import io
 import json
 from collections import defaultdict
-from dataclasses import asdict
 
 from .catalog import find_metric
 from .store import (
     PROVENANCE_TAGS,
-    AlertReport,
     AlertRule,
     InsufficientHistoryError,
     StoreData,
-    TrendReport,
     evaluate_alerts,
     pick_value,
     read_store,
@@ -70,8 +68,8 @@ def build_report(
     data = read_store(store_path)
     history = data.history(model)
     metrics: list[dict] = []
-    alerts = AlertReport((), ())
-    trends: list[TrendReport] = []
+    alerts: list[dict] = []
+    trends: list[dict] = []
     if history:
         latest = history[-1]
         for key in sorted(latest.values):
@@ -91,15 +89,15 @@ def build_report(
                     trends.append(trend_report(data, model, key))
                 except InsufficientHistoryError:
                     continue
-        trends.sort(key=lambda t: t.metric)
+        trends.sort(key=lambda t: t["metric"])
     return [
         {"record": "report", "model": model, "version": history[-1].version if history else None,
-         "metrics": len(metrics), "alert_count": len(alerts.alerts)},
+         "metrics": len(metrics),
+         "alert_count": sum(alert["record"] == "alert" for alert in alerts)},
         *({"record": "convention", "text": text} for text in CONVENTIONS),
         *metrics,
-        *({"record": "alert", **asdict(alert)} for alert in alerts.alerts),
-        *({"record": "alert_skipped", "metric": metric} for metric in alerts.skipped),
-        *(trend_record(t) for t in trends),
+        *alerts,
+        *trends,
     ]
 
 
@@ -135,22 +133,6 @@ def _series(t: dict) -> str:
 def json_line(obj: dict) -> str:
     """One compact JSONL record with sorted keys, as every jsonl output writes it."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def trend_record(t: TrendReport) -> dict:
-    """The ``"record": "trend"`` object that ``report`` and ``history`` emit."""
-    return {
-        "record": "trend",
-        "metric": t.metric,
-        "unit": t.unit,
-        "direction": t.direction.value,
-        "series": [[v, x] for v, x in t.series],
-        "deltas": [
-            {"from": d.from_version, "to": d.to_version, "absolute": d.absolute,
-             "percent": d.percent}
-            for d in t.deltas
-        ],
-    }
 
 
 def render_jsonl(records: list[dict]) -> str:

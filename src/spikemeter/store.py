@@ -1,5 +1,8 @@
-"""Append-only store of versioned metric snapshots, with trend reports and
-actionability alerts.
+"""Append-only store of versioned metric snapshots, with trends and
+actionability alerts given as the report's records: :func:`trend_report`
+returns a ``trend`` record and :func:`evaluate_alerts` the ``alert`` and
+``alert_skipped`` records, plain dicts that ``report`` and ``history`` emit
+as they are.
 
 The store is a newline-delimited JSON file: one fully written record per
 line, never mutated, so histories stay diff-friendly and a reader never
@@ -35,7 +38,6 @@ import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, POWER_DENSITY_LIMIT,
@@ -65,12 +67,6 @@ class UnknownMetricError(StoreError):
 
 class InsufficientHistoryError(StoreError):
     """Raised when a trend needs more snapshots than the store holds."""
-
-
-class Direction(str, Enum):
-    IMPROVING = "improving"
-    DEGRADING = "degrading"
-    FLAT = "flat"
 
 
 def _is_number(value) -> bool:
@@ -430,29 +426,14 @@ def pick_value(
     return None
 
 
-@dataclass(frozen=True)
-class TrendDelta:
-    from_version: str
-    to_version: str
-    absolute: float
-    percent: float | None  # None when the earlier value is zero
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    metric: str
-    unit: str
-    polarity: Polarity
-    series: tuple[tuple[str, float], ...]
-    deltas: tuple[TrendDelta, ...]
-    direction: Direction
-
-
 def trend_report(
     data: StoreData, model: str, metric: str, *, provenance: str | None = None
-) -> TrendReport:
-    """Series of a metric across the model's versions, in recording order,
-    with deltas and a polarity-aware overall direction.
+) -> dict:
+    """The ``trend`` record of a metric across the model's versions: its
+    ``series`` of [version, value] pairs in recording order, the ``deltas``
+    between neighbours (``percent`` None when the earlier value is zero), and
+    the polarity-aware overall ``direction``, "improving", "degrading" or
+    "flat".  ``report`` and ``history`` emit the record as it is.
 
     ``data`` is a store already parsed by :func:`read_store`; one parse can
     feed any number of trends.  ``metric`` is a catalog key, a catalog
@@ -465,36 +446,29 @@ def trend_report(
     about = descriptor or data.registered.get(key)  # unit and polarity
     if about is None:
         raise UnknownMetricError(f"unknown metric {key!r}")
-    series: list[tuple[str, float]] = []
+    series = []
     for record in data.history(model):
         if key in record.values:
             value = pick_value(record.values[key], descriptor, provenance)
             if value is not None:
-                series.append((record.version, float(value)))
+                series.append([record.version, float(value)])
     if len(series) < 2:
         raise InsufficientHistoryError(
             f"metric {key!r} needs at least 2 snapshots for model {model!r}, "
             f"found {len(series)}"
         )
-    deltas = []
-    for (v0, x0), (v1, x1) in zip(series, series[1:]):
-        percent = None if x0 == 0 else (x1 - x0) / x0 * 100.0
-        deltas.append(TrendDelta(v0, v1, x1 - x0, percent))
+    deltas = [{"from": v0, "to": v1, "absolute": x1 - x0,
+               "percent": None if x0 == 0 else (x1 - x0) / x0 * 100.0}
+              for (v0, x0), (v1, x1) in zip(series, series[1:])]
     first, last = series[0][1], series[-1][1]
     if last == first:
-        direction = Direction.FLAT
+        direction = "flat"
     else:
         increased = last > first
         worse = about.polarity is Polarity.HIGHER_IS_WORSE
-        direction = Direction.DEGRADING if increased == worse else Direction.IMPROVING
-    return TrendReport(
-        metric=key,
-        unit=about.unit,
-        polarity=about.polarity,
-        series=tuple(series),
-        deltas=tuple(deltas),
-        direction=direction,
-    )
+        direction = "degrading" if increased == worse else "improving"
+    return {"record": "trend", "metric": key, "unit": about.unit, "direction": direction,
+            "series": series, "deltas": deltas}
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +483,6 @@ class AlertRule:
     threshold: float
     rationale: str
     unit: str = ""
-
-
-@dataclass(frozen=True)
-class Alert:
-    metric: str
-    value: float
-    threshold: float
-    comparison: str
-    rationale: str
-    unit: str = ""
-
-
-@dataclass(frozen=True)
-class AlertReport:
-    alerts: tuple[Alert, ...]
-    skipped: tuple[str, ...]  # rules whose metric the snapshot lacks
 
 
 def default_alert_rules(
@@ -569,10 +527,10 @@ def default_alert_rules(
 
 def evaluate_alerts(
     values: dict[str, float], rules: tuple[AlertRule, ...] | None = None
-) -> AlertReport:
-    """One alert per rule that ``values`` (metric -> value) violates; rules
-    whose metric is absent are skipped and listed, never treated as
-    violations."""
+) -> list[dict]:
+    """The report's ``alert`` records, one per rule that ``values`` (metric
+    -> value) violates, then its ``alert_skipped`` records, one per rule
+    whose metric is absent: an absent metric is never a violation."""
     if rules is None:
         rules = default_alert_rules()
     alerts = []
@@ -580,18 +538,7 @@ def evaluate_alerts(
     for rule in rules:
         value = values.get(rule.metric)
         if value is None:
-            skipped.append(rule.metric)
-            continue
-        violated = value < rule.threshold if rule.comparison == "below" else value > rule.threshold
-        if violated:
-            alerts.append(
-                Alert(
-                    metric=rule.metric,
-                    value=float(value),
-                    threshold=rule.threshold,
-                    comparison=rule.comparison,
-                    rationale=rule.rationale,
-                    unit=rule.unit,
-                )
-            )
-    return AlertReport(alerts=tuple(alerts), skipped=tuple(skipped))
+            skipped.append({"record": "alert_skipped", "metric": rule.metric})
+        elif (value < rule.threshold) if rule.comparison == "below" else (value > rule.threshold):
+            alerts.append({"record": "alert", **asdict(rule), "value": float(value)})
+    return alerts + skipped

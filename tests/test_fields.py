@@ -128,6 +128,9 @@ PROBES = [
     ("trace", ("timestep_duration",), "x", "timestep_duration"),
     ("trace", ("model",), "x", "model"),
     ("trace", ("timesteps",), 2.5, "timesteps"),
+    ("trace", ("timesteps",), 4.0, "timesteps"),
+    ("hwspec", ("adc_samples_per_inference",), 4.0, "adc_samples_per_inference"),
+    ("counts", ("macs",), 1e6, "macs"),
     ("store", (1, "values", "effective_synops"), True, "effective_synops"),
     ("store", (1, "values", "made_up"), 1.0, "made_up"),
     ("counts", ("mac",), 5, "mac"),

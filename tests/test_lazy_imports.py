@@ -85,6 +85,12 @@ def inputs(tmp_path) -> dict[str, str]:
     (["simulate", "--model", "{model}", "--workload", "{workload}"], 0, True, None, None),
     (["report", "--store", "{store}", "--model", "m", "--limit-overrides", "battery_years=nan"],
      2, False, STORE_ONLY, "battery_years"),
+    (["report", "--store", "{store}", "--model", "m", "--limit-overrides", "sparsity=abc"],
+     2, False, STORE_ONLY, "sparsity"),
+    (["report", "--store", "{store}", "--model", "m", "--limit-overrides", "sparsity"],
+     2, False, STORE_ONLY, "sparsity"),
+    (["report", "--store", "{store}", "--model", "m", "--limit-overrides", "sparsity="],
+     2, False, STORE_ONLY, "sparsity"),
     (["simulate", "--model", "{model}", "--workload", "{workload}",
       "--sparsity-threshold", "nan"], 2, False, STORE_ONLY, "--sparsity-threshold"),
     (["estimate", "--counts", "{counts}", "--hwspec", "{hwspec}", "--inference-rate", "inf"],
@@ -93,7 +99,8 @@ def inputs(tmp_path) -> dict[str, str]:
      2, False, STORE_ONLY, "--inference-rate"),
 ], ids=["compare", "history", "report", "estimate-counts", "estimate-trace",
         "estimate-trace-bool-tally", "help", "simulate",
-        "report-nan-limit-override", "simulate-nan-sparsity-threshold",
+        "report-nan-limit-override", "report-text-limit-override",
+        "report-bare-limit-override", "report-empty-limit-override", "simulate-nan-sparsity-threshold",
         "estimate-inf-inference-rate", "estimate-nan-inference-rate"])
 def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,
                                                       loads_numpy, modules, field):
@@ -133,7 +140,7 @@ PUBLIC_NAMES = {
     "oracle": "dense_oracle_counts",
     "simulate": "AnalogTrain NeuronState SimulationConfig SpikeTrain WorkloadTrace "
                 "rate_encode run_inference step_lif",
-    "store": "MetricSnapshot TrendReport default_alert_rules evaluate_alerts read_store "
+    "store": "MetricSnapshot default_alert_rules evaluate_alerts read_store "
              "record_external_metric record_snapshot register_metric trend_report",
     "workload": "MemoryAccessCounts OpCounts activation_sparsity effective_synops "
                 "memory_accesses",

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -23,6 +24,7 @@ from spikemeter.store import (
 from conftest import child_env
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def demo_path(name: str) -> str:
@@ -540,6 +542,33 @@ class TestPipelineDeterminism:
         b = self.run_pipeline(dir_b)
         for key in ("simulate", "estimate", "report", "trace"):
             assert a[key] == b[key], f"{key} output differs between runs"
+
+
+def quickstart_commands() -> list[list[str]]:
+    """The README Quickstart ``sh`` block's commands, each split into its
+    words, without comments or the ``D=`` line."""
+    block = README.read_text().split("## Quickstart", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line) for line in lines
+            if line and not line.startswith("#") and not line.startswith("D=")]
+
+
+def test_readme_quickstart_runs(tmp_path):
+    """The Quickstart, run in order as ``python -m spikemeter`` in a fresh
+    directory with ``$D`` at the package data, exits as the README says:
+    ``report`` 4 (the demo battery-life alert), every other command 0."""
+    data = str(resources.files("spikemeter") / "data")
+    codes, errors = [], ""
+    for program, *argv in quickstart_commands():
+        assert program == "spikemeter"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spikemeter", *(arg.replace("$D", data) for arg in argv)],
+            capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=60,
+        )
+        codes.append(proc.returncode)
+        errors += proc.stderr
+    assert codes == [0, 0, 4, 0, 0, 0], errors
 
 
 def test_rates_workload_is_seed_deterministic(tmp_path, capsys):

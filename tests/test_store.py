@@ -13,7 +13,6 @@ from spikemeter.catalog import Polarity, Provenance
 from spikemeter.fields import FieldError, number
 from spikemeter.store import (
     CustomMetric,
-    Direction,
     DuplicateVersionError,
     InsufficientHistoryError,
     MetricSnapshot,
@@ -263,22 +262,23 @@ class TestTrendReport:
         record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
         record_snapshot(store, snap("v2", {"effective_synops": 120.0}))
         trend = trend_report(read_store(store), "m", "effective_synops")
-        assert trend.series == (("v1", 100.0), ("v2", 120.0))
-        assert trend.deltas[0].absolute == 20.0
-        assert trend.deltas[0].percent == pytest.approx(20.0)
-        assert trend.direction is Direction.DEGRADING
+        assert trend["record"] == "trend"
+        assert trend["series"] == [["v1", 100.0], ["v2", 120.0]]
+        assert trend["deltas"][0]["absolute"] == 20.0
+        assert trend["deltas"][0]["percent"] == pytest.approx(20.0)
+        assert trend["direction"] == "degrading"
 
     def test_constant_series_flat(self, tmp_path):
         store = tmp_path / "s.jsonl"
         for v in ("v1", "v2", "v3"):
             record_snapshot(store, snap(v, {"effective_synops": 50.0}))
-        assert trend_report(read_store(store), "m", "effective_synops").direction is Direction.FLAT
+        assert trend_report(read_store(store), "m", "effective_synops")["direction"] == "flat"
 
     def test_rising_sparsity_improves(self, tmp_path):
         store = tmp_path / "s.jsonl"
         record_snapshot(store, snap("v1", {"activation_sparsity": 0.55}))
         record_snapshot(store, snap("v2", {"activation_sparsity": 0.70}))
-        assert trend_report(read_store(store), "m", "activation_sparsity").direction is Direction.IMPROVING
+        assert trend_report(read_store(store), "m", "activation_sparsity")["direction"] == "improving"
 
     def test_insufficient_history(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -294,17 +294,17 @@ class TestTrendReport:
             record_snapshot(up, snap(f"v{i}", {"effective_synops": value}))
         for i, value in enumerate(reversed(series)):
             record_snapshot(down, snap(f"v{i}", {"effective_synops": value}))
-        a = trend_report(read_store(up), "m", "effective_synops").direction
-        b = trend_report(read_store(down), "m", "effective_synops").direction
-        assert {a, b} == {Direction.DEGRADING, Direction.IMPROVING}
+        a = trend_report(read_store(up), "m", "effective_synops")["direction"]
+        b = trend_report(read_store(down), "m", "effective_synops")["direction"]
+        assert {a, b} == {"degrading", "improving"}
 
     def test_lookup_by_display_name(self, tmp_path):
         store = tmp_path / "s.jsonl"
         record_snapshot(store, snap("v1", {"effective_synops": 100.0}))
         record_snapshot(store, snap("v2", {"effective_synops": 90.0}))
         trend = trend_report(read_store(store), "m", "Effective Synaptic Operations")
-        assert trend.metric == "effective_synops"
-        assert trend.direction is Direction.IMPROVING
+        assert trend["metric"] == "effective_synops"
+        assert trend["direction"] == "improving"
 
     def test_provenance_filter(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -320,25 +320,29 @@ class TestTrendReport:
         record_external_metric(store, "m", "v1", "energy_per_inference", 4.0)
         record_external_metric(store, "m", "v2", "energy_per_inference", 3.0)
         estimated = trend_report(read_store(store), "m", "energy_per_inference")
-        assert [x for _, x in estimated.series] == [1.0, 2.0]  # catalog class preferred
+        assert [x for _, x in estimated["series"]] == [1.0, 2.0]  # catalog class preferred
         ingested = trend_report(read_store(store), "m", "energy_per_inference", provenance="ingested")
-        assert [x for _, x in ingested.series] == [4.0, 3.0]
+        assert [x for _, x in ingested["series"]] == [4.0, 3.0]
+
+
+def alerts_of(records: list[dict]) -> list[dict]:
+    return [record for record in records if record["record"] == "alert"]
 
 
 class TestAlerts:
     def test_low_sparsity_alerts(self):
-        report = evaluate_alerts({"activation_sparsity": 0.55})
-        assert [a.metric for a in report.alerts] == ["activation_sparsity"]
-        assert "sparsity" in report.alerts[0].rationale
+        alerts = alerts_of(evaluate_alerts({"activation_sparsity": 0.55}))
+        assert [a["metric"] for a in alerts] == ["activation_sparsity"]
+        assert "sparsity" in alerts[0]["rationale"]
 
     def test_power_density_violation(self):
-        report = evaluate_alerts({"power_density": 20.0})
-        assert [a.metric for a in report.alerts] == ["power_density"]
-        assert report.alerts[0].threshold == 10.0
+        alerts = alerts_of(evaluate_alerts({"power_density": 20.0}))
+        assert [a["metric"] for a in alerts] == ["power_density"]
+        assert alerts[0]["threshold"] == 10.0
+        assert alerts[0]["value"] == 20.0
 
     def test_healthy_battery_life_no_alert(self):
-        report = evaluate_alerts({"estimated_battery_life": 38.0})
-        assert report.alerts == ()
+        assert alerts_of(evaluate_alerts({"estimated_battery_life": 38.0})) == []
 
     def test_boundaries_are_strict(self):
         values = {
@@ -346,24 +350,33 @@ class TestAlerts:
             "power_density": 10.0,
             "estimated_battery_life": 10.0,
         }
-        assert evaluate_alerts(values).alerts == ()
+        assert evaluate_alerts(values) == []
         values = {
             "activation_sparsity": 0.59,
             "power_density": 10.01,
             "estimated_battery_life": 9.99,
         }
-        assert len(evaluate_alerts(values).alerts) == 3
+        assert len(alerts_of(evaluate_alerts(values))) == 3
 
     def test_missing_metrics_skip_rules(self):
-        report = evaluate_alerts({"activation_sparsity": 0.9})
-        assert report.alerts == ()
-        assert set(report.skipped) == {"power_density", "estimated_battery_life"}
+        records = evaluate_alerts({"activation_sparsity": 0.9})
+        assert alerts_of(records) == []
+        assert records == [{"record": "alert_skipped", "metric": "power_density"},
+                           {"record": "alert_skipped", "metric": "estimated_battery_life"}]
+
+    def test_alerts_come_before_skipped_rules(self):
+        records = evaluate_alerts({"estimated_battery_life": 2.0})
+        assert [(r["record"], r["metric"]) for r in records] == [
+            ("alert", "estimated_battery_life"),
+            ("alert_skipped", "activation_sparsity"),
+            ("alert_skipped", "power_density"),
+        ]
 
     def test_overridden_limits(self):
         rules = default_alert_rules(
             sparsity_threshold=0.9, power_density_limit=5.0, battery_target_years=20.0
         )
-        report = evaluate_alerts(
+        records = evaluate_alerts(
             {
                 "activation_sparsity": 0.85,
                 "power_density": 6.0,
@@ -371,7 +384,7 @@ class TestAlerts:
             },
             rules,
         )
-        assert len(report.alerts) == 3
+        assert len(alerts_of(records)) == 3
 
 
 def test_store_file_is_one_json_object_per_line(tmp_path):
