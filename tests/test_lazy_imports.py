@@ -100,7 +100,8 @@ def inputs(tmp_path) -> dict[str, str]:
 ], ids=["compare", "history", "report", "estimate-counts", "estimate-trace",
         "estimate-trace-bool-tally", "help", "simulate",
         "report-nan-limit-override", "report-text-limit-override",
-        "report-bare-limit-override", "report-empty-limit-override", "simulate-nan-sparsity-threshold",
+        "report-bare-limit-override", "report-empty-limit-override",
+        "simulate-nan-sparsity-threshold",
         "estimate-inf-inference-rate", "estimate-nan-inference-rate"])
 def test_numpy_loads_only_for_the_verbs_that_need_it(tmp_path, inputs, argv, expected_code,
                                                       loads_numpy, modules, field):
