@@ -1,8 +1,13 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from spikemeter import cli
 from spikemeter.model import (
     ModelDescriptor,
     ModelParseError,
@@ -118,6 +123,111 @@ class TestLoadModel:
         raw["version"] = ""
         with pytest.raises(ModelValidationError, match="version"):
             model_from_dict(raw)
+
+
+DEMO_TEXT = (resources.files("spikemeter") / "data" / "demo_model.json").read_text()
+WEIGHTS = ("layers", 1, "weights")
+
+
+def demo_with(*changes) -> str:
+    """The demo model's JSON text with each (path, value) change applied."""
+    doc = copy.deepcopy(json.loads(DEMO_TEXT))
+    for path, value in changes:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return json.dumps(doc)
+
+
+def nested(depth: int):
+    """``0.5`` inside ``depth`` one-item lists."""
+    value = 0.5
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def metrics(sparsity: str) -> str:
+    """``analyze``'s stdout on a demo-shaped model of the given connection sparsity."""
+    return ("parameters = 15 count [computed]\n"
+            "parameters_trainable = 9 count [computed]\n"
+            "parameters_non_trainable = 6 count [computed]\n"
+            "memory_footprint = 48 bytes [computed]\n"
+            f"connection_sparsity = {sparsity} ratio [computed]\n")
+
+
+FIELD = "error: layer 1: model field"
+SHAPE = "error: layer 1: weights shape {} does not match (out_size, in_size) = (3, 2)\n"
+
+# (id, model text, exit code, stderr -- or stdout when the code is 0; {path}
+# stands for the model file)
+REFUSALS = [
+    ("weights-3d", demo_with((WEIGHTS, [[[0.6], [0.5]], [[0.4], [0.3]], [[0.8], [0.7]]])),
+     2, SHAPE.format("(3, 2, 1)")),
+    ("weights-empty", demo_with((WEIGHTS, [])), 2, SHAPE.format("(0,)")),
+    ("weights-empty-rows", demo_with((WEIGHTS, [[], [], []])), 2, SHAPE.format("(3, 0)")),
+    ("weights-number", demo_with((WEIGHTS, 1.0)),
+     2, f"{FIELD} 'weights': expected a number array, got 1.0\n"),
+    ("weights-null", demo_with((WEIGHTS, None)), 2, "error: layer 1: missing weights\n"),
+    ("weights-bool-entry", demo_with((WEIGHTS, [[0.6, True], [0.4, 0.3], [0.8, 0.7]])),
+     2, f"{FIELD} 'weights': expected a number array, got bool entries\n"),
+    ("weights-string-entry", demo_with((WEIGHTS, [[0.6, "1"], [0.4, 0.3], [0.8, 0.7]])),
+     2, f"{FIELD} 'weights': expected a number array, got string entries\n"),
+    ("weights-2**70-entry", demo_with((WEIGHTS, [[0.6, 2**70], [0.4, 0.3], [0.8, 0.7]])),
+     2, f"{FIELD} 'weights': expected a number array, got out-of-range integer entries\n"),
+    ("weights-ragged", demo_with((WEIGHTS, [[0.6, 0.5], [0.4], [0.8, 0.7]])),
+     2, f"{FIELD} 'weights': expected a number array, got ragged rows\n"),
+    ("weights-nan", demo_with((WEIGHTS, [[0.6, float("nan")], [0.4, 0.3], [0.8, 0.7]])),
+     2, "error: layer 1: non-finite value in weights\n"),
+    ("weights-8-deep", demo_with((WEIGHTS, nested(8))),
+     2, SHAPE.format("(1, 1, 1, 1, 1, 1, 1, 1)")),
+    ("weights-70-deep", demo_with((WEIGHTS, nested(70))),
+     2, f"{FIELD} 'weights': expected a number array, got too many dimensions\n"),
+    ("biases-2d", demo_with((("layers", 1, "biases"), [[0.0], [0.0], [0.0]])),
+     2, "error: layer 1: biases length must equal out_size\n"),
+    ("biases-false-entry", demo_with((("layers", 1, "biases"), [0.0, False, 0.0])),
+     2, f"{FIELD} 'biases': expected a number array, got bool entries\n"),
+    ("recurrent-weights-on-fc", demo_with((("layers", 1, "recurrent_weights"), [[0.0] * 3] * 3)),
+     2, "error: layer 1: only recurrent layers take recurrent_weights\n"),
+    ("weights-on-input", demo_with((("layers", 0, "weights"), [[1.0, 0.0], [0.0, 1.0]])),
+     2, "error: layer 0: input layers carry no weights\n"),
+    ("bad-entry-and-unknown-key",
+     demo_with((WEIGHTS, [[0.6, "1"], [0.4, 0.3], [0.8, 0.7]]), (("layers", 1, "extra"), 1)),
+     2, "error: layer 1: model: unknown keys ['extra']; allowed: kind, in_size, out_size, "
+        "weights, recurrent_weights, biases, neuron, trainable\n"),
+    ("trainable-weights-list", demo_with((("layers", 1, "trainable", "weights"), [[1.0]])),
+     2, f"{FIELD} 'trainable.weights': expected true or false, got list\n"),
+    ("neuron-weights-list", demo_with((("layers", 1, "neuron", "weights"), [[1.0]])),
+     2, f"{FIELD} 'neuron': unknown keys ['weights']; allowed: beta, threshold, reset_mode\n"),
+    ("top-level-weights", demo_with((("weights",), [[1.0]])),
+     2, "error: model: unknown keys ['weights']; allowed: name, version, layers, precision\n"),
+    ("duplicate-weights-last-wins",
+     DEMO_TEXT.replace('"weights": [[', '"weights": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+                                        '"weights": [[', 1),
+     0, metrics("0")),
+    ("integer-weights", demo_with((WEIGHTS, [[1, 0], [0, 2], [3, 0]])), 0, metrics("0.5")),
+    ("negative-zero-weights", demo_with((WEIGHTS, [[-0.0, 0.5], [0.4, -0.0], [0.8, 0.7]])),
+     0, metrics("0.333333333333")),
+    ("layers-100000-deep", '{"version": "v1", "layers": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     2, "error: malformed model file {path}: maximum recursion depth exceeded while decoding "
+        "a JSON array from a unicode string\n"),
+]
+
+
+@pytest.mark.parametrize("text, code, output", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_analyze_reads_or_refuses_each_model_field(tmp_path, text, code, output):
+    """Each broken field of the demo model exits 2 with one line naming it,
+    and each odd but valid one is read; the whole output is pinned."""
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert cli.main(["analyze", "--model", str(path)]) == code
+    assert (err if code else out).getvalue() == output.replace("{path}", str(path))
+    assert (out if code else err).getvalue() == ""
 
 
 class TestRoundTrip:
