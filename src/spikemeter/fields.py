@@ -8,13 +8,16 @@ bool or a float (``2.0`` is refused); a number is finite and never a bool or
 a string; an array is a rectangular list of numbers, each entry judged by its
 type alone (an integer array's by the integer rule), and stays a list, but
 for a dataclass field annotated ``np.ndarray``, which holds it as a float64
-numpy array.  This module imports no numpy.
+numpy array (and takes a float64 array as it is).  This module imports no
+numpy.
 
 :func:`load_json` decodes a file; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
 defaults make keys optional and whose annotations pick the rules;
-:func:`read_field` reads one value at a dotted path; :func:`check_keys` refuses
-keys outside a list, for objects whose keys depend on a tag.  All raise the loader's
+:func:`read_early` converts some of an object's fields in place, from a
+decode's object hook; :func:`read_field` reads one value at a dotted path;
+:func:`check_keys` refuses keys outside a list, for objects whose keys depend
+on a tag.  All raise the loader's
 own error class, naming the file kind and, for a bad value, the field:
 ``hardware spec field 'battery.capacity_joules': expected a finite number,
 got list``.
@@ -36,9 +39,10 @@ from pathlib import Path
 REQUIRED = object()  # read_field's default: the key must be present
 
 
-def load_json(path: str | Path, what: str, error: type[Exception]):
+def load_json(path: str | Path, what: str, error: type[Exception], object_hook=None):
     """The JSON document in the UTF-8 file at ``path``; ``what`` names the
-    file kind when it cannot be read or decoded, raised as ``error``."""
+    file kind when it cannot be read or decoded, raised as ``error``.
+    ``object_hook`` is ``json.loads``'s: it gets each object as it closes."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -46,7 +50,7 @@ def load_json(path: str | Path, what: str, error: type[Exception]):
     except UnicodeDecodeError as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
 
@@ -230,7 +234,10 @@ def _rule(hint):
 
 
 def _ndarray(numpy, rule, value):
-    """``value`` read by the array ``rule``, as a float64 numpy array."""
+    """``value`` read by the array ``rule``, as a float64 numpy array; a
+    float64 array, read already, passes as is."""
+    if isinstance(value, numpy.ndarray) and value.dtype == numpy.float64:
+        return value
     rows = rule(value)
     try:
         return numpy.array(rows, dtype=numpy.float64)
@@ -247,6 +254,20 @@ def _schema(cls) -> dict[str, tuple]:
         f.name: (_rule(hints[f.name]), f.default is missing and f.default_factory is missing)
         for f in dataclasses.fields(cls)
     }
+
+
+def read_early(cls, raw: dict, names) -> None:
+    """Replace each of ``names`` in the JSON object ``raw`` with its value
+    read by ``cls``'s rule for it, in place, so a decode can drop what it
+    decoded; a value the rule refuses stays, for :func:`read_record` to
+    report.  Each rule must pass what it returns through unchanged."""
+    schema = _schema(cls)
+    for name in names:
+        if name in raw:
+            try:
+                raw[name] = schema[name][0](raw[name])
+            except FieldError:
+                pass
 
 
 def _check_keys(raw, allowed) -> None:

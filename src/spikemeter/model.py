@@ -29,6 +29,11 @@ out_size).  Each object's keys are the fields of its dataclass
 :class:`NeuronParams`, :class:`TrainableFlags`); unknown keys are rejected so
 typos cannot silently change a model.  A weight counts as zero exactly when
 its parsed value equals 0.0; no epsilon thresholding is applied.
+
+A model file is decoded one weighted layer at a time: as each layer's object
+closes, its ``weights``, ``recurrent_weights`` and ``biases`` become float64
+arrays, and their Python floats are freed before the next layer is decoded.
+Loading a model peaks at its text plus its largest layer's floats.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import load_json, read_record
+from .fields import load_json, read_early, read_record
 
 
 class ModelParseError(ValueError):
@@ -345,11 +350,23 @@ def model_to_dict(model: ModelDescriptor) -> dict:
     }
 
 
+_WEIGHTED_KINDS = (LayerKind.FULLY_CONNECTED.value, LayerKind.RECURRENT.value)
+
+
+def _read_layer_arrays(raw: dict) -> dict:
+    """The decode's object hook: a weighted layer's arrays, read by their
+    fields' rule as the layer's object closes."""
+    if raw.get("kind") in _WEIGHTED_KINDS:
+        read_early(LayerDescriptor, raw, ("weights", "recurrent_weights", "biases"))
+    return raw
+
+
 def load_model(path: str | Path) -> ModelDescriptor:
     """Load and validate a model file; errors name the offending layer."""
-    return model_from_dict(load_json(path, "model file", ModelParseError))
+    return model_from_dict(load_json(path, "model file", ModelParseError, _read_layer_arrays))
 
 
 def save_model(model: ModelDescriptor, path: str | Path) -> None:
-    """Write the model so that load_model reproduces it value-for-value."""
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    """Write the model, as compact JSON, so that load_model reproduces it
+    value-for-value."""
+    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n")

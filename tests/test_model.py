@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -118,6 +119,18 @@ class TestLoadModel:
         with pytest.raises(ModelValidationError, match=f"layer 1: {message}"):
             model_from_dict(raw)
 
+    def test_float64_array_passes_as_it_is(self):
+        raw = two_layer_dict()
+        weights = np.array(raw["layers"][1]["weights"])
+        raw["layers"][1]["weights"] = weights
+        assert model_from_dict(raw).layers[1].weights is weights
+
+    def test_other_array_dtype_refused(self):
+        raw = two_layer_dict()
+        raw["layers"][1]["weights"] = np.array(raw["layers"][1]["weights"], dtype=np.float32)
+        with pytest.raises(ModelParseError, match="'weights': expected a number array, got ndarray"):
+            model_from_dict(raw)
+
     def test_empty_version_rejected(self):
         raw = two_layer_dict()
         raw["version"] = ""
@@ -230,6 +243,32 @@ def test_analyze_reads_or_refuses_each_model_field(tmp_path, text, code, output)
     assert (out if code else err).getvalue() == ""
 
 
+def test_load_model_holds_one_layers_floats_at_a_time(tmp_path):
+    """The decode converts each weighted layer's arrays as the layer closes:
+    beyond the text, the peak stays below two layers' Python floats (32 B a
+    weight, with its list slot), where holding all three would take three.
+    numpy's own buffers, traced or not, add a quarter of a layer each."""
+    n, layers = 300, 3
+    rng = np.random.default_rng(0)
+    weights = [rng.choice([0.5, -0.25, 1.5, 0.0], size=(n, n)).tolist() for _ in range(layers)]
+    doc = {"version": "v1", "layers": [{"kind": "input", "in_size": n, "out_size": n}] + [
+        {"kind": "fully-connected", "in_size": n, "out_size": n, "weights": w,
+         "neuron": {"beta": 0.9, "threshold": 1.0}} for w in weights]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    del weights, doc
+    text_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.layers) == layers + 1
+    one_layer = 32 * n * n
+    assert (peak - text_bytes) / one_layer < 2
+
+
 class TestRoundTrip:
     def test_save_load_reproduces_values_exactly(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -244,6 +283,13 @@ class TestRoundTrip:
                     assert np.array_equal(a.weights, b.weights)
                     if a.recurrent_weights is not None:
                         assert np.array_equal(a.recurrent_weights, b.recurrent_weights)
+
+    def test_save_writes_compact_json(self, tmp_path):
+        """One line, without the indent that would keep json.dumps off its C encoder."""
+        model = random_model(np.random.default_rng(5))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert path.read_text() == json.dumps(model_to_dict(model)) + "\n"
 
 
 class TestCountParameters:
