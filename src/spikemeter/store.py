@@ -248,22 +248,22 @@ def _parse_line(line: str, lineno: int) -> dict:
 
 
 def read_store(path: str | Path) -> StoreData:
-    """Parse the whole store.  A final line without a newline terminator is
-    treated as an interrupted write and skipped."""
+    """Parse the whole store.  Lines end at ``"\\n"`` alone, as ``wc -l``
+    counts them: JSON allows U+0085, U+2028 and U+2029 raw inside a string,
+    and reads a ``"\\r"`` before the ``"\\n"`` as whitespace.  A final line
+    without a newline terminator is treated as an interrupted write and
+    skipped."""
     data = StoreData()
     path = Path(path)
     if not path.exists():
         return data
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")  # no newline translation
     except OSError as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise StoreError(f"store {path}: {exc}") from exc
-    complete = text.endswith("\n")
-    lines = text.splitlines()
-    if not complete and lines:
-        lines = lines[:-1]
+    lines = text.split("\n")[:-1]  # the last item is "" or an interrupted write
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -195,6 +195,35 @@ class TestRecordSnapshot:
         data = read_store(store)
         assert len(data.history("m")) == 1
 
+    @staticmethod
+    def line(version: str, notes: str = "") -> str:
+        """A snapshot line as an encoder run with ``ensure_ascii=False`` writes it."""
+        return json.dumps({"kind": "snapshot", "model": "m", "version": version, "timestamp": 1.0,
+                           "values": {"effective_synops": 1.0}, "provenance": {},
+                           "notes": notes}, ensure_ascii=False)
+
+    @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+    def test_raw_line_separator_in_a_string_is_read(self, tmp_path, char):
+        """Only "\\n" ends a line, so a record holding another Unicode line
+        break reads, and the next line keeps the number ``wc -l`` gives it."""
+        store = tmp_path / "s.jsonl"
+        store.write_bytes((self.line("v1", f"a{char}b") + "\n").encode())
+        assert read_store(store).history("m")[0].notes == f"a{char}b"
+        store.write_bytes((self.line("v1", f"a{char}b") + "\n{\n").encode())
+        with pytest.raises(StoreError, match="^store line 2 is not valid JSON"):
+            read_store(store)
+
+    def test_crlf_line_ends_are_read(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        store.write_bytes((self.line("v1") + "\r\n" + self.line("v2") + "\r\n").encode())
+        assert [s.version for s in read_store(store).history("m")] == ["v1", "v2"]
+
+    def test_lone_carriage_return_separates_no_records(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        store.write_bytes((self.line("v1") + "\r" + self.line("v2") + "\n").encode())
+        with pytest.raises(StoreError, match="^store line 1 is not valid JSON: Extra data"):
+            read_store(store)
+
 
 class TestExternalMetrics:
     def test_ingest_training_time(self, tmp_path):
