@@ -14,13 +14,13 @@ numpy.
 :func:`load_json` decodes a file; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
 defaults make keys optional and whose annotations pick the rules;
-:func:`read_early` converts some of an object's fields in place, from a
-decode's object hook; :func:`read_field` reads one value at a dotted path;
-:func:`check_keys` refuses keys outside a list, for objects whose keys depend
-on a tag.  All raise the loader's
+:func:`read_field` reads one value at a dotted path; :func:`check_keys` refuses
+keys outside a list, for objects whose keys depend on a tag.  All raise the loader's
 own error class, naming the file kind and, for a bad value, the field:
 ``hardware spec field 'battery.capacity_joules': expected a finite number,
-got list``.
+got list``.  :func:`read_early` reads some of an object's fields in place,
+from a decode's object hook, and leaves a value its rule refuses for
+:func:`read_record` to report.
 """
 
 from __future__ import annotations
