@@ -895,3 +895,29 @@ def test_goldens_carry_the_catalog_tags():
                 assert record["provenance"] == CLASS_TAGS[record["key"]], (golden, record)
                 checked += 1
     assert checked >= 20
+
+
+# A small analog workload for the demo model: its input layer is written as
+# dense ``frames`` (-0.0 keeps its sign), the output layer as binary ``events``.
+ANALOG_WORKLOAD = {"kind": "analog", "layer": 2, "timesteps": 4,
+                   "frames": [[0.5, 0.0, -0.25, 1.0], [0.0, -0.0, 2.0, 0.75]]}
+
+
+@pytest.mark.parametrize("golden, workload", [
+    ("golden_trace_demo.json", None),
+    ("golden_trace_analog.json", ANALOG_WORKLOAD),
+])
+def test_golden_trace(tmp_path, capsys, golden, workload):
+    """``simulate --trace-out`` on the demo model at seed 42, with the demo
+    workload and with a small analog one: the trace file must not change by
+    a byte."""
+    workload_path = demo_path("demo_workload.json")
+    if workload is not None:
+        workload_path = tmp_path / "workload.json"
+        workload_path.write_text(json.dumps(workload))
+    trace = tmp_path / "trace.json"
+    code, _, _ = run_main(
+        ["simulate", "--model", demo_path("demo_model.json"), "--workload", str(workload_path),
+         "--seed", "42", "--trace-out", str(trace)], capsys)
+    assert code == 0
+    assert trace.read_bytes() == (DATA / golden).read_bytes()
