@@ -35,10 +35,12 @@ from __future__ import annotations
 import fcntl
 import json
 import math
+import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, POWER_DENSITY_LIMIT,
                       SPARSITY_THRESHOLD, MetricDescriptor, Polarity, Provenance, find_metric)
@@ -280,8 +282,9 @@ def _commit(path: str | Path, lines: Callable[[StoreData], Iterable[dict]]) -> S
     under an exclusive lock held from the read through the write.  Each
     record is applied to the parse by the reader's rules (:func:`_apply`)
     before the next is drawn, so a record that breaks them appends nothing,
-    and later records see the earlier ones.  Returns the parse with the
-    records applied.
+    and later records see the earlier ones.  The append starts on a fresh
+    line: an interrupted write that the read skipped is cut first.  Returns
+    the parse with the records applied.
 
     On a path that does not exist yet the records are first applied to an
     empty store, before anything is opened, so a write they reject creates
@@ -297,15 +300,29 @@ def _commit(path: str | Path, lines: Callable[[StoreData], Iterable[dict]]) -> S
     if not Path(path).exists():
         accepted(StoreData())
     try:
-        with open(path, "a") as handle:
+        with open(path, "a+b") as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)
             data = read_store(path)
             records = accepted(data)
-            handle.write("".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
+            _cut_interrupted_write(handle)
+            handle.write("".join(json.dumps(record, sort_keys=True) + "\n"
+                                 for record in records).encode())
             handle.flush()
     except OSError as exc:
         raise StoreError(f"cannot write store {path}: {exc}") from exc
     return data
+
+
+def _cut_interrupted_write(handle: BinaryIO) -> None:
+    """Truncate the store open in ``handle`` after its last newline.  What
+    follows is an interrupted write, which :func:`read_store` skips; an
+    append after it would join it into a line that is not JSON."""
+    size = handle.seek(0, os.SEEK_END)
+    if size:
+        handle.seek(size - 1)
+        if handle.read(1) != b"\n":
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
 
 
 def _check_names(names: Iterable) -> None:

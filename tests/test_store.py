@@ -195,6 +195,20 @@ class TestRecordSnapshot:
         data = read_store(store)
         assert len(data.history("m")) == 1
 
+    def test_append_after_an_interrupted_write(self, tmp_path):
+        """The writer cuts the line the reader skips, so the next record
+        starts a line of its own."""
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 1.0}))
+        first = store.read_bytes()
+        with open(store, "a") as f:
+            f.write('{"kind": "snapshot", "ver')  # interrupted write
+        record_snapshot(store, snap("v2", {"effective_synops": 2.0}))
+        assert [s.version for s in read_store(store).history("m")] == ["v1", "v2"]
+        lines = store.read_bytes().split(b"\n")
+        assert lines[0] + b"\n" == first and len(lines) == 3 and lines[2] == b""
+        assert json.loads(lines[1])["version"] == "v2"
+
     @staticmethod
     def line(version: str, notes: str = "") -> str:
         """A snapshot line as an encoder run with ``ensure_ascii=False`` writes it."""
