@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import report as rpt, store as st
@@ -160,8 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     train = files.prepare_input(workload, config)
     del workload  # its decoded lists, 30 MB for 10^6 frame entries, go before the run
     trace = run_inference(m, train, config)
-    trace.static_metrics = _static_metrics(m)
-    counts = trace.counts()
+    counts = replace(trace.counts, static_metrics=_static_metrics(m))
 
     ops = wl.effective_synops(counts)
     mem = wl.memory_accesses(ops)
@@ -181,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {"key": "duration", "value": counts.duration, "unit": "s"},
     ]
     if args.trace_out:  # before printing: a failed save prints nothing
-        files.save_trace(trace, args.trace_out)
+        files.save_trace(replace(trace, counts=counts), args.trace_out)
     _emit_metrics(rows, args.format, "computed")
     if sparsity.alert:
         if args.format == "jsonl":

@@ -16,8 +16,9 @@ Trace file: the simulator's full output -- per-layer spike trains,
 per-timestep tallies, and the structural metrics of the model that produced
 it.  Its bytes are defined as ``json.dumps(trace_to_dict(trace),
 sort_keys=True) + "\n"``, so identical runs serialize identically;
-:func:`save_trace` streams those bytes to the file from the numpy arrays without
-building the lists.
+:func:`save_trace` streams those bytes to the file, the spike matrices from
+the numpy arrays without building their lists, and everything else, the
+per-timestep tallies included, from the trace's counts.
 Unknown keys are refused at the top level and in each spike-layer entry;
 an entry's ``kind`` is ``binary`` or ``analog`` and its ``layer`` is its
 index in the list.  :func:`load_trace` checks the whole file but returns only
@@ -150,7 +151,7 @@ def prepare_input(workload: WorkloadSpec, config: SimulationConfig) -> _Train:
 
 
 def _trace_fields(trace: WorkloadTrace, form=lambda array: array) -> dict:
-    """The trace file's content, each array in it given as ``form(array)``."""
+    """The trace file's content, each spike array in it given as ``form(array)``."""
     import numpy as np
 
     def layer(index: int, events: np.ndarray) -> dict:
@@ -159,15 +160,16 @@ def _trace_fields(trace: WorkloadTrace, form=lambda array: array) -> dict:
                     "events": form(np.argwhere(events != 0.0))}
         return {"layer": index, "kind": "analog", "frames": form(events)}
 
+    counts = trace.counts
     return {
         "format": TRACE_FORMAT,
-        "model": {"name": trace.model_name, "version": trace.model_version},
-        "timesteps": trace.timesteps,
-        "timestep_duration": trace.timestep_duration,
-        "layer_sizes": list(trace.layer_sizes),
-        "per_timestep": {key: form(getattr(trace, key)) for key in _TALLIES},
+        "model": {"name": counts.model_name, "version": counts.model_version},
+        "timesteps": counts.timesteps,
+        "timestep_duration": counts.timestep_duration,
+        "layer_sizes": list(counts.layer_sizes),
+        "per_timestep": {key: getattr(counts, key) for key in _TALLIES},
         "spikes": [layer(i, events) for i, events in enumerate(trace.spikes)],
-        "static_metrics": trace.static_metrics,
+        "static_metrics": counts.static_metrics,
     }
 
 
@@ -179,7 +181,8 @@ def trace_to_dict(trace: WorkloadTrace) -> dict:
 def _dump(value, write) -> None:
     """Pass the text of ``json.dumps(value, sort_keys=True)`` to ``write``,
     piece by piece, for JSON values and ndarrays nested in dicts with string
-    keys and lists."""
+    keys and in lists of those dicts.  Any other list, a tally say, is
+    written with one ``json.dumps``."""
     import numpy as np
 
     if isinstance(value, np.ndarray):
@@ -190,7 +193,7 @@ def _dump(value, write) -> None:
             write(f"{', ' if i else ''}{json.dumps(key)}: ")
             _dump(value[key], write)
         write("}")
-    elif isinstance(value, list):
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
         write("[")
         for i, item in enumerate(value):
             if i:
@@ -242,10 +245,11 @@ def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
     before the file is opened, so a key other than a string or a value JSON
     cannot hold leaves an existing file as it was; an interrupt partway leaves
     a truncated file, which :func:`load_trace` refuses."""
-    for key in trace.static_metrics:
+    static_metrics = trace.counts.static_metrics
+    for key in static_metrics:
         if not isinstance(key, str):
             raise ValueError(f"static_metrics key {key!r} is not a string")
-    json.dumps(trace.static_metrics, sort_keys=True)
+    json.dumps(static_metrics, sort_keys=True)
     try:
         with open(path, "w") as out:
             _dump(_trace_fields(trace), out.write)

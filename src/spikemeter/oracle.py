@@ -5,7 +5,9 @@ scalar step_lif primitive -- no event shortcuts, no vectorization -- and
 tallies the same counting conventions as run_inference.  Per neuron, input
 accumulates feed-forward terms in ascending presynaptic order, then
 recurrent terms, then bias, exactly as the event-driven path does, so the
-two implementations agree bit-for-bit on spikes and potentials.
+two implementations agree bit-for-bit on spikes and potentials.  Every field
+of the counts comes from the oracle's own lists, the crossings and the spike
+total included, so comparing whole traces checks each of them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .simulate import (
     _Train,
     step_lif,
 )
+from .workload import TraceCounts
 
 
 def dense_oracle_counts(
@@ -48,6 +51,8 @@ def dense_oracle_counts(
     macs = [0] * T
     leak_macs = [0] * T
     updates = [0] * T
+    crossings = [0] * T
+    non_input_spikes = 0
     spike_rec: list[list[list[float]]] = [
         [[0.0] * T for _ in range(l.out_size)] for l in layers
     ]
@@ -60,6 +65,7 @@ def dense_oracle_counts(
                 source = [row[t] for row in input_events]
             else:
                 source = [spike_rec[li - 1][i][t] for i in range(layers[li - 1].out_size)]
+            crossings[t] += sum(1 for xj in source if xj != 0.0)
             w = weights[li]
             r = recurrents[li]
             b = biases[li]
@@ -101,20 +107,15 @@ def dense_oracle_counts(
                 next_state, fired = step_lif(NeuronState(v_prev), cur, params)
                 new_states[i] = next_state.v
                 spike_rec[li][i][t] = float(fired)
+                non_input_spikes += fired
             states[li] = new_states
             prev_spikes[li] = [spike_rec[li][i][t] for i in range(layer.out_size)]
 
     spikes = [np.array(train.events, copy=True)]
     spikes += [np.array(rec, dtype=np.float64) for rec in spike_rec]
-    return WorkloadTrace(
-        layer_sizes=model.layer_sizes,
-        spikes=spikes,
-        acs=np.array(acs, dtype=np.int64),
-        macs=np.array(macs, dtype=np.int64),
-        leak_macs=np.array(leak_macs, dtype=np.int64),
-        membrane_updates=np.array(updates, dtype=np.int64),
-        timesteps=T,
-        timestep_duration=config.timestep_duration,
-        model_name=model.name,
-        model_version=model.version,
-    )
+    return WorkloadTrace(spikes, TraceCounts(
+        layer_sizes=model.layer_sizes, timesteps=T, timestep_duration=config.timestep_duration,
+        acs=acs, macs=macs, leak_macs=leak_macs, membrane_updates=updates,
+        crossings=crossings, non_input_spikes=non_input_spikes,
+        model_name=model.name, model_version=model.version,
+    ))

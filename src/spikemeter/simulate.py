@@ -46,7 +46,7 @@ update even where the contributions cancel to 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.timesteps < 1:
             raise SimulationError("timesteps must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the encoder's stream takes a 64-bit seed
+            raise SimulationError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not (math.isfinite(self.timestep_duration) and self.timestep_duration > 0):
             raise SimulationError("timestep_duration must be > 0")
 
@@ -161,70 +163,33 @@ def step_lif(
     return NeuronState(v), 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadTrace:
-    """Spikes and per-timestep operation tallies from one inference.
+    """Spikes and counts from one inference.
 
     ``spikes[0]`` is the input train as supplied (possibly analog); all
-    later layers are binary.  Tallies are effective (event-driven) counts;
-    :meth:`counts` gives what the metrics and the pricing read.
+    later layers are binary.  ``counts`` holds the effective (event-driven)
+    tallies and everything else the metrics and the pricing read.
     """
 
-    layer_sizes: tuple[int, ...]
     spikes: list[np.ndarray]
-    acs: np.ndarray
-    macs: np.ndarray
-    leak_macs: np.ndarray
-    membrane_updates: np.ndarray
-    timesteps: int
-    timestep_duration: float
-    model_name: str = ""
-    model_version: str = ""
-    static_metrics: dict = field(default_factory=dict)
+    counts: TraceCounts
 
-    @property
-    def total_acs(self) -> int:
-        return int(self.acs.sum())
+    # Read by the benchmark: a run's totals and shape, and each tally as an
+    # array whose ``tolist()`` is the per-timestep list.
+    total_acs = property(lambda self: sum(self.counts.acs))
+    total_macs = property(lambda self: sum(self.counts.macs))
+    total_crossings = property(lambda self: sum(self.counts.crossings))
+    timesteps = property(lambda self: self.counts.timesteps)
+    layer_sizes = property(lambda self: self.counts.layer_sizes)
+    acs = property(lambda self: np.array(self.counts.acs))
+    macs = property(lambda self: np.array(self.counts.macs))
+    leak_macs = property(lambda self: np.array(self.counts.leak_macs))
+    membrane_updates = property(lambda self: np.array(self.counts.membrane_updates))
 
-    @property
-    def total_macs(self) -> int:
-        return int(self.macs.sum())
-
-    @property
-    def total_crossings(self) -> int:
-        return sum(self.counts().crossings)
-
-    def counts(self) -> TraceCounts:
-        """The trace's counts as Python ints; ``files.load_trace`` reads the
-        same from the trace file."""
-        crossings = np.zeros(self.timesteps, dtype=np.int64)
-        for layer in self.spikes[:-1]:
-            crossings += np.count_nonzero(layer, axis=0)
-        return TraceCounts(
-            layer_sizes=self.layer_sizes,
-            timesteps=self.timesteps,
-            timestep_duration=self.timestep_duration,
-            acs=self.acs.tolist(),
-            macs=self.macs.tolist(),
-            leak_macs=self.leak_macs.tolist(),
-            membrane_updates=self.membrane_updates.tolist(),
-            crossings=crossings.tolist(),
-            non_input_spikes=sum(int(np.count_nonzero(layer)) for layer in self.spikes[1:]),
-            model_name=self.model_name,
-            model_version=self.model_version,
-            static_metrics=self.static_metrics,
-        )
-
-    def equals(self, other: "WorkloadTrace") -> bool:
-        return (
-            self.layer_sizes == other.layer_sizes
-            and self.timesteps == other.timesteps
-            and all(np.array_equal(a, b) for a, b in zip(self.spikes, other.spikes))
-            and np.array_equal(self.acs, other.acs)
-            and np.array_equal(self.macs, other.macs)
-            and np.array_equal(self.leak_macs, other.leak_macs)
-            and np.array_equal(self.membrane_updates, other.membrane_updates)
-        )
+    def equals(self, other: WorkloadTrace) -> bool:
+        return self.counts == other.counts and all(
+            np.array_equal(a, b) for a, b in zip(self.spikes, other.spikes))
 
 
 def run_inference(
@@ -248,25 +213,23 @@ def run_inference(
 
     T = config.timesteps
     tallies = np.zeros((4, T), dtype=np.int64)
+    crossings = np.zeros(T, dtype=np.int64)  # each layer's input events
+    non_input_spikes = 0
     spikes: list[np.ndarray] = [np.array(train.events, copy=True)]
     for layer in model.weighted_layers:
         fired, entering, feed, rec_fan = _run_layer(layer, spikes[-1])
         tallies += _tally_layer(layer, spikes[-1], fired, entering, feed, rec_fan)
+        crossings += np.count_nonzero(spikes[-1], axis=0)
+        non_input_spikes += int(np.count_nonzero(fired))
         spikes.append(np.ascontiguousarray(fired.T, dtype=np.float64))
-    acs, macs, leak_macs, updates = tallies
+    acs, macs, leak_macs, updates = tallies.tolist()
 
-    return WorkloadTrace(
-        layer_sizes=model.layer_sizes,
-        spikes=spikes,
-        acs=acs,
-        macs=macs,
-        leak_macs=leak_macs,
-        membrane_updates=updates,
-        timesteps=T,
-        timestep_duration=config.timestep_duration,
-        model_name=model.name,
-        model_version=model.version,
-    )
+    return WorkloadTrace(spikes, TraceCounts(
+        layer_sizes=model.layer_sizes, timesteps=T, timestep_duration=config.timestep_duration,
+        acs=acs, macs=macs, leak_macs=leak_macs, membrane_updates=updates,
+        crossings=crossings.tolist(), non_input_spikes=non_input_spikes,
+        model_name=model.name, model_version=model.version,
+    ))
 
 
 # Timestep x neuron cells per block of the scratch arrays that span a layer.

@@ -3,9 +3,10 @@ synaptic operations, membrane updates, activation sparsity, and derived
 memory accesses (three loads and one store per MAC, two loads and one store
 per AC).
 
-They read a :class:`TraceCounts`, the counts a trace holds as Python ints,
-which ``files.load_trace`` reads from a trace file without numpy and
-``WorkloadTrace.counts`` takes from a simulation.
+They read a :class:`TraceCounts`, the counts of one inference as Python
+ints.  It is the one type that holds them: the simulator and the dense
+oracle each return one as their ``WorkloadTrace``'s ``counts``, and
+``files.load_trace`` reads one from a trace file without numpy.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from spikemeter.energy import (
     load_hardware_spec,
     power_density,
 )
-from spikemeter.workload import OpCounts, memory_accesses
+from spikemeter.workload import OpCounts, TraceCounts, memory_accesses
 
 PJ = 1e-12
 
@@ -238,18 +238,11 @@ class TestPowerDensity:
 class TestEnergyPerSop:
     def make_trace(self, acs_per_t):
         T = len(acs_per_t)
-        from spikemeter.simulate import WorkloadTrace
-
-        return WorkloadTrace(
-            layer_sizes=(1, 1),
-            spikes=[np.zeros((1, T)), np.zeros((1, T))],
-            acs=np.array(acs_per_t, dtype=np.int64),
-            macs=np.zeros(T, dtype=np.int64),
-            leak_macs=np.zeros(T, dtype=np.int64),
-            membrane_updates=np.zeros(T, dtype=np.int64),
-            timesteps=T,
-            timestep_duration=1e-3,
-        ).counts()
+        return TraceCounts(
+            layer_sizes=(1, 1), timesteps=T, timestep_duration=1e-3,
+            acs=list(acs_per_t), macs=[0] * T, leak_macs=[0] * T, membrane_updates=[0] * T,
+            crossings=[0] * T, non_input_spikes=0,
+        )
 
     def test_seven_pj_per_sop(self):
         ops = fixture_ops()
@@ -355,8 +348,8 @@ class TestPeakWindowPricing:
     every membrane-count mode and leak-MAC policy."""
 
     # Per timestep: macs, leak_macs, acs, effective membrane updates.  Layer
-    # sizes (2, 3, 1) give 4 non-input neurons (the dense update count) and
-    # the spikes below forward 3, 3 and 0 events across layer boundaries.
+    # sizes (2, 3, 1) give 4 non-input neurons (the dense update count), and
+    # 3, 3 and 0 events cross a layer boundary.
     MACS, LEAK_MACS, ACS, UPDATES = (2, 5, 0), (1, 4, 0), (6, 1, 2), (3, 4, 1)
     SPEC = dict(e_mac=4 * PJ, e_ac=1 * PJ, e_read=2 * PJ, e_write=3 * PJ,
                 e_membrane_update=5 * PJ, e_layer_crossing=7 * PJ)
@@ -370,22 +363,11 @@ class TestPeakWindowPricing:
     }
 
     def make_trace(self):
-        from spikemeter.simulate import WorkloadTrace
-
-        return WorkloadTrace(
-            layer_sizes=(2, 3, 1),
-            spikes=[
-                np.array([[1, 1, 0], [1, 0, 0]], dtype=np.float64),
-                np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0]], dtype=np.float64),
-                np.zeros((1, 3)),
-            ],
-            acs=np.array(self.ACS, dtype=np.int64),
-            macs=np.array(self.MACS, dtype=np.int64),
-            leak_macs=np.array(self.LEAK_MACS, dtype=np.int64),
-            membrane_updates=np.array(self.UPDATES, dtype=np.int64),
-            timesteps=3,
-            timestep_duration=1e-3,
-        ).counts()
+        return TraceCounts(
+            layer_sizes=(2, 3, 1), timesteps=3, timestep_duration=1e-3,
+            acs=list(self.ACS), macs=list(self.MACS), leak_macs=list(self.LEAK_MACS),
+            membrane_updates=list(self.UPDATES), crossings=[3, 3, 0], non_input_spikes=3,
+        )
 
     @pytest.mark.parametrize("include_leak", [True, False])
     @pytest.mark.parametrize("mode", ["effective", "dense"])
@@ -393,7 +375,6 @@ class TestPeakWindowPricing:
         from spikemeter.workload import effective_synops
 
         trace = self.make_trace()
-        assert trace.crossings == [3, 3, 0]
         spec = HardwareSpec(**self.SPEC, membrane_count_mode=MembraneCountMode(mode))
         ops = effective_synops(trace)
         mem = memory_accesses(ops, include_leak_macs=include_leak)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from spikemeter.files import (
 )
 from spikemeter.simulate import (AnalogTrain, SimulationConfig, SpikeTrain, WorkloadTrace,
                                  run_inference)
+from spikemeter.workload import TraceCounts
 
 from conftest import simple_model
 
@@ -105,17 +107,34 @@ class TestWorkloadParsing:
             prepare_input(workload, SimulationConfig(timesteps=3))
 
 
+def with_static_metrics(trace: WorkloadTrace, static_metrics: dict) -> WorkloadTrace:
+    return replace(trace, counts=replace(trace.counts, static_metrics=static_metrics))
+
+
+def trace_of(spikes: list[np.ndarray], **fields) -> WorkloadTrace:
+    """A trace of ``spikes``, its layer sizes, crossings and spike total
+    counted from them; ``fields`` gives the rest of its counts."""
+    timesteps = spikes[0].shape[1]
+    crossings = np.zeros(timesteps, dtype=np.int64)
+    for layer in spikes[:-1]:
+        crossings += np.count_nonzero(layer, axis=0)
+    return WorkloadTrace(spikes, TraceCounts(
+        layer_sizes=tuple(len(layer) for layer in spikes), timesteps=timesteps,
+        crossings=crossings.tolist(),
+        non_input_spikes=sum(int(np.count_nonzero(layer)) for layer in spikes[1:]), **fields))
+
+
 class TestTraceRoundTrip:
     def test_binary_and_analog_layers_survive(self, tmp_path):
         model = simple_model([[0.9, 0.4], [0.3, 0.8]], beta=0.5, threshold=0.7)
         frames = np.array([[0.5, 1.0, 0.0], [1.0, 0.0, 0.25]])
         trace = run_inference(model, AnalogTrain(frames), SimulationConfig(timesteps=3))
-        trace.static_metrics = {"parameters": 8.0}
+        trace = with_static_metrics(trace, {"parameters": 8.0})
         path = tmp_path / "trace.json"
         save_trace(trace, path)
         again = load_trace(path)
-        assert again == trace.counts()
-        assert again.timestep_duration == trace.timestep_duration
+        assert again == trace.counts
+        assert again.timestep_duration == trace.counts.timestep_duration
         assert again.static_metrics == {"parameters": 8.0}
         assert again.model_name == "fixture"
 
@@ -126,13 +145,12 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.json"
         save_trace(trace, path)
         before = path.read_bytes()
-        trace.static_metrics = {"parameters": object()}
         with pytest.raises(TypeError):
-            save_trace(trace, path)
+            save_trace(with_static_metrics(trace, {"parameters": object()}), path)
         assert path.read_bytes() == before
-        trace.static_metrics = {1: 2.0}  # json.dumps would write the key as "1"
+        # json.dumps would write the key as "1"
         with pytest.raises(ValueError, match="static_metrics key 1 is not a string"):
-            save_trace(trace, path)
+            save_trace(with_static_metrics(trace, {1: 2.0}), path)
         assert path.read_bytes() == before
 
     def test_non_trace_file_rejected(self, tmp_path):
@@ -166,12 +184,9 @@ def traces(draw) -> WorkloadTrace:
     timesteps = draw(st.integers(1, 6))
     spikes = draw(st.lists(layers(timesteps), min_size=1, max_size=3))
     tally = st.lists(st.integers(0, 2**40), min_size=timesteps, max_size=timesteps)
-    return WorkloadTrace(
-        layer_sizes=tuple(layer.shape[0] for layer in spikes),
-        spikes=spikes,
-        **{key: np.array(draw(tally), dtype=np.int64)
-           for key in ("acs", "macs", "leak_macs", "membrane_updates")},
-        timesteps=timesteps,
+    return trace_of(
+        spikes,
+        **{key: draw(tally) for key in ("acs", "macs", "leak_macs", "membrane_updates")},
         timestep_duration=draw(st.sampled_from([1e-3, 1e-05]) | st.floats(1e-9, 1.0)),
         model_name=draw(st.text(max_size=4)),
         model_version=draw(st.text(max_size=4)),
@@ -182,12 +197,9 @@ def traces(draw) -> WorkloadTrace:
 def edge_trace(timesteps: int, analog: list[list[float]]) -> WorkloadTrace:
     """An analog input layer, then a binary layer with no events; no static metrics."""
     frames = np.array(analog, dtype=np.float64).reshape(-1, timesteps)
-    zeros = np.zeros(timesteps, dtype=np.int64)
-    return WorkloadTrace(
-        layer_sizes=(len(frames), 2), spikes=[frames, np.zeros((2, timesteps))],
-        acs=zeros, macs=zeros, leak_macs=zeros, membrane_updates=zeros,
-        timesteps=timesteps, timestep_duration=1e-3,
-    )
+    zeros = [0] * timesteps
+    return trace_of([frames, np.zeros((2, timesteps))], acs=zeros, macs=zeros,
+                    leak_macs=zeros, membrane_updates=zeros, timestep_duration=1e-3)
 
 
 @settings(max_examples=200, deadline=None,
@@ -202,9 +214,7 @@ def test_save_trace_writes_the_json_dumps_bytes(tmp_path, trace):
     save_trace(trace, path)
     assert path.read_bytes() == (json.dumps(trace_to_dict(trace), sort_keys=True)
                                  + "\n").encode()
-    again = load_trace(path)
-    assert again == trace.counts()
-    assert again.static_metrics == trace.static_metrics
+    assert load_trace(path) == trace.counts
 
 
 @pytest.mark.parametrize("array", [
@@ -377,8 +387,5 @@ def test_unsorted_and_duplicate_events_count_once(tmp_path):
     assert (counts.crossings, counts.non_input_spikes) == ([2, 1, 0, 0], 4)
     matrices = [SpikeTrain.from_events(size, timesteps, layer).events
                 for size, layer in zip(layer_sizes, events)]
-    assert counts == WorkloadTrace(
-        layer_sizes=layer_sizes, spikes=matrices,
-        **{key: np.array(values, dtype=np.int64) for key, values in tallies.items()},
-        timesteps=timesteps, timestep_duration=1e-3, model_name="demo", model_version="v1",
-    ).counts()
+    assert counts == trace_of(matrices, **tallies, timestep_duration=1e-3,
+                              model_name="demo", model_version="v1").counts

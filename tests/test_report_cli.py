@@ -247,6 +247,16 @@ class TestCliExitCodes:
         assert code == 0
         assert jsonl_values(out)["acs"] == 9.0
 
+    @pytest.mark.parametrize("seed, code", [("-1", 2), (str(2**64), 2), (str(2**64 - 1), 0)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed, code):
+        workload = tmp_path / "rates.json"
+        workload.write_text(json.dumps({"kind": "rates", "values": [0.5, 0.5], "timesteps": 8}))
+        got, out, err = run_main(["simulate", "--model", demo_path("demo_model.json"),
+                                  "--workload", str(workload), "--seed", seed], capsys)
+        assert got == code
+        if code:
+            assert (out, err) == ("", f"error: seed must lie in [0, 2**64), got {seed}\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(
             ["simulate", "--model", "/nonexistent.json",

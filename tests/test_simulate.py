@@ -17,6 +17,14 @@ from spikemeter.workload import effective_synops
 from conftest import dense_synops, random_model, random_train, simple_model
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65])
+def test_seed_outside_64_bits_rejected(seed):
+    """The encoder's stream takes a 64-bit seed; a seed it would reduce is refused."""
+    with pytest.raises(SimulationError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        SimulationConfig(timesteps=1, seed=seed)
+    assert SimulationConfig(timesteps=1, seed=2**64 - 1).seed == 2**64 - 1
+
+
 class TestRateEncode:
     def test_zero_rates_never_fire(self):
         train = rate_encode([0.0, 0.0], 50, seed=123)
@@ -78,7 +86,7 @@ class TestRunInference:
         trace = run_inference(model, train, SimulationConfig(timesteps=6))
         assert trace.total_acs == 0
         assert trace.total_macs == 0
-        assert trace.membrane_updates.sum() == 0
+        assert sum(trace.counts.membrane_updates) == 0
         assert all(np.count_nonzero(layer) == 0 for layer in trace.spikes)
 
     def test_dimension_mismatch_rejected(self, fixture_2x3_model):
@@ -105,8 +113,8 @@ class TestRunInference:
         frames = np.array([[0.5, 0.0], [0.0, 1.0]])
         trace = run_inference(model, AnalogTrain(frames), SimulationConfig(timesteps=2))
         # t0: neuron 0 sends analog 0.5 -> 2 MACs; t1: neuron 1 spikes (1.0) -> 2 ACs
-        assert trace.macs.tolist() == [2, 0]
-        assert trace.acs.tolist() == [0, 2]
+        assert trace.counts.macs == [2, 0]
+        assert trace.counts.acs == [0, 2]
 
     def test_acs_bounded_by_spikes_times_max_fanout(self):
         rng = np.random.default_rng(61)
@@ -133,7 +141,7 @@ class TestRunInference:
             train = random_train(rng, model.input_size, T, analog_prob=0.0)
             trace = run_inference(model, train, SimulationConfig(timesteps=T))
             dense = dense_synops(model, T)
-            assert effective_synops(trace.counts()).acs <= dense.acs
+            assert effective_synops(trace.counts).acs <= dense.acs
 
     def test_dense_equality_when_everything_fires(self):
         # all-ones weights, zero threshold effect: bias drives every neuron
@@ -144,7 +152,7 @@ class TestRunInference:
         T = 3
         train = SpikeTrain(np.ones((2, T)))
         trace = run_inference(model, train, SimulationConfig(timesteps=T))
-        assert effective_synops(trace.counts()).acs == dense_synops(model, T).acs
+        assert effective_synops(trace.counts).acs == dense_synops(model, T).acs
 
     def test_to_zero_reset_zeroes_potential_in_trace(self):
         # single neuron driven over threshold at t0 only; beta=1 so any
@@ -161,5 +169,5 @@ class TestRunInference:
         for beta, macs_t1, updates_t1 in ((1.0, 0, 0), (0.0, 0, 1), (0.5, 1, 1)):
             model = simple_model([[0.5]], beta=beta, threshold=10.0)
             trace = run_inference(model, train, SimulationConfig(timesteps=2))
-            assert trace.macs[1] == macs_t1, f"beta={beta}"
-            assert trace.membrane_updates[1] == updates_t1, f"beta={beta}"
+            assert trace.counts.macs[1] == macs_t1, f"beta={beta}"
+            assert trace.counts.membrane_updates[1] == updates_t1, f"beta={beta}"

@@ -5,6 +5,7 @@ from spikemeter.simulate import SimulationConfig, SpikeTrain, run_inference
 from spikemeter.workload import (
     MemoryAccessCounts,
     OpCounts,
+    TraceCounts,
     activation_sparsity,
     effective_synops,
     memory_accesses,
@@ -28,7 +29,7 @@ class TestEffectiveSynops:
         trace = run_inference(
             fixture_2x3_model, fixture_input_spikes, SimulationConfig(timesteps=4)
         )
-        ops = effective_synops(trace.counts())
+        ops = effective_synops(trace.counts)
         assert ops.acs == 9
         assert ops.acs + ops.macs == ops.total_sops
         assert ops.membrane_updates_effective <= ops.membrane_updates_dense
@@ -38,7 +39,7 @@ class TestEffectiveSynops:
         trace = run_inference(
             model, SpikeTrain(np.zeros((2, 3))), SimulationConfig(timesteps=3)
         )
-        ops = effective_synops(trace.counts())
+        ops = effective_synops(trace.counts)
         assert (ops.macs, ops.acs, ops.membrane_updates_effective) == (0, 0, 0)
 
     def test_two_traces_add_componentwise(self):
@@ -50,11 +51,11 @@ class TestEffectiveSynops:
         t2 = run_inference(
             model, random_train(rng, model.input_size, 8), SimulationConfig(timesteps=8)
         )
-        combined = effective_synops(t1.counts()) + effective_synops(t2.counts())
+        combined = effective_synops(t1.counts) + effective_synops(t2.counts)
         assert combined.acs == t1.total_acs + t2.total_acs
         assert combined.macs == t1.total_macs + t2.total_macs
         assert combined.total_sops == (
-            effective_synops(t1.counts()).total_sops + effective_synops(t2.counts()).total_sops
+            effective_synops(t1.counts).total_sops + effective_synops(t2.counts).total_sops
         )
 
 
@@ -70,7 +71,7 @@ class TestDenseSynops:
         trace = run_inference(
             fixture_2x3_model, fixture_input_spikes, SimulationConfig(timesteps=4)
         )
-        assert effective_synops(trace.counts()).acs <= dense_synops(fixture_2x3_model, 4).acs
+        assert effective_synops(trace.counts).acs <= dense_synops(fixture_2x3_model, 4).acs
 
 
 class TestMemoryAccesses:
@@ -107,28 +108,14 @@ class TestMemoryAccesses:
         assert without.writes == 2 + 2
 
 
-def trace_with(spikes: int, neurons: int = 3, timesteps: int = 4):
+def trace_with(spikes: int, neurons: int = 3, timesteps: int = 4) -> TraceCounts:
     """Counts of a trace over one hidden layer with the given number of spikes."""
-    events = np.zeros((neurons, timesteps))
-    placed = 0
-    for n in range(neurons):
-        for t in range(timesteps):
-            if placed < spikes:
-                events[n, t] = 1.0
-                placed += 1
-    assert placed == spikes
-    from spikemeter.simulate import WorkloadTrace
-
-    return WorkloadTrace(
-        layer_sizes=(2, neurons),
-        spikes=[np.zeros((2, timesteps)), events],
-        acs=np.zeros(timesteps, dtype=np.int64),
-        macs=np.zeros(timesteps, dtype=np.int64),
-        leak_macs=np.zeros(timesteps, dtype=np.int64),
-        membrane_updates=np.zeros(timesteps, dtype=np.int64),
-        timesteps=timesteps,
-        timestep_duration=1e-3,
-    ).counts()
+    zeros = [0] * timesteps
+    return TraceCounts(
+        layer_sizes=(2, neurons), timesteps=timesteps, timestep_duration=1e-3,
+        acs=zeros, macs=zeros, leak_macs=zeros, membrane_updates=zeros,
+        crossings=zeros, non_input_spikes=spikes,
+    )
 
 
 class TestActivationSparsity:
