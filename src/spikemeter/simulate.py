@@ -175,8 +175,8 @@ class WorkloadTrace:
     spikes: list[np.ndarray]
     counts: TraceCounts
 
-    # Read by the benchmark: a run's totals and shape, and each tally as an
-    # array whose ``tolist()`` is the per-timestep list.
+    # Read by perfbench: a run's totals and shape, and each tally as an array
+    # whose ``tolist()`` is the per-timestep list.
     total_acs = property(lambda self: sum(self.counts.acs))
     total_macs = property(lambda self: sum(self.counts.macs))
     total_crossings = property(lambda self: sum(self.counts.crossings))
