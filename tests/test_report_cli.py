@@ -866,31 +866,49 @@ GOLDEN_METRICS = ("golden_simulate.jsonl", "golden_estimate.jsonl", "golden_anal
                   "golden_compare.jsonl")
 
 
-def test_golden_estimate_jsonl(tmp_path, capsys):
-    """Demo model and workload, simulated at seed 42, priced against the
-    demo spec; the demo model analyzed; two inline versions compared with
-    accuracy improved, regressed and unchanged, each in both orientations:
-    each verb's jsonl stdout must not change by a byte."""
-    trace = str(tmp_path / "trace.json")
+def golden_metric_runs(trace: str) -> list[list[list[str]]]:
+    """The argv of each verb's golden, in GOLDEN_METRICS order: the demo
+    model and workload simulated at seed 42, priced against the demo spec;
+    the demo model analyzed; two inline versions compared with accuracy
+    improved, regressed and unchanged, each in both orientations."""
     compare = [
         ["compare", "--old-energy", "2e-9", "--old-time", "0.01", "--old-accuracy", old,
          "--new-energy", "1.5e-9", "--new-time", "0.02", "--new-accuracy", new, *published]
         for old, new in (("0.7", "0.8"), ("0.8", "0.7"), ("0.8", "0.8"))
         for published in ([], ["--as-published"])
     ]
-    runs = [
+    return [
         [["simulate", "--model", demo_path("demo_model.json"),
           "--workload", demo_path("demo_workload.json"), "--seed", "42", "--trace-out", trace]],
         [["estimate", "--trace", trace, "--hwspec", demo_path("demo_hwspec.json")]],
         [["analyze", "--model", demo_path("demo_model.json")]],
         compare,
     ]
-    for golden, argvs in zip(GOLDEN_METRICS, runs):
+
+
+def golden_metric_outputs(tmp_path, capsys, fmt: str) -> list[str]:
+    """Each verb's stdout over its golden runs, in GOLDEN_METRICS order."""
+    outs = []
+    for argvs in golden_metric_runs(str(tmp_path / "trace.json")):
         out = ""
         for argv in argvs:
-            code, stdout, _ = run_main(argv + ["--format", "jsonl"], capsys)
+            code, stdout, _ = run_main(argv + ["--format", fmt], capsys)
             assert code == 0, argv
             out += stdout
+        outs.append(out)
+    return outs
+
+
+def test_golden_estimate_jsonl(tmp_path, capsys):
+    """Each verb's jsonl stdout over its golden runs must not change by a byte."""
+    for golden, out in zip(GOLDEN_METRICS, golden_metric_outputs(tmp_path, capsys, "jsonl")):
+        assert out == (DATA / golden).read_text(), golden
+
+
+def test_golden_metrics_text(tmp_path, capsys):
+    """Each verb's text stdout over the same runs must not change by a byte."""
+    for golden, out in zip(GOLDEN_METRICS, golden_metric_outputs(tmp_path, capsys, "text")):
+        golden = golden.replace(".jsonl", ".txt")
         assert out == (DATA / golden).read_text(), golden
 
 
