@@ -1,6 +1,8 @@
-"""Built-in catalog of the supported energy metrics.
+"""The one description of every number the tool prints or stores.
 
-Each descriptor records four properties a metric can offer a developer:
+``builtin_catalog()`` holds the paper's 13 catalogued and 7 proposed
+metrics, each with its unit, provenance class (the tag it is printed and
+stored with), polarity, and the four properties it offers a developer:
 
 * accessibility -- obtainable during model development without hardware;
 * high_fidelity -- tracks real deployed energy closely;
@@ -13,6 +15,12 @@ Ratio metrics (speedup, greenup, powerup) are trend-based by construction
 and are flagged ``trend_inherent``.  Metrics marked ``assumes_estimation``
 are only accessible/high-fidelity on the back of a trusted energy
 estimation; without one they inherit the estimator's uncertainty.
+
+``TOOL_QUANTITIES`` gives the unit and provenance class of each quantity
+of the tool's own that the CLI prints or records: the terms of an energy
+breakdown, the tallies a metric sums, each side of a comparison.  They are
+not catalog metrics: ``find_metric`` does not know them, and the store
+takes one only once it is registered.
 """
 
 from __future__ import annotations
@@ -196,8 +204,40 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
 _BY_KEY = {d.key: d for d in _CATALOG}
 _BY_NAME = {d.name.lower(): d for d in _CATALOG}
 
-# Key -> provenance tag, as the CLI prints it and the store writes it.
+# (key, unit, provenance class) of each of the tool's own quantities.
+TOOL_QUANTITIES: tuple[tuple[str, str, Provenance], ...] = (
+    # recorded by analyze and estimate, and registered in this order
+    ("execution_time", "s", _C),
+    ("parameters_trainable", "count", _C),
+    ("parameters_non_trainable", "count", _C),
+    # simulate: the tallies behind effective_synops and memory_accesses
+    ("acs", "ops", _C),
+    ("macs", "ops", _C),
+    ("membrane_updates_dense", "updates", _C),
+    ("memory_reads", "accesses", _C),
+    ("memory_writes", "accesses", _C),
+    ("duration", "s", _C),
+    # estimate: the terms of energy_per_inference, and the power it implies
+    *((key, "J", _E) for key in (
+        "synop_energy", "membrane_energy", "memory_energy", "model_total",
+        "static_energy", "adc_energy", "tx_energy", "overhead_total")),
+    ("average_power", "W", _E),
+    ("peak_window_power", "W", _E),
+    # compare: each version's side, and what the accuracy did
+    ("energy_delay_product_old", "J*s", _E),
+    ("energy_delay_product_new", "J*s", _E),
+    ("efficiency_ratio_old", "accuracy/J", _E),
+    ("efficiency_ratio_new", "accuracy/J", _E),
+    ("marginal_energy_cost", "J per accuracy point", _E),
+    ("accuracy_regressed", "", _C),
+    ("accuracy_unchanged", "", _C),
+)
+
+# Key -> provenance tag of a catalog metric, as the store writes it.
 CLASS_TAGS = {d.key: d.provenance_class.value for d in _CATALOG}
+# Key -> (unit, provenance tag) of every number the CLI prints or records.
+UNITS_AND_TAGS = {**{d.key: (d.unit, d.provenance_class.value) for d in _CATALOG},
+                  **{key: (unit, tag.value) for key, unit, tag in TOOL_QUANTITIES}}
 
 
 def find_metric(name: str) -> MetricDescriptor | None:

@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import report as rpt, store as st
-from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, MissingSpecError,
-                      find_metric)
+from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, UNITS_AND_TAGS,
+                      MissingSpecError)
 from .fields import load_json, number, optional, read_field, read_record
 
 if TYPE_CHECKING:
@@ -59,28 +59,26 @@ EXTRA_METRICS = (
     "inferences_per_battery_cycle",
 )
 
-# Metrics the tool computes that the catalog does not describe: name -> unit.
-# Recording registers the ones present in this order.
-TOOL_METRIC_UNITS = {
-    "execution_time": "s",
-    "parameters_trainable": "count",
-    "parameters_non_trainable": "count",
-}
+# The tool's quantities that recording stores, registered in this order.
+RECORDED_QUANTITIES = ("execution_time", "parameters_trainable", "parameters_non_trainable")
 
 
-def _emit_metrics(rows: list[dict], fmt: str, default: str) -> None:
-    """Print ``rows``, each tagged with its catalog provenance, or with the
-    verb's ``default`` for a key the catalog does not describe."""
-    for row in rows:
-        row.setdefault("provenance", CLASS_TAGS.get(row["key"], default))
-    if fmt == "jsonl":
-        for row in rows:
-            print(rpt.json_line({"record": "metric", **row}))
-    else:
-        for row in rows:
-            unit = f" {row['unit']}" if row.get("unit") else ""
-            note = f"  # {row['note']}" if row.get("note") else ""
-            print(f"{row['key']} = {row['value']:.12g}{unit} [{row['provenance']}]{note}")
+def _emit_metrics(rows: list[tuple], fmt: str, units: dict[str, str] | None = None) -> None:
+    """Print ``rows`` of key, value and an optional note, each with the unit
+    and provenance tag the catalog gives its key; ``units`` overrides a unit
+    with the one a store holds."""
+    for key, value, *note in rows:
+        unit, tag = UNITS_AND_TAGS[key]
+        unit = (units or {}).get(key, unit)
+        if fmt == "jsonl":
+            record = dict(record="metric", key=key, value=value, unit=unit, provenance=tag)
+            if note:  # an empty note is still printed
+                record["note"] = note[0]
+            print(rpt.json_line(record))
+        else:
+            unit = f" {unit}" if unit else ""
+            note = f"  # {note[0]}" if note and note[0] else ""
+            print(f"{key} = {value:.12g}{unit} [{tag}]{note}")
 
 
 def _static_metrics(m: ModelDescriptor) -> dict[str, float]:
@@ -100,22 +98,17 @@ def _static_metrics(m: ModelDescriptor) -> dict[str, float]:
     return out
 
 
-def _unit(key: str, tool_units: dict[str, str]) -> str:
-    descriptor = find_metric(key)
-    return descriptor.unit if descriptor is not None else tool_units[key]
-
-
 def _record(store: str, values: dict[str, float], **snapshot) -> dict[str, str]:
-    """Snapshot ``values``; the catalog tags its own metrics, and the tool's
-    non-catalog metrics are tagged computed, and those the store does not know
-    yet are registered in the same append.  Returns the unit the store holds
-    for each of the tool's metrics recorded."""
-    tool_keys = [key for key in TOOL_METRIC_UNITS if key in values]
-    provenance = dict.fromkeys(tool_keys, "computed")
+    """Snapshot ``values``; the catalog tags every value, and the tool's
+    quantities the store does not know yet are registered, with the
+    catalog's unit, in the same append.  Returns the unit the store holds for
+    each of the tool's quantities recorded."""
+    tool_keys = [key for key in RECORDED_QUANTITIES if key in values]
     registered = st.record_snapshot(
         store,
-        st.MetricSnapshot(values=values, provenance=provenance, **snapshot),
-        register=[st.CustomMetric(key, unit=TOOL_METRIC_UNITS[key]) for key in tool_keys],
+        st.MetricSnapshot(values=values, **snapshot,
+                          provenance={key: UNITS_AND_TAGS[key][1] for key in tool_keys}),
+        register=[st.CustomMetric(key, unit=UNITS_AND_TAGS[key][0]) for key in tool_keys],
     )
     return {key: registered[key].unit for key in tool_keys}
 
@@ -167,21 +160,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sparsity = wl.activation_sparsity(counts, threshold=threshold)
 
     rows = [
-        {"key": "acs", "value": float(ops.acs), "unit": "ops"},
-        {"key": "macs", "value": float(ops.macs), "unit": "ops"},
-        {"key": "effective_synops", "value": float(ops.total_sops), "unit": "ops"},
-        {"key": "membrane_updates", "value": float(ops.membrane_updates_effective),
-         "unit": "updates"},
-        {"key": "membrane_updates_dense", "value": float(ops.membrane_updates_dense),
-         "unit": "updates"},
-        {"key": "memory_reads", "value": float(mem.reads), "unit": "accesses"},
-        {"key": "memory_writes", "value": float(mem.writes), "unit": "accesses"},
-        {"key": "activation_sparsity", "value": sparsity.activation_sparsity, "unit": "ratio"},
-        {"key": "duration", "value": counts.duration, "unit": "s"},
+        ("acs", float(ops.acs)),
+        ("macs", float(ops.macs)),
+        ("effective_synops", float(ops.total_sops)),
+        ("membrane_updates", float(ops.membrane_updates_effective)),
+        ("membrane_updates_dense", float(ops.membrane_updates_dense)),
+        ("memory_reads", float(mem.reads)),
+        ("memory_writes", float(mem.writes)),
+        ("activation_sparsity", sparsity.activation_sparsity),
+        ("duration", counts.duration),
     ]
     if args.trace_out:  # before printing: a failed save prints nothing
         files.save_trace(replace(trace, counts=counts), args.trace_out)
-    _emit_metrics(rows, args.format, "computed")
+    _emit_metrics(rows, args.format)
     if sparsity.alert:
         if args.format == "jsonl":
             print(rpt.json_line({"record": "note", "text": sparsity.alert}))
@@ -200,13 +191,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     m = mdl.load_model(args.model)
     values = _static_metrics(m)
-    tool_units = TOOL_METRIC_UNITS
+    units = None
     if args.record:  # print the units the store holds, custom ones included
-        tool_units = _record(_require_store(args), values, model_name=m.name,
-                             version=args.version or m.version, timestamp=args.timestamp)
-    rows = [{"key": key, "value": value, "unit": _unit(key, tool_units)}
-            for key, value in values.items()]
-    _emit_metrics(rows, args.format, "computed")
+        units = _record(_require_store(args), values, model_name=m.name,
+                        version=args.version or m.version, timestamp=args.timestamp)
+    _emit_metrics(list(values.items()), args.format, units)
     return EXIT_OK
 
 
@@ -264,17 +253,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     edp = cmp.energy_delay_product(breakdown.total, duration)
 
     rows = [
-        {"key": "synop_energy", "value": breakdown.model.synop_energy, "unit": "J"},
-        {"key": "membrane_energy", "value": breakdown.model.membrane_energy, "unit": "J"},
-        {"key": "memory_energy", "value": breakdown.model.memory_energy, "unit": "J"},
-        {"key": "model_total", "value": breakdown.model.model_total, "unit": "J"},
-        {"key": "static_energy", "value": breakdown.overhead.static_energy, "unit": "J"},
-        {"key": "adc_energy", "value": breakdown.overhead.adc_energy, "unit": "J"},
-        {"key": "tx_energy", "value": breakdown.overhead.tx_energy, "unit": "J"},
-        {"key": "overhead_total", "value": breakdown.overhead.overhead_total, "unit": "J"},
-        {"key": "energy_per_inference", "value": breakdown.total, "unit": "J"},
-        {"key": "average_power", "value": power, "unit": "W"},
-        {"key": "energy_delay_product", "value": edp, "unit": "J*s"},
+        ("synop_energy", breakdown.model.synop_energy),
+        ("membrane_energy", breakdown.model.membrane_energy),
+        ("memory_energy", breakdown.model.memory_energy),
+        ("model_total", breakdown.model.model_total),
+        ("static_energy", breakdown.overhead.static_energy),
+        ("adc_energy", breakdown.overhead.adc_energy),
+        ("tx_energy", breakdown.overhead.tx_energy),
+        ("overhead_total", breakdown.overhead.overhead_total),
+        ("energy_per_inference", breakdown.total),
+        ("average_power", power),
+        ("energy_delay_product", edp),
     ]
 
     requested = EXTRA_METRICS if args.metrics == "auto" else tuple(
@@ -283,17 +272,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     unknown = set(requested) - set(EXTRA_METRICS)
     if unknown:
         raise ValueError(f"unknown metrics requested: {sorted(unknown)}")
-    optional_values: dict[str, float] = {}
     for name in requested:
         try:
             if name == "power_density":
                 density = en.power_density(power, spec)
-                optional_values[name] = density.mw_per_cm2
-                rows.append(
-                    {"key": name, "value": density.mw_per_cm2, "unit": "mW/cm^2",
-                     "note": ("VIOLATION of limit" if density.violation else "within limit")
-                     + f" {density.limit_mw_per_cm2:g} mW/cm^2"}
-                )
+                rows.append((name, density.mw_per_cm2,
+                             ("VIOLATION of limit" if density.violation else "within limit")
+                             + f" {density.limit_mw_per_cm2:g} mW/cm^2"))
             elif name == "energy_per_sop":
                 if trace is None or ops.total_sops == 0:
                     raise MissingSpecError(
@@ -302,39 +287,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 sop = en.energy_per_sop(
                     breakdown, ops, trace, spec, include_leak_macs=include_leak
                 )
-                optional_values[name] = sop.average_pj_per_sop
-                rows.append({"key": name, "value": sop.average_pj_per_sop, "unit": "pJ/SOP"})
-                rows.append(
-                    {"key": "peak_window_power", "value": sop.peak_window_power_w, "unit": "W",
-                     "note": "hottest single-timestep window"}
-                )
+                rows.append((name, sop.average_pj_per_sop))
+                rows.append(("peak_window_power", sop.peak_window_power_w,
+                             "hottest single-timestep window"))
             elif name == "energy_area_fom":
                 fom = en.energy_area_fom(power, spec)
-                optional_values[name] = fom.value
-                rows.append(
-                    {"key": name, "value": fom.value, "unit": find_metric(name).unit,
-                     "note": f"assumed formula: {fom.formula}"}
-                )
+                rows.append((name, fom.value, f"assumed formula: {fom.formula}"))
             elif name == "estimated_battery_life":
                 life = cmp.estimated_battery_life(power, spec)
-                optional_values[name] = life.years
-                rows.append(
-                    {"key": name, "value": life.years, "unit": "years",
-                     "note": ("meets" if life.meets_10y else "MISSES")
-                     + f" {BATTERY_LIFE_TARGET_YEARS:g}-year target"}
-                )
+                rows.append((name, life.years, ("meets" if life.meets_10y else "MISSES")
+                             + f" {BATTERY_LIFE_TARGET_YEARS:g}-year target"))
             elif name == "inferences_per_battery_cycle":
                 budget = cmp.inferences_per_battery_cycle(
                     breakdown.total, spec, inference_rate_hz=rate
                 )
-                optional_values[name] = float(budget.idealized)
                 note = ""
                 if budget.duty_cycled is not None:
                     note = f"duty-cycled at {rate:g} Hz: {budget.duty_cycled}"
-                rows.append(
-                    {"key": name, "value": float(budget.idealized), "unit": "inferences",
-                     "note": note}
-                )
+                rows.append((name, float(budget.idealized), note))
         except MissingSpecError:
             if args.metrics != "auto":
                 raise
@@ -352,13 +322,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         values["effective_synops"] = float(ops.total_sops)
         values["membrane_updates"] = float(ops.membrane_updates_effective)
         values["memory_accesses"] = float(mem.total)
-        values["energy_per_inference"] = breakdown.total
-        values["energy_delay_product"] = edp
         values["execution_time"] = duration
-        values.update(optional_values)
+        values.update((key, value) for key, value, *_ in rows if key in CLASS_TAGS)
         _record(store, values, model_name=model_name, version=version,
                 accuracy=args.accuracy, timestamp=args.timestamp)
-    _emit_metrics(rows, args.format, "estimated")
+    _emit_metrics(rows, args.format)
     return EXIT_OK
 
 
@@ -411,35 +379,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     p = cmp.powerup(s, g)
     orientation = "new/old (as published)" if args.as_published else "old/new (>1 improves)"
     rows = [
-        {"key": "speedup", "value": s, "unit": "ratio", "note": f"orientation {orientation}"},
-        {"key": "greenup", "value": g, "unit": "ratio", "note": f"orientation {orientation}"},
-        {"key": "powerup", "value": p, "unit": "ratio",
-         "note": "(>1 means more average power)" if not args.as_published else ""},
-        {"key": "energy_delay_product_old", "unit": "J*s",
-         "value": cmp.energy_delay_product(old.energy, old.time)},
-        {"key": "energy_delay_product_new", "unit": "J*s",
-         "value": cmp.energy_delay_product(new.energy, new.time)},
+        ("speedup", s, f"orientation {orientation}"),
+        ("greenup", g, f"orientation {orientation}"),
+        ("powerup", p, "(>1 means more average power)" if not args.as_published else ""),
+        ("energy_delay_product_old", cmp.energy_delay_product(old.energy, old.time)),
+        ("energy_delay_product_new", cmp.energy_delay_product(new.energy, new.time)),
     ]
     if old.accuracy is not None and new.accuracy is not None:
         tradeoff = cmp.accuracy_energy_tradeoff(old, new)
-        rows.append({"key": "efficiency_ratio_old", "value": tradeoff.efficiency_ratio_old,
-                     "unit": "accuracy/J"})
-        rows.append({"key": "efficiency_ratio_new", "value": tradeoff.efficiency_ratio_new,
-                     "unit": "accuracy/J"})
+        rows.append(("efficiency_ratio_old", tradeoff.efficiency_ratio_old))
+        rows.append(("efficiency_ratio_new", tradeoff.efficiency_ratio_new))
         if tradeoff.marginal_energy_cost is not None:
-            rows.append({"key": "marginal_energy_cost", "value": tradeoff.marginal_energy_cost,
-                         "unit": "J per accuracy point"})
+            rows.append(("marginal_energy_cost", tradeoff.marginal_energy_cost))
         elif tradeoff.accuracy_regressed:
-            rows.append(
-                {"key": "accuracy_regressed", "value": 1.0, "unit": "",
-                 "provenance": "computed", "note": "accuracy went down"}
-            )
+            rows.append(("accuracy_regressed", 1.0, "accuracy went down"))
         else:
-            rows.append(
-                {"key": "accuracy_unchanged", "value": 1.0, "unit": "",
-                 "provenance": "computed"}
-            )
-    _emit_metrics(rows, args.format, "estimated")
+            rows.append(("accuracy_unchanged", 1.0))
+    _emit_metrics(rows, args.format)
     return EXIT_OK
 
 

@@ -499,7 +499,6 @@ class AlertRule:
     comparison: str  # "below" | "above": the violating side, strict
     threshold: float
     rationale: str
-    unit: str = ""
 
 
 def default_alert_rules(
@@ -513,7 +512,6 @@ def default_alert_rules(
             metric="activation_sparsity",
             comparison="below",
             threshold=sparsity_threshold,
-            unit="",
             rationale=(
                 f"sparsity below {sparsity_threshold:.0%} means the network fires too "
                 "densely to exploit event-driven hardware; rework the model"
@@ -523,7 +521,6 @@ def default_alert_rules(
             metric="power_density",
             comparison="above",
             threshold=power_density_limit,
-            unit="mW/cm^2",
             rationale=(
                 f"power density above {power_density_limit:g} mW/cm^2 exceeds the safety "
                 "envelope applied to RF-emitting implantable devices"
@@ -533,7 +530,6 @@ def default_alert_rules(
             metric="estimated_battery_life",
             comparison="below",
             threshold=battery_target_years,
-            unit="years",
             rationale=(
                 f"implanted batteries must last at least {battery_target_years:g} years "
                 "to keep replacement surgeries rare"
@@ -546,8 +542,9 @@ def evaluate_alerts(
     values: dict[str, float], rules: tuple[AlertRule, ...] | None = None
 ) -> list[dict]:
     """The report's ``alert`` records, one per rule that ``values`` (metric
-    -> value) violates, then its ``alert_skipped`` records, one per rule
-    whose metric is absent: an absent metric is never a violation."""
+    -> value) violates, with the unit the catalog gives the metric, then its
+    ``alert_skipped`` records, one per rule whose metric is absent: an absent
+    metric is never a violation."""
     if rules is None:
         rules = default_alert_rules()
     alerts = []
@@ -557,5 +554,7 @@ def evaluate_alerts(
         if value is None:
             skipped.append({"record": "alert_skipped", "metric": rule.metric})
         elif (value < rule.threshold) if rule.comparison == "below" else (value > rule.threshold):
-            alerts.append({"record": "alert", **asdict(rule), "value": float(value)})
+            descriptor = find_metric(rule.metric)
+            alerts.append({"record": "alert", **asdict(rule), "value": float(value),
+                           "unit": descriptor.unit if descriptor is not None else ""})
     return alerts + skipped

@@ -12,7 +12,8 @@ import pytest
 from spikemeter import cli
 from spikemeter import report as rpt
 from spikemeter import store as st
-from spikemeter.catalog import CLASS_TAGS, Polarity
+from spikemeter.catalog import (CLASS_TAGS, TOOL_QUANTITIES, Polarity, builtin_catalog,
+                                find_metric)
 from spikemeter.report import RENDERERS, build_report
 from spikemeter.store import (
     MetricSnapshot,
@@ -923,6 +924,62 @@ def test_goldens_carry_the_catalog_tags():
                 assert record["provenance"] == CLASS_TAGS[record["key"]], (golden, record)
                 checked += 1
     assert checked >= 20
+
+
+# Key -> (unit, provenance tag), read from the two descriptor tuples themselves.
+DESCRIPTIONS = {**{d.key: (d.unit, d.provenance_class.value) for d in builtin_catalog()},
+                **{key: (unit, tag.value) for key, unit, tag in TOOL_QUANTITIES}}
+
+
+def test_tool_quantities_are_not_catalog_metrics():
+    keys = [key for key, _, _ in TOOL_QUANTITIES]
+    assert len(set(keys)) == len(keys)
+    assert [key for key in keys if find_metric(key) is not None] == []
+
+
+def test_every_printed_row_matches_its_description(tmp_path, capsys):
+    """The golden runs, and estimate from a counts file, in both formats:
+    every key printed has a description, and each row prints its unit and
+    provenance tag."""
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"macs": 7, "acs": 9, "membrane_updates_effective": 12,
+                                  "crossings": 3, "duration": 0.004}))
+    runs = [argv for argvs in golden_metric_runs(str(tmp_path / "trace.json")) for argv in argvs]
+    runs.append(["estimate", "--counts", str(counts), "--hwspec", demo_path("demo_hwspec.json")])
+    printed = set()
+    for argv in runs:
+        code, out, _ = run_main(argv + ["--format", "jsonl"], capsys)
+        assert code == 0, argv
+        for record in map(json.loads, out.splitlines()):
+            if record["record"] == "metric":
+                assert (record["unit"], record["provenance"]) == DESCRIPTIONS[record["key"]], record
+                printed.add(record["key"])
+        code, text, _ = run_main(argv + ["--format", "text"], capsys)
+        for line, record in zip(text.splitlines(), map(json.loads, out.splitlines())):
+            unit, tag = DESCRIPTIONS[record["key"]]
+            value = f"{record['key']} = {record['value']:.12g}{f' {unit}' if unit else ''}"
+            assert line.startswith(f"{value} [{tag}]"), line
+    # every tool quantity is printed, but the one only recording stores
+    assert {key for key, _, _ in TOOL_QUANTITIES} - printed == {"execution_time"}
+
+
+def test_every_recorded_value_matches_its_description(tmp_path, capsys, demo_trace):
+    """What analyze and estimate record carries its description's tag, and a
+    tool quantity is registered with its description's unit."""
+    store = tmp_path / "s.jsonl"
+    for argv in (["analyze", "--model", demo_path("demo_model.json"), "--version", "v1"],
+                 ["estimate", "--trace", demo_trace, "--hwspec", demo_path("demo_hwspec.json"),
+                  "--version", "v2"]):
+        code, _, _ = run_main(argv + ["--store", str(store), "--record"], capsys)
+        assert code == 0, argv
+    lines = [json.loads(line) for line in store.read_text().splitlines()]
+    registered = [(line["name"], line["unit"]) for line in lines if line["kind"] == "register"]
+    assert registered == [(key, DESCRIPTIONS[key][0]) for key in
+                          ("parameters_trainable", "parameters_non_trainable", "execution_time")]
+    for snapshot in (line for line in lines if line["kind"] == "snapshot"):
+        assert snapshot["provenance"].keys() == snapshot["values"].keys()
+        for key, tag in snapshot["provenance"].items():
+            assert tag == DESCRIPTIONS[key][1], key
 
 
 # A small analog workload for the demo model: its input layer is written as
