@@ -25,6 +25,7 @@ takes one only once it is registered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,6 +68,7 @@ class MetricDescriptor:
     assumes_estimation: bool = False
     trend_inherent: bool = False
     description: str = ""
+    upper: float = math.inf  # the metric's values lie in [0, upper]
 
 
 # Actionability thresholds, read here by the alert rules, the CLI and the hardware spec.
@@ -106,7 +108,7 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
     ),
     MetricDescriptor(
         "activation_sparsity", "Activation Sparsity", "ratio",
-        True, False, True, True, _C, _T1, _BETTER,
+        True, False, True, True, _C, _T1, _BETTER, upper=1.0,
         description=f"Share of silent neuron-timesteps; below {SPARSITY_THRESHOLD:.0%} "
         "the model is too dense for event-driven hardware to pay off.",
     ),
@@ -117,7 +119,7 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
     ),
     MetricDescriptor(
         "connection_sparsity", "Connection Sparsity", "ratio",
-        True, False, False, False, _C, _T1, _BETTER,
+        True, False, False, False, _C, _T1, _BETTER, upper=1.0,
         description="Share of exactly-zero weights between layers.",
     ),
     MetricDescriptor(

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import report as rpt, store as st
 from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, UNITS_AND_TAGS,
-                      MissingSpecError)
+                      MissingSpecError, find_metric)
 from .fields import load_json, number, optional, read_field, read_record
 
 if TYPE_CHECKING:
@@ -422,10 +422,10 @@ def cmd_history(args: argparse.Namespace) -> int:
 def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
     kwargs = {}
     if text:
-        mapping = {
-            "sparsity": "sparsity_threshold",
-            "power_density": "power_density_limit",
-            "battery_years": "battery_target_years",
+        mapping = {  # override -> (default_alert_rules argument, metric)
+            "sparsity": ("sparsity_threshold", "activation_sparsity"),
+            "power_density": ("power_density_limit", "power_density"),
+            "battery_years": ("battery_target_years", "estimated_battery_life"),
         }
         for part in text.split(","):
             if not part.strip():
@@ -440,8 +440,13 @@ def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
                 value = float(value)
             except ValueError:
                 pass  # the number rule refuses the text, naming the key
-            kwargs[mapping[key]] = read_field({key: value}, key, number, "limit override",
-                                              ValueError)
+            argument, metric = mapping[key]
+            value = read_field({key: value}, key, number, "limit override", ValueError)
+            upper = find_metric(metric).upper
+            if not 0.0 <= value <= upper:
+                raise ValueError(f"limit override field {key!r}: expected a number in "
+                                 f"[0, {upper:g}], got {value:g}")
+            kwargs[argument] = value
     return st.default_alert_rules(**kwargs)
 
 

@@ -330,6 +330,34 @@ class TestCliExitCodes:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("override, message", [
+        ("sparsity=2", "'sparsity': expected a number in [0, 1], got 2"),
+        ("sparsity=-0.1", "'sparsity': expected a number in [0, 1], got -0.1"),
+        ("power_density=-1", "'power_density': expected a number in [0, inf], got -1"),
+        ("sparsity=0.5,battery_years=-5", "'battery_years': expected a number in [0, inf], got -5"),
+    ])
+    def test_limit_override_outside_its_metric_domain(self, tmp_path, capsys, override, message):
+        """A threshold no value of its metric can cross, or every value
+        crosses, is refused, naming the override."""
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        code, out, err = run_main(
+            ["report", "--store", str(store), "--model", "golden", "--limit-overrides", override],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: limit override field {message}\n"
+
+    @pytest.mark.parametrize("override, expected_code", [("sparsity=0", 0), ("sparsity=1", 4)])
+    def test_limit_override_at_a_domain_end(self, tmp_path, capsys, override, expected_code):
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)  # sparsity 0.55
+        code, _, _ = run_main(
+            ["report", "--store", str(store), "--model", "golden", "--limit-overrides", override],
+            capsys,
+        )
+        assert code == expected_code
+
     def test_store_env_variable_used(self, tmp_path, capsys, monkeypatch):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)

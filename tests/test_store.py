@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from spikemeter import cli
-from spikemeter.catalog import Polarity, Provenance
+from spikemeter.catalog import Polarity, Provenance, find_metric
 from spikemeter.fields import FieldError, number
 from spikemeter.store import (
     CustomMetric,
@@ -297,6 +297,73 @@ class TestExternalMetrics:
         code = cli.main(["history", "--store", str(store), "--model", "m",
                          "--metric", "energy_per_inference"])
         assert code == 2
+
+
+# A catalog metric's value outside its domain [0, upper], and the message.
+OUT_OF_DOMAIN = [
+    ("energy_per_inference", -5, "value for 'energy_per_inference' must lie in [0, inf], got -5"),
+    ("activation_sparsity", 1.7, "value for 'activation_sparsity' must lie in [0, 1], got 1.7"),
+    ("activation_sparsity", -0.2, "value for 'activation_sparsity' must lie in [0, 1], got -0.2"),
+    ("estimated_battery_life", -3,
+     "value for 'estimated_battery_life' must lie in [0, inf], got -3"),
+]
+OUT_OF_DOMAIN_IDS = ["energy--5", "sparsity-1.7", "sparsity--0.2", "battery--3"]
+
+
+class TestDomains:
+    """Every catalog metric lies in [0, upper]: the store refuses a value
+    outside, on write and on read, naming the metric."""
+
+    @pytest.mark.parametrize("metric, value, message", OUT_OF_DOMAIN, ids=OUT_OF_DOMAIN_IDS)
+    def test_refused_on_write(self, tmp_path, metric, value, message):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 1.0}))
+        before = store.read_bytes()
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            record_external_metric(store, "m", "v1", metric, value)
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            record_snapshot(store, snap("v2", {metric: value}))
+        assert store.read_bytes() == before
+
+    @pytest.mark.parametrize("metric, value, message", OUT_OF_DOMAIN, ids=OUT_OF_DOMAIN_IDS)
+    @pytest.mark.parametrize("kind", ["snapshot", "ingest"])
+    def test_refused_on_read_exits_2_with_one_line(self, tmp_path, capsys, metric, value,
+                                                   message, kind):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {"effective_synops": 1.0}))
+        if kind == "snapshot":
+            line = {"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 2.0,
+                    "values": {metric: value}}
+        else:
+            line = {"kind": "ingest", "model": "m", "version": "v1", "timestamp": 2.0,
+                    "metric": metric, "value": value, "provenance": "ingested"}
+        with open(store, "a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        code = cli.main(["report", "--store", str(store), "--model", "m"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: store line 2: {message}\n"
+
+    @pytest.mark.parametrize("metric, value", [
+        ("activation_sparsity", 0), ("activation_sparsity", 1.0), ("connection_sparsity", 1),
+        ("energy_per_inference", 0.0), ("estimated_battery_life", 1e300),
+    ])
+    def test_domain_ends_are_accepted(self, tmp_path, metric, value):
+        store = tmp_path / "s.jsonl"
+        record_snapshot(store, snap("v1", {metric: value}))
+        assert list(read_store(store).history("m")[0].values[metric].values()) == [value]
+
+    def test_display_name_has_the_metric_domain(self, tmp_path):
+        with pytest.raises(StoreError, match="must lie in \\[0, 1\\], got 1.5$"):
+            record_snapshot(tmp_path / "s.jsonl", snap("v1", {"Activation Sparsity": 1.5}))
+
+    def test_custom_metric_has_no_domain(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        register_metric(store, "latency_margin", unit="ms")
+        record_snapshot(store, snap("v1", {"latency_margin": -5.0}))
+        record_external_metric(store, "m", "v1", "latency_margin", 1e300, "computed")
+        assert read_store(store).history("m")[0].values["latency_margin"] == {
+            "ingested": -5.0, "computed": 1e300}
 
 
 class TestTrendReport:
@@ -795,9 +862,12 @@ def test_mutated_store_loads_or_raises_store_error(tmp_path, text):
             assert type(record.notes) is str
             assert passes_number(record.timestamp)
             assert record.accuracy is None or passes_number(record.accuracy)
-            for by_provenance in record.values.values():
+            for metric, by_provenance in record.values.items():
                 assert set(by_provenance) <= tags
                 assert all(passes_number(value) for value in by_provenance.values())
+                descriptor = find_metric(metric)
+                if descriptor is not None:
+                    assert all(0 <= value <= descriptor.upper for value in by_provenance.values())
 
 
 @pytest.mark.parametrize("value", [
