@@ -130,9 +130,10 @@ def run_inference(*args, **kwargs):
 def cmd_simulate(args: argparse.Namespace) -> int:
     threshold = read_field({"--sparsity-threshold": args.sparsity_threshold},
                            "--sparsity-threshold", number, "option", ValueError)
-    from . import files, model as mdl, workload as wl
+    from . import files, model as mdl, rng, workload as wl
     from .simulate import SimulationConfig
 
+    rng.check_seed(args.seed)  # before the model and workload load
     m = mdl.load_model(args.model)
     workload = files.load_workload(args.workload)
     timesteps = args.timesteps

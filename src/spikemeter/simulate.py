@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LayerDescriptor, ModelDescriptor, NeuronParams, ResetMode
-from .rng import uniforms
+from .rng import check_seed, uniforms
 from .workload import TraceCounts
 
 
@@ -75,8 +75,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.timesteps < 1:
             raise SimulationError("timesteps must be >= 1")
-        if not 0 <= self.seed < 2**64:  # the encoder's stream takes a 64-bit seed
-            raise SimulationError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed, SimulationError)
         if not (math.isfinite(self.timestep_duration) and self.timestep_duration > 0):
             raise SimulationError("timestep_duration must be > 0")
 

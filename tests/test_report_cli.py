@@ -258,6 +258,12 @@ class TestCliExitCodes:
         if code:
             assert (out, err) == ("", f"error: seed must lie in [0, 2**64), got {seed}\n")
 
+    def test_seed_is_checked_before_anything_loads(self, tmp_path, capsys):
+        code, out, err = run_main(["simulate", "--model", str(tmp_path / "missing.json"),
+                                   "--workload", str(tmp_path / "missing.json"),
+                                   "--seed", "-1"], capsys)
+        assert (code, out, err) == (2, "", "error: seed must lie in [0, 2**64), got -1\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(
             ["simulate", "--model", "/nonexistent.json",

@@ -5,7 +5,7 @@ must agree with it draw for draw."""
 import numpy as np
 import pytest
 
-from spikemeter.rng import splitmix64
+from spikemeter.rng import check_seed, splitmix64
 from spikemeter.simulate import rate_encode
 
 MASK64 = (1 << 64) - 1
@@ -45,7 +45,7 @@ def test_package_stream_matches_published_vectors(seed, expected):
     assert splitmix64(seed, len(expected)).tolist() == expected
 
 
-SEEDS = [0, 42, 2**63 + 5, -1]
+SEEDS = [0, 42, 2**63 + 5, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -66,3 +66,14 @@ def test_rate_encode_matches_reference(seed, neurons, timesteps):
     draws = reference_uniforms(seed, neurons * timesteps).reshape(timesteps, neurons)
     expected = (draws < rates).T.astype(np.float64)
     assert np.array_equal(rate_encode(rates, timesteps, seed).events, expected)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65])
+def test_seed_outside_64_bits_is_refused(seed):
+    """The stream refuses a seed it would reduce mod 2**64, wherever it is drawn."""
+    message = rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"
+    for draw in (lambda: check_seed(seed), lambda: splitmix64(seed, 1),
+                 lambda: rate_encode([0.5], 4, seed)):
+        with pytest.raises(ValueError, match=message):
+            draw()
+    assert check_seed(2**64 - 1) == 2**64 - 1
