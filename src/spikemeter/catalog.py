@@ -208,7 +208,7 @@ _BY_NAME = {d.name.lower(): d for d in _CATALOG}
 
 # (key, unit, provenance class) of each of the tool's own quantities.
 TOOL_QUANTITIES: tuple[tuple[str, str, Provenance], ...] = (
-    # recorded by analyze and estimate, and registered in this order
+    # recorded by analyze --record and estimate --record
     ("execution_time", "s", _C),
     ("parameters_trainable", "count", _C),
     ("parameters_non_trainable", "count", _C),

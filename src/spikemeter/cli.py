@@ -67,9 +67,10 @@ def _emit_metrics(rows: list[tuple], fmt: str, units: dict[str, str] | None = No
     """Print ``rows`` of key, value and an optional note, each with the unit
     and provenance tag the catalog gives its key; ``units`` overrides a unit
     with the one a store holds."""
+    units = units or {}
     for key, value, *note in rows:
         unit, tag = UNITS_AND_TAGS[key]
-        unit = (units or {}).get(key, unit)
+        unit = units.get(key, unit)
         if fmt == "jsonl":
             record = dict(record="metric", key=key, value=value, unit=unit, provenance=tag)
             if note:  # an empty note is still printed
