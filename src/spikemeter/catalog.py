@@ -70,6 +70,10 @@ class MetricDescriptor:
     description: str = ""
     upper: float = math.inf  # the metric's values lie in [0, upper]
 
+    @property
+    def domain(self) -> str:
+        return f"[0, {self.upper:g}]" if math.isfinite(self.upper) else "[0, inf)"
+
 
 # Actionability thresholds, read here by the alert rules, the CLI and the hardware spec.
 SPARSITY_THRESHOLD = 0.60  # activation sparsity below it: too dense for event-driven hardware
@@ -244,6 +248,8 @@ UNITS_AND_TAGS = {**{d.key: (d.unit, d.provenance_class.value) for d in _CATALOG
 
 def find_metric(name: str) -> MetricDescriptor | None:
     """Look a descriptor up by key or display name, case-insensitively."""
+    if name in _BY_KEY:  # the store looks up every value's metric by its key
+        return _BY_KEY[name]
     lowered = name.strip().lower()
     if lowered in _BY_KEY:
         return _BY_KEY[lowered]

@@ -444,10 +444,10 @@ def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
                 pass  # the number rule refuses the text, naming the key
             argument, metric = mapping[key]
             value = read_field({key: value}, key, number, "limit override", ValueError)
-            upper = find_metric(metric).upper
-            if not 0.0 <= value <= upper:
+            descriptor = find_metric(metric)
+            if not 0.0 <= value <= descriptor.upper:
                 raise ValueError(f"limit override field {key!r}: expected a number in "
-                                 f"[0, {upper:g}], got {value:g}")
+                                 f"{descriptor.domain}, got {value:g}")
             kwargs[argument] = value
     return st.default_alert_rules(**kwargs)
 

@@ -33,7 +33,6 @@ a rejected write leaves the store byte-identical.  Readers take no lock.
 from __future__ import annotations
 
 import fcntl
-import functools
 import json
 import math
 import os
@@ -80,14 +79,6 @@ def _is_number(value) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _upper(metric: str) -> float | None:
-    """The upper end of a catalog metric's domain [0, upper]; None for a
-    custom metric, which has no domain."""
-    descriptor = find_metric(metric)
-    return descriptor.upper if descriptor is not None else None
-
-
 def _check_value(metric: str, value, provenance) -> None:
     """Every stored value, written or read, is a finite number carrying one
     of the catalog's provenance tags, and lies in its metric's domain.  A
@@ -95,9 +86,9 @@ def _check_value(metric: str, value, provenance) -> None:
     the full ``fields.number`` rule."""
     if not (type(value) is float and math.isfinite(value)) and not _is_number(value):
         raise StoreError(f"value for {metric!r} must be a finite number")
-    upper = _upper(metric)
-    if upper is not None and not 0.0 <= value <= upper:
-        raise StoreError(f"value for {metric!r} must lie in [0, {upper:g}], got {value!r}")
+    descriptor = find_metric(metric)  # a custom metric has no domain
+    if descriptor is not None and not 0.0 <= value <= descriptor.upper:
+        raise StoreError(f"value for {metric!r} must lie in {descriptor.domain}, got {value!r}")
     if provenance not in _PROVENANCE_TAGS:
         raise StoreError(
             f"provenance of {metric!r} must be one of {sorted(_PROVENANCE_TAGS)}, "

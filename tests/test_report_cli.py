@@ -339,8 +339,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("override, message", [
         ("sparsity=2", "'sparsity': expected a number in [0, 1], got 2"),
         ("sparsity=-0.1", "'sparsity': expected a number in [0, 1], got -0.1"),
-        ("power_density=-1", "'power_density': expected a number in [0, inf], got -1"),
-        ("sparsity=0.5,battery_years=-5", "'battery_years': expected a number in [0, inf], got -5"),
+        ("power_density=-1", "'power_density': expected a number in [0, inf), got -1"),
+        ("sparsity=0.5,battery_years=-5", "'battery_years': expected a number in [0, inf), got -5"),
     ])
     def test_limit_override_outside_its_metric_domain(self, tmp_path, capsys, override, message):
         """A threshold no value of its metric can cross, or every value

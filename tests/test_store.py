@@ -301,11 +301,11 @@ class TestExternalMetrics:
 
 # A catalog metric's value outside its domain [0, upper], and the message.
 OUT_OF_DOMAIN = [
-    ("energy_per_inference", -5, "value for 'energy_per_inference' must lie in [0, inf], got -5"),
+    ("energy_per_inference", -5, "value for 'energy_per_inference' must lie in [0, inf), got -5"),
     ("activation_sparsity", 1.7, "value for 'activation_sparsity' must lie in [0, 1], got 1.7"),
     ("activation_sparsity", -0.2, "value for 'activation_sparsity' must lie in [0, 1], got -0.2"),
     ("estimated_battery_life", -3,
-     "value for 'estimated_battery_life' must lie in [0, inf], got -3"),
+     "value for 'estimated_battery_life' must lie in [0, inf), got -3"),
 ]
 OUT_OF_DOMAIN_IDS = ["energy--5", "sparsity-1.7", "sparsity--0.2", "battery--3"]
 
