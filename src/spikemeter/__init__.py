@@ -63,7 +63,6 @@ _SUBMODULE_NAMES = {
     ),
     "store": (
         "MetricSnapshot",
-        "default_alert_rules",
         "evaluate_alerts",
         "read_store",
         "record_external_metric",

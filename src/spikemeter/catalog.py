@@ -16,6 +16,12 @@ and are flagged ``trend_inherent``.  Metrics marked ``assumes_estimation``
 are only accessible/high-fidelity on the back of a trusted energy
 estimation; without one they inherit the estimator's uncertainty.
 
+``ALERT_RULES`` holds the default actionability thresholds as
+:class:`AlertRule` s, keyed by their ``report --limit-overrides`` key.  A
+rule is the one home of its judgment: every verb that compares a value with
+a threshold asks ``violated``, and every threshold a user gives goes
+through ``at``, which refuses one outside the metric's domain.
+
 ``TOOL_QUANTITIES`` gives the unit and provenance class of each quantity
 of the tool's own that the CLI prints or records: the terms of an energy
 breakdown, the tallies a metric sums, each side of a comparison.  They are
@@ -26,8 +32,10 @@ takes one only once it is registered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+
+from .fields import FieldError, number
 
 
 class MissingSpecError(ValueError):
@@ -75,10 +83,66 @@ class MetricDescriptor:
         return f"[0, {self.upper:g}]" if math.isfinite(self.upper) else "[0, inf)"
 
 
-# Actionability thresholds, read here by the alert rules, the CLI and the hardware spec.
+# Actionability thresholds: the defaults of the alert rules and of the hardware spec.
 SPARSITY_THRESHOLD = 0.60  # activation sparsity below it: too dense for event-driven hardware
 POWER_DENSITY_LIMIT = 10.0  # mW/cm^2, the RF-exposure limit applied to implants
 BATTERY_LIFE_TARGET_YEARS = 10.0  # implant lifetime between replacement surgeries
+
+
+@dataclass(frozen=True)
+class AlertRule:
+    """An actionability threshold on a metric: a value strictly on the
+    ``comparison`` side of ``threshold`` violates it.  ``rationale`` says
+    why, with ``{threshold}`` standing for the threshold."""
+
+    metric: str
+    comparison: str  # "below" | "above": the violating side, strict
+    threshold: float
+    rationale: str
+
+    def violated(self, value: float) -> bool:
+        """The one comparison of a value with an actionability threshold."""
+        return value < self.threshold if self.comparison == "below" else value > self.threshold
+
+    def at(self, threshold) -> AlertRule:
+        """This rule at ``threshold``, a finite number in the metric's domain:
+        no value could cross a threshold outside it, or every value would.
+        It is a field rule: ``fields.read_field`` reports a refusal naming
+        the option or override that gave the threshold."""
+        threshold = number(threshold)
+        descriptor = find_metric(self.metric)  # a custom metric has no domain
+        if descriptor is not None and not 0.0 <= threshold <= descriptor.upper:
+            raise FieldError(f"expected a number in {descriptor.domain}, got {threshold:g}")
+        return replace(self, threshold=threshold)
+
+    def alert(self, value: float) -> dict:
+        """The report's ``alert`` record of ``value``, a value that violates
+        this rule, in the unit the catalog gives the metric."""
+        descriptor = find_metric(self.metric)
+        return {"record": "alert", "metric": self.metric, "comparison": self.comparison,
+                "threshold": self.threshold,
+                "rationale": self.rationale.format(threshold=self.threshold),
+                "value": float(value), "unit": descriptor.unit if descriptor is not None else ""}
+
+
+# The default alert rules, keyed by their ``report --limit-overrides`` key.
+ALERT_RULES = {
+    "sparsity": AlertRule(
+        "activation_sparsity", "below", SPARSITY_THRESHOLD,
+        "sparsity below {threshold:.0%} means the network fires too densely to exploit "
+        "event-driven hardware; rework the model",
+    ),
+    "power_density": AlertRule(
+        "power_density", "above", POWER_DENSITY_LIMIT,
+        "power density above {threshold:g} mW/cm^2 exceeds the safety envelope applied "
+        "to RF-emitting implantable devices",
+    ),
+    "battery_years": AlertRule(
+        "estimated_battery_life", "below", BATTERY_LIFE_TARGET_YEARS,
+        "implanted batteries must last at least {threshold:g} years to keep replacement "
+        "surgeries rare",
+    ),
+}
 
 
 def builtin_catalog() -> tuple[MetricDescriptor, ...]:
@@ -254,3 +318,11 @@ def find_metric(name: str) -> MetricDescriptor | None:
     if lowered in _BY_KEY:
         return _BY_KEY[lowered]
     return _BY_NAME.get(lowered)
+
+
+def default_tag(metric: str) -> str:
+    """The provenance tag of a stored value that carries none: its catalog
+    metric's class, else ``ingested``.  The store's writer and reader both
+    apply it, so a value reads back with the tag it would be written with."""
+    descriptor = find_metric(metric)
+    return descriptor.provenance_class.value if descriptor is not None else _I.value

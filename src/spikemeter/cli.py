@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import report as rpt, store as st
-from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, SPARSITY_THRESHOLD, UNITS_AND_TAGS,
-                      MissingSpecError, find_metric)
+from .catalog import (ALERT_RULES, CLASS_TAGS, SPARSITY_THRESHOLD, UNITS_AND_TAGS, AlertRule,
+                      MissingSpecError)
 from .fields import load_json, number, optional, read_field, read_record
 
 if TYPE_CHECKING:
@@ -129,8 +129,8 @@ def run_inference(*args, **kwargs):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    threshold = read_field({"--sparsity-threshold": args.sparsity_threshold},
-                           "--sparsity-threshold", number, "option", ValueError)
+    rule = read_field({"--sparsity-threshold": args.sparsity_threshold},
+                      "--sparsity-threshold", ALERT_RULES["sparsity"].at, "option", ValueError)
     from . import files, model as mdl, rng, workload as wl
     from .simulate import SimulationConfig
 
@@ -159,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     ops = wl.effective_synops(counts)
     mem = wl.memory_accesses(ops)
-    sparsity = wl.activation_sparsity(counts, threshold=threshold)
+    sparsity = wl.activation_sparsity(counts).activation_sparsity
 
     rows = [
         ("acs", float(ops.acs)),
@@ -169,17 +169,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("membrane_updates_dense", float(ops.membrane_updates_dense)),
         ("memory_reads", float(mem.reads)),
         ("memory_writes", float(mem.writes)),
-        ("activation_sparsity", sparsity.activation_sparsity),
+        ("activation_sparsity", sparsity),
         ("duration", counts.duration),
     ]
     if args.trace_out:  # before printing: a failed save prints nothing
         files.save_trace(replace(trace, counts=counts), args.trace_out)
     _emit_metrics(rows, args.format)
-    if sparsity.alert:
+    if rule.violated(sparsity):
+        note = (f"activation sparsity {sparsity:.4f} is below {rule.threshold:.2f}; the model "
+                "is too dense to exploit event-driven execution")
         if args.format == "jsonl":
-            print(rpt.json_line({"record": "note", "text": sparsity.alert}))
+            print(rpt.json_line({"record": "note", "text": note}))
         else:
-            print(f"note: {sparsity.alert}")
+            print(f"note: {note}")
     return EXIT_OK
 
 
@@ -278,9 +280,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         try:
             if name == "power_density":
                 density = en.power_density(power, spec)
-                rows.append((name, density.mw_per_cm2,
-                             ("VIOLATION of limit" if density.violation else "within limit")
-                             + f" {density.limit_mw_per_cm2:g} mW/cm^2"))
+                limit = ALERT_RULES["power_density"].at(spec.power_density_limit)
+                rows.append((name, density,
+                             ("VIOLATION of limit" if limit.violated(density) else "within limit")
+                             + f" {limit.threshold:g} mW/cm^2"))
             elif name == "energy_per_sop":
                 if trace is None or ops.total_sops == 0:
                     raise MissingSpecError(
@@ -296,9 +299,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 fom = en.energy_area_fom(power, spec)
                 rows.append((name, fom.value, f"assumed formula: {fom.formula}"))
             elif name == "estimated_battery_life":
-                life = cmp.estimated_battery_life(power, spec)
-                rows.append((name, life.years, ("meets" if life.meets_10y else "MISSES")
-                             + f" {BATTERY_LIFE_TARGET_YEARS:g}-year target"))
+                years = cmp.estimated_battery_life(power, spec)
+                target = ALERT_RULES["battery_years"]
+                rows.append((name, years, ("MISSES" if target.violated(years) else "meets")
+                             + f" {target.threshold:g}-year target"))
             elif name == "inferences_per_battery_cycle":
                 budget = cmp.inferences_per_battery_cycle(
                     breakdown.total, spec, inference_rate_hz=rate
@@ -421,35 +425,29 @@ def cmd_history(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_limit_overrides(text: str | None) -> tuple[st.AlertRule, ...]:
-    kwargs = {}
-    if text:
-        mapping = {  # override -> (default_alert_rules argument, metric)
-            "sparsity": ("sparsity_threshold", "activation_sparsity"),
-            "power_density": ("power_density_limit", "power_density"),
-            "battery_years": ("battery_target_years", "estimated_battery_life"),
-        }
-        for part in text.split(","):
-            if not part.strip():
-                continue
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key not in mapping:
-                raise ValueError(
-                    f"unknown limit override {key!r}; expected one of {sorted(mapping)}"
-                )
-            try:
-                value = float(value)
-            except ValueError:
-                pass  # the number rule refuses the text, naming the key
-            argument, metric = mapping[key]
-            value = read_field({key: value}, key, number, "limit override", ValueError)
-            descriptor = find_metric(metric)
-            if not 0.0 <= value <= descriptor.upper:
-                raise ValueError(f"limit override field {key!r}: expected a number in "
-                                 f"{descriptor.domain}, got {value:g}")
-            kwargs[argument] = value
-    return st.default_alert_rules(**kwargs)
+def _parse_limit_overrides(text: str | None) -> tuple[AlertRule, ...]:
+    """The alert rules, each at the threshold ``text`` gives its key, if any:
+    ``key=value`` parts, comma-separated, each key one of ALERT_RULES's and
+    given at most once."""
+    overrides = {}
+    for part in (text or "").split(","):
+        if not part.strip():
+            continue
+        key, _, value = part.partition("=")
+        key = key.strip()
+        if key not in ALERT_RULES:
+            raise ValueError(
+                f"unknown limit override {key!r}; expected one of {sorted(ALERT_RULES)}"
+            )
+        if key in overrides:
+            raise ValueError(f"limit override {key!r} is given more than once")
+        try:
+            value = float(value)
+        except ValueError:
+            pass  # the number rule refuses the text, naming the key
+        overrides[key] = read_field({key: value}, key, ALERT_RULES[key].at, "limit override",
+                                    ValueError)
+    return tuple(overrides.get(key, rule) for key, rule in ALERT_RULES.items())
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .catalog import BATTERY_LIFE_TARGET_YEARS, MissingSpecError
+from .catalog import MissingSpecError, find_metric
 
 if TYPE_CHECKING:
     from .energy import HardwareSpec
@@ -31,8 +31,9 @@ class VersionMeasurement:
     accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.energy) and self.energy >= 0):
-            raise ValueError("energy must be finite and >= 0")
+        energy = find_metric("energy_per_inference")
+        if not (math.isfinite(self.energy) and 0.0 <= self.energy <= energy.upper):
+            raise ValueError(f"energy must be finite and lie in {energy.domain}")
         if not (math.isfinite(self.time) and self.time > 0):
             raise ValueError("time must be finite and > 0")
         if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):
@@ -48,8 +49,6 @@ def energy_delay_product(energy: float, time: float) -> float:
 
 def speedup(old: VersionMeasurement, new: VersionMeasurement, *, as_published: bool = False) -> float:
     """Execution-time ratio; > 1 means the new version is faster."""
-    if old.time <= 0 or new.time <= 0:
-        raise ValueError("times must be > 0")
     return new.time / old.time if as_published else old.time / new.time
 
 
@@ -109,27 +108,15 @@ def accuracy_energy_tradeoff(
     )
 
 
-@dataclass(frozen=True)
-class BatteryLifeResult:
-    seconds: float
-    years: float
-    meets_10y: bool
-
-
-def estimated_battery_life(avg_power_w: float, spec: HardwareSpec) -> BatteryLifeResult:
-    """Usable battery energy divided by average draw; checked against the
-    minimum implant lifetime.  Exactly reaching the target passes."""
+def estimated_battery_life(avg_power_w: float, spec: HardwareSpec) -> float:
+    """Usable battery energy divided by average draw, in years.  The
+    catalog's ``ALERT_RULES["battery_years"]`` judges it against the minimum
+    implant lifetime."""
     if spec.battery is None:
         raise MissingSpecError("battery life needs a battery section in the hardware spec")
     if not (math.isfinite(avg_power_w) and avg_power_w > 0):
         raise ValueError("average power must be > 0")
-    seconds = spec.battery.usable_joules / avg_power_w
-    years = seconds / SECONDS_PER_YEAR
-    return BatteryLifeResult(
-        seconds=seconds,
-        years=years,
-        meets_10y=years >= BATTERY_LIFE_TARGET_YEARS,
-    )
+    return spec.battery.usable_joules / avg_power_w / SECONDS_PER_YEAR
 
 
 @dataclass(frozen=True)

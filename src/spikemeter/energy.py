@@ -206,27 +206,13 @@ def average_power(breakdown: EnergyBreakdown) -> float:
     return breakdown.total / breakdown.duration
 
 
-@dataclass(frozen=True)
-class PowerDensityResult:
-    mw_per_cm2: float
-    limit_mw_per_cm2: float
-    violation: bool  # strictly above the limit
-
-
-def power_density(power_w: float, spec: HardwareSpec) -> PowerDensityResult:
-    """Average power per chip area, checked against the configured limit.
-
-    Sitting exactly at the limit is compliant; only strictly exceeding it
-    is flagged.
-    """
+def power_density(power_w: float, spec: HardwareSpec) -> float:
+    """Average power per chip area, in mW/cm^2.  The catalog's
+    ``ALERT_RULES["power_density"]``, at the spec's ``power_density_limit``,
+    judges it."""
     if spec.chip_area is None:
         raise MissingSpecError("power density needs chip_area (cm^2) in the hardware spec")
-    density = power_w * 1000.0 / spec.chip_area
-    return PowerDensityResult(
-        mw_per_cm2=density,
-        limit_mw_per_cm2=spec.power_density_limit,
-        violation=density > spec.power_density_limit,
-    )
+    return power_w * 1000.0 / spec.chip_area
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ import io
 import json
 from collections import defaultdict
 
-from .catalog import find_metric
+from .catalog import AlertRule, find_metric
 from .store import (
     PROVENANCE_TAGS,
-    AlertRule,
     InsufficientHistoryError,
     StoreData,
     evaluate_alerts,

@@ -2,7 +2,8 @@
 actionability alerts given as the report's records: :func:`trend_report`
 returns a ``trend`` record and :func:`evaluate_alerts` the ``alert`` and
 ``alert_skipped`` records, plain dicts that ``report`` and ``history`` emit
-as they are.
+as they are.  The alert rules live in the catalog: ``catalog.ALERT_RULES``
+holds the defaults, and ``AlertRule.at`` gives one at another threshold.
 
 The store is a newline-delimited JSON file: one fully written record per
 line, never mutated, so histories stay diff-friendly and a reader never
@@ -13,6 +14,10 @@ sees half a record.  Three record kinds exist::
     {"kind": "ingest", "model": ..., "version": ..., "timestamp": ...,
      "metric": ..., "value": ..., "provenance": ..., "notes": ...}
     {"kind": "register", "name": ..., "unit": ..., "polarity": ..., "description": ...}
+
+A snapshot value whose ``provenance`` entry is absent or null takes
+``catalog.default_tag`` (its catalog class, else ``ingested``), whether the
+writer fills it in or a hand-written line leaves it out.
 
 A version is recorded once per model: re-recording it is rejected rather
 than overwritten so trend history stays trustworthy, and a store holding a
@@ -42,8 +47,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
-from .catalog import (BATTERY_LIFE_TARGET_YEARS, CLASS_TAGS, POWER_DENSITY_LIMIT,
-                      SPARSITY_THRESHOLD, MetricDescriptor, Polarity, Provenance, find_metric)
+from .catalog import (ALERT_RULES, CLASS_TAGS, AlertRule, MetricDescriptor, Polarity, Provenance,
+                      default_tag, find_metric)
 from .fields import FieldError, number, read_field, string
 
 # Provenance tags as stored, in the order a metric's values are preferred and
@@ -52,7 +57,6 @@ from .fields import FieldError, number, read_field, string
 PROVENANCE_TAGS = tuple(p.value for p in (Provenance.COMPUTED, Provenance.ESTIMATED,
                                           Provenance.INGESTED))
 _PROVENANCE_TAGS = frozenset(p.value for p in Provenance)
-_COMPUTED = Provenance.COMPUTED.value
 
 
 class StoreError(ValueError):
@@ -199,7 +203,9 @@ def _apply(data: StoreData, record: dict) -> None:
             values = {}
             tags = record.get("provenance", {})
             for key, val in record["values"].items():
-                tag = tags.get(key, _COMPUTED)
+                tag = tags.get(key)
+                if tag is None:
+                    tag = default_tag(key)
                 _check_value(key, val, tag)
                 values[key] = {tag: val}
             _check_known(values, data)
@@ -376,11 +382,8 @@ def record_snapshot(
     _check_names([*snapshot.values, *(metric.name for metric in register)])
     provenance = dict(snapshot.provenance)
     for key in snapshot.values:
-        if key not in provenance:
-            descriptor = find_metric(key)
-            provenance[key] = (
-                descriptor.provenance_class.value if descriptor else Provenance.INGESTED.value
-            )
+        if provenance.get(key) is None:
+            provenance[key] = default_tag(key)
     record = {
         "kind": "snapshot",
         "model": snapshot.model_name,
@@ -492,73 +495,17 @@ def trend_report(
             "series": series, "deltas": deltas}
 
 
-# ---------------------------------------------------------------------------
-# Actionability alerts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlertRule:
-    metric: str
-    comparison: str  # "below" | "above": the violating side, strict
-    threshold: float
-    rationale: str
-
-
-def default_alert_rules(
-    *,
-    sparsity_threshold: float = SPARSITY_THRESHOLD,
-    power_density_limit: float = POWER_DENSITY_LIMIT,
-    battery_target_years: float = BATTERY_LIFE_TARGET_YEARS,
-) -> tuple[AlertRule, ...]:
-    return (
-        AlertRule(
-            metric="activation_sparsity",
-            comparison="below",
-            threshold=sparsity_threshold,
-            rationale=(
-                f"sparsity below {sparsity_threshold:.0%} means the network fires too "
-                "densely to exploit event-driven hardware; rework the model"
-            ),
-        ),
-        AlertRule(
-            metric="power_density",
-            comparison="above",
-            threshold=power_density_limit,
-            rationale=(
-                f"power density above {power_density_limit:g} mW/cm^2 exceeds the safety "
-                "envelope applied to RF-emitting implantable devices"
-            ),
-        ),
-        AlertRule(
-            metric="estimated_battery_life",
-            comparison="below",
-            threshold=battery_target_years,
-            rationale=(
-                f"implanted batteries must last at least {battery_target_years:g} years "
-                "to keep replacement surgeries rare"
-            ),
-        ),
-    )
-
-
-def evaluate_alerts(
-    values: dict[str, float], rules: tuple[AlertRule, ...] | None = None
-) -> list[dict]:
-    """The report's ``alert`` records, one per rule that ``values`` (metric
-    -> value) violates, with the unit the catalog gives the metric, then its
-    ``alert_skipped`` records, one per rule whose metric is absent: an absent
-    metric is never a violation."""
-    if rules is None:
-        rules = default_alert_rules()
+def evaluate_alerts(values: dict[str, float], rules: Iterable[AlertRule] | None = None) -> list[dict]:
+    """The report's ``alert`` records, one per rule (default: the catalog's
+    ``ALERT_RULES``) that ``values`` (metric -> value) violates, then its
+    ``alert_skipped`` records, one per rule whose metric is absent: an
+    absent metric is never a violation."""
     alerts = []
     skipped = []
-    for rule in rules:
+    for rule in ALERT_RULES.values() if rules is None else rules:
         value = values.get(rule.metric)
         if value is None:
             skipped.append({"record": "alert_skipped", "metric": rule.metric})
-        elif (value < rule.threshold) if rule.comparison == "below" else (value > rule.threshold):
-            descriptor = find_metric(rule.metric)
-            alerts.append({"record": "alert", **asdict(rule), "value": float(value),
-                           "unit": descriptor.unit if descriptor is not None else ""})
+        elif rule.violated(value):
+            alerts.append(rule.alert(value))
     return alerts + skipped

@@ -6,14 +6,14 @@ per AC).
 They read a :class:`TraceCounts`, the counts of one inference as Python
 ints.  It is the one type that holds them: the simulator and the dense
 oracle each return one as their ``WorkloadTrace``'s ``counts``, and
-``files.load_trace`` reads one from a trace file without numpy.
+``files.load_trace`` reads one from a trace file without numpy.  The
+reductions judge nothing: when a metric calls for action is the catalog's
+alert rules to say.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .catalog import SPARSITY_THRESHOLD
 
 # Derived memory traffic per arithmetic op: a MAC loads two operands and an
 # accumulator and stores the result; an AC skips the multiplicand load.
@@ -121,8 +121,6 @@ class SparsityReport:
     activation_sparsity: float
     opportunities: int
     spikes: int
-    threshold: float
-    alert: str | None
 
 
 def effective_synops(trace: TraceCounts) -> OpCounts:
@@ -154,14 +152,13 @@ def memory_accesses(ops: OpCounts, *, include_leak_macs: bool = True) -> MemoryA
     ))
 
 
-def activation_sparsity(
-    *traces: TraceCounts, threshold: float = SPARSITY_THRESHOLD
-) -> SparsityReport:
+def activation_sparsity(*traces: TraceCounts) -> SparsityReport:
     """Fraction of silent neuron-timesteps over the non-input layers.
 
     Input spikes are workload, not model behaviour, so they do not enter the
     denominator.  Accepts several traces and aggregates spike and
-    opportunity counts.  The alert fires strictly below the threshold.
+    opportunity counts.  Whether the model is too dense is the catalog's
+    ``ALERT_RULES["sparsity"]`` to judge.
     """
     if not traces:
         raise ValueError("activation_sparsity needs at least one trace")
@@ -172,17 +169,8 @@ def activation_sparsity(
         spikes += trace.non_input_spikes
     if opportunities == 0:
         raise ValueError("zero opportunities: trace has no non-input neuron-timesteps")
-    sparsity = 1.0 - spikes / opportunities
-    alert = None
-    if sparsity < threshold:
-        alert = (
-            f"activation sparsity {sparsity:.4f} is below {threshold:.2f}; the model "
-            "is too dense to exploit event-driven execution"
-        )
     return SparsityReport(
-        activation_sparsity=sparsity,
+        activation_sparsity=1.0 - spikes / opportunities,
         opportunities=opportunities,
         spikes=spikes,
-        threshold=threshold,
-        alert=alert,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikemeter.catalog import SourceTable, builtin_catalog, find_metric
+from spikemeter.catalog import ALERT_RULES, SourceTable, builtin_catalog, find_metric
 from spikemeter.compare import (
     SECONDS_PER_YEAR,
     VersionMeasurement,
@@ -121,17 +121,21 @@ def test_criterion_4_actionability_thresholds():
     # sparsity: strict below-0.60 rule
     assert alerted({"activation_sparsity": 0.59}) == ["activation_sparsity"]
     assert alerted({"activation_sparsity": 0.60}) == []
-    # same boundary through the workload-level report (2 spikes / 5 slots = 0.60)
+    # same boundary on the workload-level sparsity (2 spikes / 5 slots = 0.60)
     from test_workload import trace_with
 
-    assert activation_sparsity(trace_with(2, neurons=5, timesteps=1)).alert is None
-    assert activation_sparsity(trace_with(41, neurons=10, timesteps=10)).alert is not None
+    sparsity = ALERT_RULES["sparsity"]
+    assert not sparsity.violated(
+        activation_sparsity(trace_with(2, neurons=5, timesteps=1)).activation_sparsity)
+    assert sparsity.violated(
+        activation_sparsity(trace_with(41, neurons=10, timesteps=10)).activation_sparsity)
 
-    # power density: strict above-10 rule, on the estimator and the alert engine
+    # power density: strict above-10 rule, on the estimator's value and the alert engine
     spec = HardwareSpec(chip_area=1.0)
-    assert power_density(0.01001, spec).violation
-    assert not power_density(0.01, spec).violation
-    assert power_density(0.01, spec).mw_per_cm2 == 10.0
+    limit = ALERT_RULES["power_density"].at(spec.power_density_limit)
+    assert limit.violated(power_density(0.01001, spec))
+    assert not limit.violated(power_density(0.01, spec))
+    assert power_density(0.01, spec) == 10.0
     assert alerted({"power_density": 10.01}) == ["power_density"]
     assert alerted({"power_density": 10.0}) == []
 
@@ -142,8 +146,9 @@ def test_criterion_4_actionability_thresholds():
     short = estimated_battery_life(
         1.0, HardwareSpec(battery=BatterySpec(capacity_joules=9.99 * SECONDS_PER_YEAR))
     )
-    assert exact.years == 10.0 and exact.meets_10y
-    assert not short.meets_10y
+    target = ALERT_RULES["battery_years"]
+    assert exact == 10.0 and not target.violated(exact)
+    assert target.violated(short)
     assert alerted({"estimated_battery_life": 9.99}) == ["estimated_battery_life"]
     assert alerted({"estimated_battery_life": 10.0}) == []
     ok(4, "sparsity 0.59/0.60, power density 10.01/10.00, battery 9.99/10.0 "

@@ -1,10 +1,21 @@
+import ast
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
 from spikemeter.catalog import (
+    ALERT_RULES,
     Polarity,
     Provenance,
     SourceTable,
     builtin_catalog,
     find_metric,
 )
+from spikemeter.fields import FieldError
+
+CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 # Expected classification grid: name, accessible, high fidelity, actionable,
 # trend-based.  The second (derived metrics) group adds two columns:
@@ -111,3 +122,33 @@ def test_provenance_classes():
     assert by_name("parameters").provenance_class is Provenance.COMPUTED
     assert by_name("training_time").provenance_class is Provenance.INGESTED
     assert by_name("energy_per_inference").provenance_class is Provenance.ESTIMATED
+
+
+@pytest.mark.parametrize("key", sorted(ALERT_RULES))
+def test_alert_rule_threshold_lies_in_its_metric_domain(key):
+    """``at`` takes a threshold at either end of the metric's domain and
+    refuses one outside it, or one that is not a finite number."""
+    rule = ALERT_RULES[key]
+    upper = find_metric(rule.metric).upper
+    top = upper if math.isfinite(upper) else sys.float_info.max
+    for threshold in (0, top):
+        moved = rule.at(threshold)
+        assert (moved.metric, moved.comparison, moved.threshold) == (
+            rule.metric, rule.comparison, threshold)
+    outside = [-0.1, math.nan, math.inf, -math.inf, "1"]
+    if math.isfinite(upper):
+        outside.append(upper + 0.1)
+    for threshold in outside:
+        with pytest.raises(FieldError):
+            rule.at(threshold)
+
+
+def test_alert_rules_match_the_benchmarks_copy():
+    """perfbench/checks.py judges the alerts the report prints from its own
+    copy of the rules; read without running it, it states the same triples."""
+    tree = ast.parse(CHECKS.read_text())
+    copy = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "ALERT_RULES" for t in node.targets))
+    assert {(metric, side, threshold) for metric, (side, threshold) in copy.items()} == {
+        (rule.metric, rule.comparison, rule.threshold) for rule in ALERT_RULES.values()}

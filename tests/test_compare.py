@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikemeter.catalog import ALERT_RULES
 from spikemeter.compare import (
     SECONDS_PER_YEAR,
     VersionMeasurement,
@@ -142,41 +143,44 @@ def battery_spec(joules, fraction=1.0, static=0.0):
     )
 
 
+TARGET = ALERT_RULES["battery_years"]
+
+
 class TestBatteryLife:
     def test_worked_example_38_years(self):
-        result = estimated_battery_life(3e-6, battery_spec(3600.0))
-        assert result.seconds == pytest.approx(1.2e9)
-        assert result.years == pytest.approx(38.0, abs=0.05)
-        assert result.meets_10y
+        years = estimated_battery_life(3e-6, battery_spec(3600.0))
+        assert years * SECONDS_PER_YEAR == pytest.approx(1.2e9)
+        assert years == pytest.approx(38.0, abs=0.05)
+        assert not TARGET.violated(years)
 
     def test_doubling_power_halves_life(self):
         a = estimated_battery_life(3e-6, battery_spec(3600.0))
         b = estimated_battery_life(6e-6, battery_spec(3600.0))
-        assert b.seconds == pytest.approx(a.seconds / 2, rel=1e-12)
+        assert b == pytest.approx(a / 2, rel=1e-12)
 
     def test_twenty_microwatt_misses_target(self):
-        result = estimated_battery_life(20e-6, battery_spec(3600.0))
-        assert result.years == pytest.approx(5.7, abs=0.01)
-        assert not result.meets_10y
+        years = estimated_battery_life(20e-6, battery_spec(3600.0))
+        assert years == pytest.approx(5.7, abs=0.01)
+        assert TARGET.violated(years)
 
     def test_life_times_power_equals_capacity(self):
         rng = np.random.default_rng(55)
         for _ in range(100):
             joules = rng.uniform(1.0, 1e5)
             power = rng.uniform(1e-9, 1e-2)
-            result = estimated_battery_life(power, battery_spec(joules))
-            assert result.seconds * power == pytest.approx(joules, rel=1e-12)
+            years = estimated_battery_life(power, battery_spec(joules))
+            assert years * SECONDS_PER_YEAR * power == pytest.approx(joules, rel=1e-12)
 
     def test_exactly_ten_years_passes(self):
         capacity = 10.0 * SECONDS_PER_YEAR  # joules at 1 W
-        result = estimated_battery_life(1.0, battery_spec(capacity))
-        assert result.years == 10.0
-        assert result.meets_10y
+        years = estimated_battery_life(1.0, battery_spec(capacity))
+        assert years == 10.0
+        assert not TARGET.violated(years)
 
     def test_just_under_ten_years_fails(self):
         capacity = 9.99 * SECONDS_PER_YEAR
-        result = estimated_battery_life(1.0, battery_spec(capacity))
-        assert not result.meets_10y
+        years = estimated_battery_life(1.0, battery_spec(capacity))
+        assert TARGET.violated(years)
 
     def test_missing_battery_is_capability_error(self):
         with pytest.raises(MissingSpecError):

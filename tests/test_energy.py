@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spikemeter.catalog import ALERT_RULES
 from spikemeter.energy import (
     BatterySpec,
     EnergyBreakdown,
@@ -203,22 +204,25 @@ class TestAveragePower:
         assert p2 == pytest.approx(p1 / 2)
 
 
+LIMIT = ALERT_RULES["power_density"]
+
+
 class TestPowerDensity:
     def test_violation_case(self):
         spec = HardwareSpec(chip_area=0.25)
-        result = power_density(5e-3, spec)
-        assert result.mw_per_cm2 == pytest.approx(20.0)
-        assert result.violation
+        density = power_density(5e-3, spec)
+        assert density == pytest.approx(20.0)
+        assert LIMIT.at(spec.power_density_limit).violated(density)
 
     def test_compliant_case(self):
-        result = power_density(1e-3, HardwareSpec(chip_area=1.0))
-        assert result.mw_per_cm2 == pytest.approx(1.0)
-        assert not result.violation
+        density = power_density(1e-3, HardwareSpec(chip_area=1.0))
+        assert density == pytest.approx(1.0)
+        assert not LIMIT.violated(density)
 
     def test_exactly_at_limit_is_compliant(self):
-        result = power_density(0.01, HardwareSpec(chip_area=1.0))
-        assert result.mw_per_cm2 == 10.0
-        assert not result.violation
+        density = power_density(0.01, HardwareSpec(chip_area=1.0))
+        assert density == 10.0
+        assert not LIMIT.violated(density)
 
     def test_missing_area_is_capability_error(self):
         with pytest.raises(MissingSpecError):
@@ -232,7 +236,7 @@ class TestPowerDensity:
             k = rng.uniform(0.1, 10.0)
             a = power_density(power, HardwareSpec(chip_area=area))
             b = power_density(power * k, HardwareSpec(chip_area=area * k))
-            assert a.violation == b.violation
+            assert LIMIT.violated(a) == LIMIT.violated(b)
 
 
 class TestEnergyPerSop:

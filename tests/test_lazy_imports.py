@@ -141,7 +141,7 @@ PUBLIC_NAMES = {
     "oracle": "dense_oracle_counts",
     "simulate": "AnalogTrain NeuronState SimulationConfig SpikeTrain WorkloadTrace "
                 "rate_encode run_inference step_lif",
-    "store": "MetricSnapshot default_alert_rules evaluate_alerts read_store "
+    "store": "MetricSnapshot evaluate_alerts read_store "
              "record_external_metric record_snapshot register_metric trend_report",
     "workload": "MemoryAccessCounts OpCounts activation_sparsity effective_synops "
                 "memory_accesses",

@@ -336,33 +336,60 @@ class TestCliExitCodes:
         )
         assert code == 0
 
+    @staticmethod
+    def threshold_argv(tmp_path, override: str) -> list[str]:
+        """``report --limit-overrides override`` on the golden store (sparsity
+        0.55), or, for an ``override`` that is an option such as
+        ``--sparsity-threshold=2``, ``simulate`` with it on the demo inputs
+        (sparsity 0.8333)."""
+        if override.startswith("--"):
+            return ["simulate", "--model", demo_path("demo_model.json"),
+                    "--workload", demo_path("demo_workload.json"), override]
+        store = tmp_path / "s.jsonl"
+        build_golden_store(store)
+        return ["report", "--store", str(store), "--model", "golden", "--limit-overrides", override]
+
     @pytest.mark.parametrize("override, message", [
         ("sparsity=2", "'sparsity': expected a number in [0, 1], got 2"),
         ("sparsity=-0.1", "'sparsity': expected a number in [0, 1], got -0.1"),
         ("power_density=-1", "'power_density': expected a number in [0, inf), got -1"),
         ("sparsity=0.5,battery_years=-5", "'battery_years': expected a number in [0, inf), got -5"),
+        pytest.param("--sparsity-threshold=2",
+                     "'--sparsity-threshold': expected a number in [0, 1], got 2",
+                     id="simulate-sparsity-threshold-2"),
+        pytest.param("--sparsity-threshold=-0.1",
+                     "'--sparsity-threshold': expected a number in [0, 1], got -0.1",
+                     id="simulate-sparsity-threshold--0.1"),
     ])
     def test_limit_override_outside_its_metric_domain(self, tmp_path, capsys, override, message):
         """A threshold no value of its metric can cross, or every value
-        crosses, is refused, naming the override."""
-        store = tmp_path / "s.jsonl"
-        build_golden_store(store)
-        code, out, err = run_main(
-            ["report", "--store", str(store), "--model", "golden", "--limit-overrides", override],
-            capsys,
-        )
+        crosses, is refused, naming the override, or the option of
+        ``simulate`` that gives the same rule's threshold."""
+        code, out, err = run_main(self.threshold_argv(tmp_path, override), capsys)
+        where = "option" if override.startswith("--") else "limit override"
         assert (code, out) == (2, "")
-        assert err == f"error: limit override field {message}\n"
+        assert err == f"error: {where} field {message}\n"
 
-    @pytest.mark.parametrize("override, expected_code", [("sparsity=0", 0), ("sparsity=1", 4)])
+    @pytest.mark.parametrize("override, expected_code", [
+        ("sparsity=0", 0),
+        ("sparsity=1", 4),
+        pytest.param("--sparsity-threshold=0", 0, id="simulate-sparsity-threshold-0"),
+        pytest.param("--sparsity-threshold=1", 0, id="simulate-sparsity-threshold-1"),
+    ])
     def test_limit_override_at_a_domain_end(self, tmp_path, capsys, override, expected_code):
-        store = tmp_path / "s.jsonl"
-        build_golden_store(store)  # sparsity 0.55
-        code, _, _ = run_main(
-            ["report", "--store", str(store), "--model", "golden", "--limit-overrides", override],
-            capsys,
-        )
+        code, out, _ = run_main(self.threshold_argv(tmp_path, override), capsys)
         assert code == expected_code
+        if override.startswith("--"):  # only a threshold above the sparsity gives the note
+            assert ("note: activation sparsity 0.8333 is below" in out) == override.endswith("1")
+
+    @pytest.mark.parametrize("overrides", ["power_density=30,power_density=5",
+                                           "power_density=5,power_density=30"])
+    def test_repeated_limit_override_is_refused(self, tmp_path, capsys, overrides):
+        """A key given twice is refused, whichever value comes last, rather
+        than the last one silently winning."""
+        code, out, err = run_main(self.threshold_argv(tmp_path, overrides), capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: limit override 'power_density' is given more than once\n"
 
     def test_store_env_variable_used(self, tmp_path, capsys, monkeypatch):
         store = tmp_path / "s.jsonl"

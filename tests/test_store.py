@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from spikemeter import cli
-from spikemeter.catalog import Polarity, Provenance, find_metric
+from spikemeter.catalog import ALERT_RULES, Polarity, Provenance, default_tag, find_metric
 from spikemeter.fields import FieldError, number
 from spikemeter.store import (
     CustomMetric,
@@ -18,7 +18,6 @@ from spikemeter.store import (
     MetricSnapshot,
     StoreError,
     UnknownMetricError,
-    default_alert_rules,
     evaluate_alerts,
     read_store,
     record_external_metric,
@@ -310,6 +309,28 @@ OUT_OF_DOMAIN = [
 OUT_OF_DOMAIN_IDS = ["energy--5", "sparsity-1.7", "sparsity--0.2", "battery--3"]
 
 
+class TestDefaultTag:
+    """A snapshot value written without a tag and one read without a tag
+    carry the same one: its catalog class, else ``ingested``."""
+
+    @pytest.mark.parametrize("metric, tag", [
+        ("energy_per_inference", "estimated"),
+        ("Energy per Inference", "estimated"),
+        ("lut_count", "ingested"),
+    ])
+    def test_reader_tags_an_untagged_value_as_the_writer_does(self, tmp_path, metric, tag):
+        written, by_hand = tmp_path / "written.jsonl", tmp_path / "by_hand.jsonl"
+        for store in (written, by_hand):
+            register_metric(store, "lut_count")
+        record_snapshot(written, snap("v1", {metric: 2e-8}))
+        assert json.loads(written.read_text().splitlines()[-1])["provenance"] == {metric: tag}
+        with open(by_hand, "a") as handle:
+            handle.write(json.dumps({"kind": "snapshot", "model": "m", "version": "v1",
+                                     "timestamp": 1.0, "values": {metric: 2e-8}}) + "\n")
+        assert read_store(by_hand).history("m")[0].values[metric] == {tag: 2e-8}
+        assert default_tag(metric) == tag
+
+
 class TestDomains:
     """Every catalog metric lies in [0, upper]: the store refuses a value
     outside, on write and on read, naming the metric."""
@@ -483,9 +504,8 @@ class TestAlerts:
         ]
 
     def test_overridden_limits(self):
-        rules = default_alert_rules(
-            sparsity_threshold=0.9, power_density_limit=5.0, battery_target_years=20.0
-        )
+        thresholds = {"sparsity": 0.9, "power_density": 5.0, "battery_years": 20.0}
+        rules = [rule.at(thresholds[key]) for key, rule in ALERT_RULES.items()]
         records = evaluate_alerts(
             {
                 "activation_sparsity": 0.85,
@@ -494,7 +514,9 @@ class TestAlerts:
             },
             rules,
         )
-        assert len(alerts_of(records)) == 3
+        assert [(a["metric"], a["threshold"]) for a in alerts_of(records)] == [
+            ("activation_sparsity", 0.9), ("power_density", 5.0), ("estimated_battery_life", 20.0)]
+        assert alerts_of(records)[0]["rationale"].startswith("sparsity below 90% means")
 
 
 def test_store_file_is_one_json_object_per_line(tmp_path):

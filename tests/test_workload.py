@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikemeter.catalog import ALERT_RULES
 from spikemeter.simulate import SimulationConfig, SpikeTrain, run_inference
 from spikemeter.workload import (
     MemoryAccessCounts,
@@ -118,11 +119,14 @@ def trace_with(spikes: int, neurons: int = 3, timesteps: int = 4) -> TraceCounts
     )
 
 
+SPARSITY = ALERT_RULES["sparsity"]
+
+
 class TestActivationSparsity:
     def test_three_of_twelve(self):
         report = activation_sparsity(trace_with(3))
         assert report.activation_sparsity == 0.75
-        assert report.alert is None
+        assert not SPARSITY.violated(report.activation_sparsity)
 
     def test_zero_spikes_full_sparsity(self):
         report = activation_sparsity(trace_with(0))
@@ -131,18 +135,18 @@ class TestActivationSparsity:
     def test_half_spikes_raises_alert(self):
         report = activation_sparsity(trace_with(6))
         assert report.activation_sparsity == 0.5
-        assert report.alert is not None
+        assert SPARSITY.violated(report.activation_sparsity)
 
     def test_exactly_at_threshold_no_alert(self):
         # 2 spikes over 5 opportunities: 1 - 2/5 evaluates to the same double
         # as the 0.6 threshold, and the comparison is strict.
         report = activation_sparsity(trace_with(2, neurons=5, timesteps=1))
         assert report.activation_sparsity == 0.6
-        assert report.alert is None
+        assert not SPARSITY.violated(report.activation_sparsity)
 
     def test_just_below_threshold_alerts(self):
         report = activation_sparsity(trace_with(41, neurons=10, timesteps=10))
-        assert report.alert is not None
+        assert SPARSITY.violated(report.activation_sparsity)
 
     def test_adding_a_spike_strictly_decreases_sparsity(self):
         previous = activation_sparsity(trace_with(0)).activation_sparsity
@@ -163,5 +167,6 @@ class TestActivationSparsity:
             activation_sparsity(trace_with(0, neurons=0))
 
     def test_custom_threshold(self):
-        report = activation_sparsity(trace_with(3), threshold=0.8)
-        assert report.alert is not None  # 0.75 < 0.8
+        sparsity = activation_sparsity(trace_with(3)).activation_sparsity
+        assert not SPARSITY.violated(sparsity)
+        assert SPARSITY.at(0.8).violated(sparsity)  # 0.75 < 0.8
