@@ -379,8 +379,9 @@ class TestCliExitCodes:
     def test_limit_override_at_a_domain_end(self, tmp_path, capsys, override, expected_code):
         code, out, _ = run_main(self.threshold_argv(tmp_path, override), capsys)
         assert code == expected_code
-        if override.startswith("--"):  # only a threshold above the sparsity gives the note
-            assert ("note: activation sparsity 0.8333 is below" in out) == override.endswith("1")
+        if override.startswith("--"):  # only the threshold above the sparsity gives the note
+            assert ("note: activation sparsity 0.8333 is below 1.00" in out) == (
+                override == "--sparsity-threshold=1")
 
     @pytest.mark.parametrize("overrides", ["power_density=30,power_density=5",
                                            "power_density=5,power_density=30"])
