@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .catalog import POWER_DENSITY_LIMIT, MissingSpecError
-from .fields import load_json, read_record
+from .catalog import ALERT_RULES, POWER_DENSITY_LIMIT, MissingSpecError
+from .fields import FieldError, load_json, read_record
 from .workload import MemoryAccessCounts, OpCounts, TraceCounts, derive_accesses
 
 JOULES_PER_MAH_VOLT = 3.6  # 1 mAh = 3.6 coulombs
@@ -72,7 +72,9 @@ class BatterySpec:
 
 @dataclass(frozen=True)
 class HardwareSpec:
-    """Per-operation energy costs and device overhead figures."""
+    """Per-operation energy costs and device overhead figures.
+    ``power_density_rule`` is the catalog's power-density alert rule at
+    ``power_density_limit``, which that rule reads once, here."""
 
     name: str = ""
     e_mac: float = 0.0  # J per multiply-accumulate
@@ -105,11 +107,16 @@ class HardwareSpec:
             "static_power",
             "adc_energy_per_sample",
             "tx_energy_per_bit",
-            "power_density_limit",
         ):
             val = getattr(self, name)
             if not math.isfinite(val) or val < 0:
                 raise HardwareSpecError(f"{name} must be finite and >= 0")
+        try:
+            rule = ALERT_RULES["power_density"].at(self.power_density_limit)
+        except FieldError as exc:
+            raise HardwareSpecError(
+                f"hardware spec field 'power_density_limit': {exc}") from None
+        object.__setattr__(self, "power_density_rule", rule)
         if self.adc_samples_per_inference < 0 or self.tx_bits_per_inference < 0:
             raise HardwareSpecError("per-inference sample/bit counts must be >= 0")
         if self.chip_area is not None and not (
@@ -207,9 +214,8 @@ def average_power(breakdown: EnergyBreakdown) -> float:
 
 
 def power_density(power_w: float, spec: HardwareSpec) -> float:
-    """Average power per chip area, in mW/cm^2.  The catalog's
-    ``ALERT_RULES["power_density"]``, at the spec's ``power_density_limit``,
-    judges it."""
+    """Average power per chip area, in mW/cm^2.  The spec's
+    ``power_density_rule`` judges it."""
     if spec.chip_area is None:
         raise MissingSpecError("power density needs chip_area (cm^2) in the hardware spec")
     return power_w * 1000.0 / spec.chip_area

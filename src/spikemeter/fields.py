@@ -11,7 +11,8 @@ for a dataclass field annotated ``np.ndarray``, which holds it as a float64
 numpy array (and takes a float64 array as it is).  This module imports no
 numpy.
 
-:func:`load_json` decodes a file; :func:`read_record` reads a JSON object
+:func:`load_json` decodes a file, optionally with one shared +0.0 for every
+``0.0`` in it; :func:`read_record` reads a JSON object
 into a dataclass, whose fields are the keys the object may hold, whose
 defaults make keys optional and whose annotations pick the rules;
 :func:`read_field` reads one value at a dotted path; :func:`check_keys` refuses
@@ -39,10 +40,26 @@ from pathlib import Path
 REQUIRED = object()  # read_field's default: the key must be present
 
 
-def load_json(path: str | Path, what: str, error: type[Exception], object_hook=None):
+class _Floats(dict):
+    """Float text -> its float: the text ``0.0`` to the one +0.0 held here,
+    any other text (``-0.0`` and ``0.00`` included) through ``float``, which
+    adds nothing to the dict."""
+
+    __missing__ = float
+
+
+_shared_zero = _Floats({"0.0": 0.0}).__getitem__
+
+
+def load_json(path: str | Path, what: str, error: type[Exception], object_hook=None,
+              shared_zero: bool = False):
     """The JSON document in the UTF-8 file at ``path``; ``what`` names the
     file kind when it cannot be read or decoded, raised as ``error``.
-    ``object_hook`` is ``json.loads``'s: it gets each object as it closes."""
+    ``object_hook`` is ``json.loads``'s: it gets each object as it closes.
+    With ``shared_zero``, every ``0.0`` in the text decodes to one shared
+    +0.0: a zero costs its list slot, not a 24-byte float of its own, but
+    every other float costs a Python-level call, so it suits files of mostly
+    zeros (analog frames), not weights."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -50,7 +67,8 @@ def load_json(path: str | Path, what: str, error: type[Exception], object_hook=N
     except UnicodeDecodeError as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text, object_hook=object_hook,
+                          parse_float=_shared_zero if shared_zero else None)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
 

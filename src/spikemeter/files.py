@@ -26,8 +26,12 @@ what the metrics and the pricing read, a :class:`~.workload.TraceCounts`.  It
 reads the trace in pure Python, its arrays through :func:`fields.array`, so
 ``estimate --trace`` loads no numpy.
 
-A :class:`WorkloadSpec` holds its arrays as the checked lists; numpy converts
-them when :func:`prepare_input` builds the input train.  This module imports
+Both loaders decode every ``0.0`` in the file to one shared +0.0 object, so
+a frame entry that is +0.0, as most are, costs its 8-byte list slot rather
+than a 24-byte float of its own; ``-0.0`` and every other number decode as
+``json.loads`` decodes them.  A :class:`WorkloadSpec` holds its arrays as the
+checked lists; numpy converts them when :func:`prepare_input` builds the
+input train, which holds its own read-only copy.  This module imports
 numpy and ``simulate`` only inside the functions that build or write numpy
 arrays: the input builder and the trace writer.
 """
@@ -71,7 +75,8 @@ class WorkloadSpec:
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
-    return workload_from_dict(load_json(path, "workload file", WorkloadFileError))
+    return workload_from_dict(load_json(path, "workload file", WorkloadFileError,
+                                        shared_zero=True))
 
 
 # Each kind's keys besides "kind": (rule, default), REQUIRED when the key must appear.
@@ -266,7 +271,7 @@ def load_trace(path: str | Path) -> TraceCounts:
     """The counts the trace file at ``path`` holds.  The whole file is
     checked, in pure Python: a trace that does not describe a valid run is
     refused with the message of the rule it breaks."""
-    raw = load_json(path, "trace file", WorkloadFileError)
+    raw = load_json(path, "trace file", WorkloadFileError, shared_zero=True)
     if not isinstance(raw, dict) or raw.get("format") != TRACE_FORMAT:
         raise WorkloadFileError(f"not a {TRACE_FORMAT} file: {path}")
 

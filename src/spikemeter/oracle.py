@@ -111,7 +111,7 @@ def dense_oracle_counts(
             states[li] = new_states
             prev_spikes[li] = [spike_rec[li][i][t] for i in range(layer.out_size)]
 
-    spikes = [np.array(train.events, copy=True)]
+    spikes = [train.events]
     spikes += [np.array(rec, dtype=np.float64) for rec in spike_rec]
     return WorkloadTrace(spikes, TraceCounts(
         layer_sizes=model.layer_sizes, timesteps=T, timestep_duration=config.timestep_duration,

@@ -81,14 +81,18 @@ class SimulationConfig:
 
 
 class _Train:
-    """Neuron x timestep event matrix."""
+    """Neuron x timestep event matrix.  ``events`` is the train's own
+    read-only float64 copy of what it was built from, so the checks made
+    here hold for as long as the train lives, and a trace can hold the
+    array as it is."""
 
     def __init__(self, events: np.ndarray) -> None:
-        events = np.asarray(events, dtype=np.float64)
+        events = np.array(events, dtype=np.float64)
         if events.ndim != 2:
             raise SimulationError("events must be a neuron x timestep matrix")
         if not np.all(np.isfinite(events)):
             raise SimulationError("events must be finite")
+        events.flags.writeable = False
         self.events = events
 
     @property
@@ -166,9 +170,10 @@ def step_lif(
 class WorkloadTrace:
     """Spikes and counts from one inference.
 
-    ``spikes[0]`` is the input train as supplied (possibly analog); all
-    later layers are binary.  ``counts`` holds the effective (event-driven)
-    tallies and everything else the metrics and the pricing read.
+    ``spikes[0]`` is the input train's own read-only ``events`` array
+    (possibly analog); all later layers are binary.  ``counts`` holds the
+    effective (event-driven) tallies and everything else the metrics and the
+    pricing read.
     """
 
     spikes: list[np.ndarray]
@@ -214,7 +219,7 @@ def run_inference(
     tallies = np.zeros((4, T), dtype=np.int64)
     crossings = np.zeros(T, dtype=np.int64)  # each layer's input events
     non_input_spikes = 0
-    spikes: list[np.ndarray] = [np.array(train.events, copy=True)]
+    spikes: list[np.ndarray] = [train.events]
     for layer in model.weighted_layers:
         fired, entering, feed, rec_fan = _run_layer(layer, spikes[-1])
         tallies += _tally_layer(layer, spikes[-1], fired, entering, feed, rec_fan)

@@ -138,6 +138,17 @@ class TestEstimateEnergy:
         with pytest.raises(HardwareSpecError):
             HardwareSpec(static_power=math.nan)
 
+    def test_power_density_limit_is_read_by_its_rule(self):
+        assert HardwareSpec().power_density_rule == ALERT_RULES["power_density"]
+        rule = HardwareSpec(power_density_limit=5).power_density_rule
+        assert rule == ALERT_RULES["power_density"].at(5.0)
+        assert HardwareSpec(power_density_limit=0).power_density_rule.threshold == 0.0
+        for limit, problem in ((-1.0, "expected a number in [0, inf), got -1"),
+                               (math.nan, "expected a finite number, got NaN")):
+            with pytest.raises(HardwareSpecError) as refused:
+                HardwareSpec(power_density_limit=limit)
+            assert str(refused.value) == f"hardware spec field 'power_density_limit': {problem}"
+
 
 class TestEnergyPerInference:
     def test_identity_on_fixture(self):

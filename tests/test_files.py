@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spikemeter import cli
+from spikemeter import cli, fields
 from spikemeter.files import (
     WorkloadFileError,
     _dump_array,
@@ -389,3 +391,63 @@ def test_unsorted_and_duplicate_events_count_once(tmp_path):
                 for size, layer in zip(layer_sizes, events)]
     assert counts == trace_of(matrices, **tallies, timestep_duration=1e-3,
                               model_name="demo", model_version="v1").counts
+
+
+# Frame text ``json.dumps`` never writes: each spelling of a zero, and a subnormal.
+ZERO_FRAMES = "[[0.0, -0.0, 0, 0.00], [1e-320, 0.5, -0.0, 0.0]]"
+ZERO_WORKLOAD = f'{{"kind": "analog", "layer": 2, "timesteps": 4, "frames": {ZERO_FRAMES}}}'
+
+
+def signed(rows: list) -> list:
+    """Each entry with its type and its sign, which ``==`` does not tell apart."""
+    return [[(type(x), x, math.copysign(1.0, x)) for x in row] for row in rows]
+
+
+def test_frames_decode_as_json_loads_decodes_them(tmp_path):
+    """The workload loader shares one +0.0 for the text ``0.0``; every
+    other spelling, ``-0.0`` above all, decodes as ``json.loads`` decodes it."""
+    path = tmp_path / "workload.json"
+    path.write_text(ZERO_WORKLOAD)
+    frames = load_workload(path).frames
+    assert signed(frames) == signed(json.loads(ZERO_WORKLOAD)["frames"])
+    assert frames[0][0] is frames[1][3]
+
+
+def test_zero_spellings_give_the_golden_trace(tmp_path, monkeypatch):
+    """``simulate --trace-out`` on frames holding every zero spelling writes
+    the bytes it wrote when each float decoded to an object of its own; the
+    trace loader reads those frames, respelled, to the same counts as the
+    default decode does."""
+    workload, trace = tmp_path / "workload.json", tmp_path / "trace.json"
+    workload.write_text(ZERO_WORKLOAD)
+    model = str(resources.files("spikemeter") / "data" / "demo_model.json")
+    assert cli.main(["simulate", "--model", model, "--workload", str(workload),
+                     "--trace-out", str(trace)]) == 0
+    golden = (Path(__file__).parent / "data" / "golden_trace_zeros.json").read_text()
+    assert trace.read_text() == golden
+    written = "[[0.0, -0.0, 0.0, 0.0], [1e-320, 0.5, -0.0, 0.0]]"
+    assert written in golden
+    trace.write_text(golden.replace(written, ZERO_FRAMES))
+    counts = load_trace(trace)
+    monkeypatch.setattr(fields, "_shared_zero", float)
+    assert counts == load_trace(trace)
+
+
+def test_mostly_zero_frames_decode_small(tmp_path):
+    """A +0.0 frame entry costs its list slot: decoding 96 x 2000 frames, 3 %
+    of them nonzero, keeps under 12 bytes per entry allocated, where a float
+    object of its own per entry would keep over 32."""
+    rng = np.random.default_rng(5)
+    shape = (96, 2000)
+    frames = np.where(rng.random(shape) < 0.03, rng.normal(size=shape), 0.0).tolist()
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"kind": "analog", "layer": shape[0], "timesteps": shape[1],
+                                "frames": frames}))
+    tracemalloc.start()
+    try:
+        workload = load_workload(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert workload.frames == frames
+    assert held / (shape[0] * shape[1]) < 12

@@ -383,6 +383,19 @@ class TestCliExitCodes:
             assert ("note: activation sparsity 0.8333 is below 1.00" in out) == (
                 override == "--sparsity-threshold=1")
 
+    def test_spec_power_density_limit_outside_its_metric_domain(self, tmp_path, capsys):
+        """The spec's ``power_density_limit`` is the power-density rule's
+        threshold, read by that rule: a limit no density can cross is
+        refused, naming the field, as the same override is."""
+        trace, spec = str(tmp_path / "trace.json"), tmp_path / "spec.json"
+        assert run_main(golden_metric_runs(trace)[0][0], capsys)[0] == 0
+        raw = json.loads(Path(demo_path("demo_hwspec.json")).read_text())
+        spec.write_text(json.dumps({**raw, "power_density_limit": -1}))
+        code, out, err = run_main(["estimate", "--trace", trace, "--hwspec", str(spec)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: hardware spec field 'power_density_limit': "
+                       "expected a number in [0, inf), got -1\n")
+
     @pytest.mark.parametrize("overrides", ["power_density=30,power_density=5",
                                            "power_density=5,power_density=30"])
     def test_repeated_limit_override_is_refused(self, tmp_path, capsys, overrides):

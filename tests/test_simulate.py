@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from spikemeter.files import trace_to_dict
 from spikemeter.model import NeuronParams, ResetMode
+from spikemeter.oracle import dense_oracle_counts
 from spikemeter.simulate import (
     AnalogTrain,
     NeuronState,
@@ -171,3 +173,31 @@ class TestRunInference:
             trace = run_inference(model, train, SimulationConfig(timesteps=2))
             assert trace.counts.macs[1] == macs_t1, f"beta={beta}"
             assert trace.counts.membrane_updates[1] == updates_t1, f"beta={beta}"
+
+
+@pytest.mark.parametrize("run", [run_inference, dense_oracle_counts], ids=["event", "oracle"])
+@pytest.mark.parametrize("cls, rows", [
+    (AnalogTrain, [[0.5, 0.0, -0.25, 1.0], [0.0, -0.0, 2.0, 0.75]]),
+    (SpikeTrain, [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]),
+], ids=["analog", "spikes"])
+def test_train_holds_its_own_read_only_events(cls, rows, run):
+    """A train copies the array it is built from and cannot be written, so
+    the finiteness check holds for the whole run, and a trace holds the
+    train's array as its ``spikes[0]`` without a copy of its own."""
+    model = simple_model([[0.6, 0.5], [0.4, -0.3], [0.0, 0.7]], beta=0.9)
+    config = SimulationConfig(timesteps=4)
+    source = np.array(rows)
+    train = cls(source)
+    assert not np.shares_memory(train.events, source)
+    assert not train.events.flags.writeable
+    with pytest.raises(ValueError):
+        train.events[0, 0] = np.nan
+    trace = run(model, train, config)
+    assert trace.spikes[0] is train.events
+    saved = trace_to_dict(trace)
+
+    source[:] = np.nan  # writing the caller's array reaches neither the train nor the trace
+    assert train.events.tolist() == rows
+    assert np.array_equal(np.signbit(train.events), np.signbit(rows))
+    assert trace_to_dict(trace) == saved
+    assert run(model, train, config).equals(trace)
