@@ -26,7 +26,8 @@ through ``at``, which refuses one outside the metric's domain.
 of the tool's own that the CLI prints or records: the terms of an energy
 breakdown, the tallies a metric sums, each side of a comparison.  They are
 not catalog metrics: ``find_metric`` does not know them, and the store
-takes one only once it is registered.
+takes one only once it is registered.  The three it records
+(``RECORDED_QUANTITIES``) still lie in [0, inf), as ``DOMAIN_UPPER`` says.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ class MetricDescriptor:
     description: str = ""
     upper: float = math.inf  # the metric's values lie in [0, upper]
 
-    @property
-    def domain(self) -> str:
-        return f"[0, {self.upper:g}]" if math.isfinite(self.upper) else "[0, inf)"
+
+def domain_text(upper: float) -> str:
+    """The domain [0, upper] as a message prints it."""
+    return f"[0, {upper:g}]" if math.isfinite(upper) else "[0, inf)"
 
 
 # Actionability thresholds: the defaults of the alert rules and of the hardware spec.
@@ -110,15 +112,15 @@ class AlertRule:
         It is a field rule: ``fields.read_field`` reports a refusal naming
         the option or override that gave the threshold."""
         threshold = number(threshold)
-        descriptor = find_metric(self.metric)  # a custom metric has no domain
-        if descriptor is not None and not 0.0 <= threshold <= descriptor.upper:
-            raise FieldError(f"expected a number in {descriptor.domain}, got {threshold:g}")
+        upper = DOMAIN_UPPER.get(self.metric)  # a custom metric has no domain
+        if upper is not None and not 0.0 <= threshold <= upper:
+            raise FieldError(f"expected a number in {domain_text(upper)}, got {threshold:g}")
         return replace(self, threshold=threshold)
 
     def alert(self, value: float) -> dict:
         """The report's ``alert`` record of ``value``, a value that violates
         this rule, in the unit the catalog gives the metric."""
-        descriptor = find_metric(self.metric)
+        descriptor = DESCRIPTORS.get(self.metric)
         return {"record": "alert", "metric": self.metric, "comparison": self.comparison,
                 "threshold": self.threshold,
                 "rationale": self.rationale.format(threshold=self.threshold),
@@ -271,8 +273,12 @@ _CATALOG: tuple[MetricDescriptor, ...] = (
     ),
 )
 
-_BY_KEY = {d.key: d for d in _CATALOG}
+# Key -> descriptor of every catalog metric, as stored values and alert rules name them.
+DESCRIPTORS = {d.key: d for d in _CATALOG}
 _BY_NAME = {d.name.lower(): d for d in _CATALOG}
+
+# The tool's quantities that recording stores, registered in this order.
+RECORDED_QUANTITIES = ("execution_time", "parameters_trainable", "parameters_non_trainable")
 
 # (key, unit, provenance class) of each of the tool's own quantities.
 TOOL_QUANTITIES: tuple[tuple[str, str, Provenance], ...] = (
@@ -305,6 +311,11 @@ TOOL_QUANTITIES: tuple[tuple[str, str, Provenance], ...] = (
 
 # Key -> provenance tag of a catalog metric, as the store writes it.
 CLASS_TAGS = {d.key: d.provenance_class.value for d in _CATALOG}
+# Key -> upper end of the domain [0, upper] of each catalog metric and recorded
+# quantity.  The tool's other quantities have none: a marginal energy cost is
+# negative when the energy fell.
+DOMAIN_UPPER = {**{d.key: d.upper for d in _CATALOG},
+                **dict.fromkeys(RECORDED_QUANTITIES, math.inf)}
 # Key -> (unit, provenance tag) of every number the CLI prints or records.
 UNITS_AND_TAGS = {**{d.key: (d.unit, d.provenance_class.value) for d in _CATALOG},
                   **{key: (unit, tag.value) for key, unit, tag in TOOL_QUANTITIES}}
@@ -312,11 +323,11 @@ UNITS_AND_TAGS = {**{d.key: (d.unit, d.provenance_class.value) for d in _CATALOG
 
 def find_metric(name: str) -> MetricDescriptor | None:
     """Look a descriptor up by key or display name, case-insensitively."""
-    if name in _BY_KEY:  # the store looks up every value's metric by its key
-        return _BY_KEY[name]
+    if name in DESCRIPTORS:  # trends and the store's writers mostly pass a key
+        return DESCRIPTORS[name]
     lowered = name.strip().lower()
-    if lowered in _BY_KEY:
-        return _BY_KEY[lowered]
+    if lowered in DESCRIPTORS:
+        return DESCRIPTORS[lowered]
     return _BY_NAME.get(lowered)
 
 

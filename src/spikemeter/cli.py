@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import report as rpt, store as st
-from .catalog import (ALERT_RULES, CLASS_TAGS, SPARSITY_THRESHOLD, UNITS_AND_TAGS, AlertRule,
-                      MissingSpecError)
+from .catalog import (ALERT_RULES, CLASS_TAGS, RECORDED_QUANTITIES, SPARSITY_THRESHOLD,
+                      UNITS_AND_TAGS, AlertRule, MissingSpecError)
 from .fields import load_json, number, optional, read_field, read_record
 
 if TYPE_CHECKING:
@@ -58,9 +58,6 @@ EXTRA_METRICS = (
     "estimated_battery_life",
     "inferences_per_battery_cycle",
 )
-
-# The tool's quantities that recording stores, registered in this order.
-RECORDED_QUANTITIES = ("execution_time", "parameters_trainable", "parameters_non_trainable")
 
 
 def _emit_metrics(rows: list[tuple], fmt: str, units: dict[str, str] | None = None) -> None:
@@ -347,8 +344,8 @@ def _measurement_from_store(data: st.StoreData, model: str, version: str) -> cmp
     record = data.find(model, version)
     if record is None:
         raise ValueError(f"version {version!r} not found for model {model!r} in store")
-    energy = st.pick_value(record.values.get("energy_per_inference", {}), None, None)
-    duration = st.pick_value(record.values.get("execution_time", {}), None, None)
+    energy, duration = (st.pick_value(record.values.get(key, {}), key, None)
+                        for key in ("energy_per_inference", "execution_time"))
     if energy is None or duration is None:
         raise ValueError(
             f"version {version!r} lacks energy_per_inference or execution_time values"

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .catalog import MissingSpecError, find_metric
+from .catalog import DOMAIN_UPPER, MissingSpecError, domain_text
 
 if TYPE_CHECKING:
     from .energy import HardwareSpec
@@ -31,9 +31,9 @@ class VersionMeasurement:
     accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        energy = find_metric("energy_per_inference")
-        if not (math.isfinite(self.energy) and 0.0 <= self.energy <= energy.upper):
-            raise ValueError(f"energy must be finite and lie in {energy.domain}")
+        upper = DOMAIN_UPPER["energy_per_inference"]
+        if not (math.isfinite(self.energy) and 0.0 <= self.energy <= upper):
+            raise ValueError(f"energy must be finite and lie in {domain_text(upper)}")
         if not (math.isfinite(self.time) and self.time > 0):
             raise ValueError("time must be finite and > 0")
         if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):

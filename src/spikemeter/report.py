@@ -18,7 +18,7 @@ import io
 import json
 from collections import defaultdict
 
-from .catalog import AlertRule, find_metric
+from .catalog import DESCRIPTORS, AlertRule
 from .store import (
     PROVENANCE_TAGS,
     InsufficientHistoryError,
@@ -44,7 +44,7 @@ FLAGS = ("accessible", "high_fidelity", "actionable", "trend_based")
 def _about(key: str, data: StoreData) -> dict:
     """What a metric record says of its metric besides the value: from the
     catalog descriptor, or from the registration of a custom metric."""
-    descriptor = find_metric(key)
+    descriptor = DESCRIPTORS.get(key)
     if descriptor is None:  # the store holds no value of a metric neither built in nor registered
         custom = data.registered[key]
         return {"name": custom.name, "unit": custom.unit, **dict.fromkeys(FLAGS),
@@ -77,12 +77,12 @@ def build_report(
                          "provenance": tag, **about}
                         for tag in PROVENANCE_TAGS if tag in by_provenance]
         alerts = evaluate_alerts(
-            {key: pick_value(by_provenance, find_metric(key), None)
+            {key: pick_value(by_provenance, key, None)
              for key, by_provenance in latest.values.items()},
             rules,
         )
         for key in dict.fromkeys(key for record in history for key in record.values):
-            descriptor = find_metric(key)
+            descriptor = DESCRIPTORS.get(key)
             if descriptor is None or descriptor.trend_based:  # every custom metric trends
                 try:
                     trends.append(trend_report(data, model, key))

@@ -15,7 +15,9 @@ sees half a record.  Three record kinds exist::
      "metric": ..., "value": ..., "provenance": ..., "notes": ...}
     {"kind": "register", "name": ..., "unit": ..., "polarity": ..., "description": ...}
 
-A snapshot value whose ``provenance`` entry is absent or null takes
+A line keeps each metric name as written; the reader reads it under its
+catalog key, and refuses a line that names one metric twice.  A snapshot
+value whose ``provenance`` entry is absent or null takes
 ``catalog.default_tag`` (its catalog class, else ``ingested``), whether the
 writer fills it in or a hand-written line leaves it out.
 
@@ -47,8 +49,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
-from .catalog import (ALERT_RULES, CLASS_TAGS, AlertRule, MetricDescriptor, Polarity, Provenance,
-                      default_tag, find_metric)
+from .catalog import (ALERT_RULES, CLASS_TAGS, DOMAIN_UPPER, AlertRule, Polarity, Provenance,
+                      default_tag, domain_text, find_metric)
 from .fields import FieldError, number, read_field, string
 
 # Provenance tags as stored, in the order a metric's values are preferred and
@@ -83,19 +85,19 @@ def _is_number(value) -> bool:
     return True
 
 
-def _check_value(metric: str, value, provenance) -> None:
+def _check_value(key: str, value, provenance) -> None:
     """Every stored value, written or read, is a finite number carrying one
     of the catalog's provenance tags, and lies in its metric's domain.  A
     finite JSON float, what nearly every store line holds, passes without
     the full ``fields.number`` rule."""
     if not (type(value) is float and math.isfinite(value)) and not _is_number(value):
-        raise StoreError(f"value for {metric!r} must be a finite number")
-    descriptor = find_metric(metric)  # a custom metric has no domain
-    if descriptor is not None and not 0.0 <= value <= descriptor.upper:
-        raise StoreError(f"value for {metric!r} must lie in {descriptor.domain}, got {value!r}")
+        raise StoreError(f"value for {key!r} must be a finite number")
+    upper = DOMAIN_UPPER.get(key)  # a custom metric has no domain
+    if upper is not None and not 0.0 <= value <= upper:
+        raise StoreError(f"value for {key!r} must lie in {domain_text(upper)}, got {value!r}")
     if provenance not in _PROVENANCE_TAGS:
         raise StoreError(
-            f"provenance of {metric!r} must be one of {sorted(_PROVENANCE_TAGS)}, "
+            f"provenance of {key!r} must be one of {sorted(_PROVENANCE_TAGS)}, "
             f"got {provenance!r}"
         )
 
@@ -170,13 +172,13 @@ def _names(record: dict) -> tuple[str, str]:
     return model, version
 
 
-def _check_known(metrics, data: StoreData) -> None:
-    """Every metric a line carries is built in (by key or display name) or
-    registered on an earlier line."""
-    unknown = [name for name in metrics if name not in CLASS_TAGS
-               and name not in data.registered and find_metric(name) is None]
-    if unknown:
-        raise UnknownMetricError(f"unknown metrics {sorted(unknown)}; register them first")
+def _key(name: str, data: StoreData) -> str:
+    """A line's metric name as every layer above the store reads it: its
+    catalog key, else the name registered on an earlier line."""
+    descriptor = find_metric(name)
+    if descriptor is None and name not in data.registered:
+        raise UnknownMetricError(f"unknown metrics {[name]}; register them first")
+    return name if descriptor is None else descriptor.key
 
 
 def _apply(data: StoreData, record: dict) -> None:
@@ -202,13 +204,16 @@ def _apply(data: StoreData, record: dict) -> None:
                 )
             values = {}
             tags = record.get("provenance", {})
-            for key, val in record["values"].items():
-                tag = tags.get(key)
+            for name, val in record["values"].items():
+                key = name if name in CLASS_TAGS else _key(name, data)  # a key, nearly always
+                tag = tags.get(name)
                 if tag is None:
                     tag = default_tag(key)
                 _check_value(key, val, tag)
                 values[key] = {tag: val}
-            _check_known(values, data)
+            if len(values) < len(record["values"]):  # two names of one metric
+                keys = [_key(name, data) for name in record["values"]]
+                raise StoreError(f"snapshot names metric {max(keys, key=keys.count)!r} twice")
             accuracy = record.get("accuracy")
             if accuracy is not None and not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
                 raise StoreError("accuracy must lie in [0, 1]")
@@ -221,9 +226,8 @@ def _apply(data: StoreData, record: dict) -> None:
             ))
         elif kind == "ingest":
             model, version = _names(record)
-            metric, provenance = _text(record, "metric", True), record["provenance"]
+            metric, provenance = _key(_text(record, "metric", True), data), record["provenance"]
             _check_value(metric, record["value"], provenance)
-            _check_known((metric,), data)
             _text(record, "notes")
             timestamp = _timestamp(record)
             target = data.find(model, version)
@@ -432,19 +436,13 @@ def record_external_metric(
 
 
 def pick_value(
-    by_provenance: dict[str, float],
-    descriptor: MetricDescriptor | None,
-    requested: str | None,
+    by_provenance: dict[str, float], key: str, requested: str | None
 ) -> float | None:
-    """The requested provenance's value, else the catalog class's, else the
-    first present in PROVENANCE_TAGS."""
+    """The requested provenance's value, else the one tagged with the catalog
+    class of the metric ``key``, else the first present in PROVENANCE_TAGS."""
     if requested is not None:
         return by_provenance.get(requested)
-    if descriptor is not None:
-        preferred = by_provenance.get(CLASS_TAGS[descriptor.key])
-        if preferred is not None:
-            return preferred
-    for tag in PROVENANCE_TAGS:
+    for tag in (CLASS_TAGS.get(key), *PROVENANCE_TAGS):
         if tag in by_provenance:
             return by_provenance[tag]
     return None
@@ -473,7 +471,7 @@ def trend_report(
     series = []
     for record in data.history(model):
         if key in record.values:
-            value = pick_value(record.values[key], descriptor, provenance)
+            value = pick_value(record.values[key], key, provenance)
             if value is not None:
                 series.append([record.version, float(value)])
     if len(series) < 2:

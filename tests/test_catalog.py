@@ -16,6 +16,7 @@ from spikemeter.catalog import (
 from spikemeter.fields import FieldError
 
 CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spikemeter"
 
 # Expected classification grid: name, accessible, high fidelity, actionable,
 # trend-based.  The second (derived metrics) group adds two columns:
@@ -152,3 +153,37 @@ def test_alert_rules_match_the_benchmarks_copy():
                 and any(getattr(t, "id", None) == "ALERT_RULES" for t in node.targets))
     assert {(metric, side, threshold) for metric, (side, threshold) in copy.items()} == {
         (rule.metric, rule.comparison, rule.threshold) for rule in ALERT_RULES.values()}
+
+
+# (module, function) of each place that may resolve a metric name with
+# find_metric.  Each takes the name from outside: a store line's metric name,
+# history's --metric, a name to register, and a writer's name for its default tag.
+NAME_RESOLVERS = {
+    ("store", "_key"),
+    ("store", "trend_report"),
+    ("store", "register_metric"),
+    ("store", "_registration"),
+    ("catalog", "default_tag"),
+}
+
+
+def test_find_metric_resolves_outside_names_only():
+    """The store reads every stored name under its key once; every layer
+    above it looks a key up in ``DESCRIPTORS``.  Read without running it,
+    the package names find_metric only inside NAME_RESOLVERS, so a new
+    resolution site fails here."""
+    sites = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == "find_metric"
+                or isinstance(node, ast.Attribute) and node.attr == "find_metric"
+                or isinstance(node, ast.alias) and node.name == "find_metric" and node.asname):
+            sites.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert sites == NAME_RESOLVERS

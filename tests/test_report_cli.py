@@ -576,6 +576,23 @@ class TestCliCompare:
         assert values["speedup"] == pytest.approx(0.5)
         assert values["greenup"] == pytest.approx(0.5)
 
+    def test_store_versions_prefer_the_catalog_class(self, tmp_path, capsys):
+        """``--old/--new`` pick each value as ``report`` and ``history`` do:
+        the estimated energy, not a computed ingest beside it."""
+        store = tmp_path / "s.jsonl"
+        register_metric(store, "execution_time", unit="s")
+        for version, energy in (("v1", 2e-3), ("v2", 1e-3)):
+            record_snapshot(store, MetricSnapshot(
+                model_name="m", version=version, timestamp=1.0,
+                values={"energy_per_inference": energy, "execution_time": 1.0}))
+        record_external_metric(store, "m", "v2", "energy_per_inference", 4e-3, "computed")
+        code, out, _ = run_main(["compare", "--store", str(store), "--model", "m",
+                                 "--old", "v1", "--new", "v2", "--format", "jsonl"], capsys)
+        assert code == 0
+        assert jsonl_values(out)["greenup"] == 2.0
+        trend = st.trend_report(st.read_store(store), "m", "energy_per_inference")
+        assert trend["series"] == [["v1", 2e-3], ["v2", 1e-3]]
+
     def test_missing_measurement_exits_2(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
         build_golden_store(store)  # snapshots lack execution_time
@@ -586,6 +603,78 @@ class TestCliCompare:
         )
         assert code == 2
         assert "execution_time" in err
+
+
+def build_display_name_store(path) -> None:
+    """Two versions that store activation sparsity under its display name,
+    both below the sparsity rule's 0.60."""
+    for version, sparsity in (("v1", 0.1), ("v2", 0.2)):
+        record_snapshot(path, MetricSnapshot(model_name="probe", version=version, timestamp=1.0,
+                                             values={"Activation Sparsity": sparsity}))
+
+
+# How each report format prints the display-name store's sparsity alert.
+DISPLAY_NAME_ALERTS = {
+    "text": "  ! activation_sparsity = 0.2 ratio < 0.6: sparsity below 60%",
+    "markdown": "- **activation_sparsity**: activation_sparsity = 0.2 ratio < 0.6: ",
+    "jsonl": '"comparison":"below","metric":"activation_sparsity","rationale":',
+    "csv": "alert,activation_sparsity,,0.2,ratio,,,,,,0.6,,sparsity below 60%",
+}
+
+
+class TestDisplayNameStore:
+    """A value stored under its catalog display name is read under the
+    metric's key, so it reaches its alert and its trend, and a second
+    spelling of one metric is a second value of it."""
+
+    @pytest.mark.parametrize("fmt", sorted(RENDERERS))
+    def test_report_alerts(self, tmp_path, capsys, fmt):
+        store = tmp_path / "s.jsonl"
+        build_display_name_store(store)
+        code, out, err = run_main(
+            ["report", "--store", str(store), "--model", "probe", "--format", fmt], capsys)
+        assert (code, err) == (4, "")
+        assert DISPLAY_NAME_ALERTS[fmt] in out
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_history_by_display_name_equals_by_key(self, tmp_path, capsys, fmt):
+        store = tmp_path / "s.jsonl"
+        build_display_name_store(store)
+        runs = [run_main(["history", "--store", str(store), "--model", "probe",
+                          "--metric", metric, "--format", fmt], capsys)
+                for metric in ("Activation Sparsity", "activation_sparsity")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "0.1" in runs[0][1] and "0.2" in runs[0][1]
+
+    def test_line_naming_one_metric_twice_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        build_display_name_store(store)
+        before = store.read_bytes()
+        values = {"Activation Sparsity": 0.7, "activation_sparsity": 0.7}
+        with pytest.raises(st.StoreError,
+                           match="^snapshot names metric 'activation_sparsity' twice$"):
+            record_snapshot(store, MetricSnapshot(model_name="probe", version="v3",
+                                                  timestamp=1.0, values=values))
+        assert store.read_bytes() == before
+        store.write_bytes(before + json.dumps(
+            {"kind": "snapshot", "model": "probe", "version": "v3", "timestamp": 1.0,
+             "values": values}).encode() + b"\n")
+        code, out, err = run_main(["report", "--store", str(store), "--model", "probe"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: store line 3: snapshot names metric 'activation_sparsity' twice\n"
+
+    def test_ingest_under_a_second_spelling_is_refused(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        build_display_name_store(store)
+        record_external_metric(store, "probe", "v2", "energy_per_inference", 1e-3)
+        before = store.read_bytes()
+        with pytest.raises(st.StoreError, match="^version 'v2' of model 'probe' already has "
+                           "a 'ingested' value for 'energy_per_inference'$"):
+            record_external_metric(store, "probe", "v2", "Energy per Inference", 2e-3)
+        with pytest.raises(st.StoreError, match="already has a 'computed' value for "
+                           "'activation_sparsity'$"):
+            record_external_metric(store, "probe", "v2", "activation_sparsity", 0.9, "computed")
+        assert store.read_bytes() == before
 
 
 class TestPipelineDeterminism:

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from spikemeter import cli
-from spikemeter.catalog import ALERT_RULES, Polarity, Provenance, default_tag, find_metric
+from spikemeter.catalog import (ALERT_RULES, CLASS_TAGS, RECORDED_QUANTITIES, Polarity,
+                                Provenance, default_tag, find_metric)
 from spikemeter.fields import FieldError, number
 from spikemeter.store import (
     CustomMetric,
@@ -311,7 +312,8 @@ OUT_OF_DOMAIN_IDS = ["energy--5", "sparsity-1.7", "sparsity--0.2", "battery--3"]
 
 class TestDefaultTag:
     """A snapshot value written without a tag and one read without a tag
-    carry the same one: its catalog class, else ``ingested``."""
+    carry the same one: its catalog class, else ``ingested``.  The line keeps
+    the name as written; the value reads back under its catalog key."""
 
     @pytest.mark.parametrize("metric, tag", [
         ("energy_per_inference", "estimated"),
@@ -327,7 +329,9 @@ class TestDefaultTag:
         with open(by_hand, "a") as handle:
             handle.write(json.dumps({"kind": "snapshot", "model": "m", "version": "v1",
                                      "timestamp": 1.0, "values": {metric: 2e-8}}) + "\n")
-        assert read_store(by_hand).history("m")[0].values[metric] == {tag: 2e-8}
+        key = getattr(find_metric(metric), "key", metric)
+        for store in (written, by_hand):
+            assert read_store(store).history("m")[0].values == {key: {tag: 2e-8}}
         assert default_tag(metric) == tag
 
 
@@ -377,6 +381,27 @@ class TestDomains:
     def test_display_name_has_the_metric_domain(self, tmp_path):
         with pytest.raises(StoreError, match="must lie in \\[0, 1\\], got 1.5$"):
             record_snapshot(tmp_path / "s.jsonl", snap("v1", {"Activation Sparsity": 1.5}))
+
+    @pytest.mark.parametrize("metric", RECORDED_QUANTITIES)
+    def test_recorded_quantity_is_never_negative(self, tmp_path, metric):
+        """The tool's recorded quantities are registered custom metrics, but
+        lie in [0, inf) whatever the registration says: a negative one is
+        refused on write and on read."""
+        store = tmp_path / "s.jsonl"
+        register_metric(store, metric, unit="ms", polarity=Polarity.HIGHER_IS_BETTER)
+        record_snapshot(store, snap("v1", {metric: 0.0}))
+        before = store.read_bytes()
+        message = f"value for {metric!r} must lie in [0, inf), got -5"
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            record_external_metric(store, "m", "v1", metric, -5)
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            record_snapshot(store, snap("v2", {metric: -5}))
+        assert store.read_bytes() == before
+        store.write_bytes(before + json.dumps(
+            {"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 2.0,
+             "values": {metric: -5}}).encode() + b"\n")
+        with pytest.raises(StoreError, match=f"^store line 3: {re.escape(message)}$"):
+            read_store(store)
 
     def test_custom_metric_has_no_domain(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -747,7 +772,8 @@ VALID_STORE = (
      "values": {"effective_synops": 100.0, "lut_count": 10.0},
      "provenance": {"effective_synops": "computed"}, "accuracy": 0.9, "notes": ""},
     {"kind": "snapshot", "model": "m", "version": "v2", "timestamp": 2.0,
-     "values": {"effective_synops": 90.0}, "provenance": {}, "accuracy": None, "notes": ""},
+     "values": {"Effective Synaptic Operations": 90.0}, "provenance": {}, "accuracy": None,
+     "notes": ""},
     {"kind": "ingest", "model": "m", "version": "v2", "timestamp": 3.0,
      "metric": "energy_per_inference", "value": 1e-3, "provenance": "ingested", "notes": ""},
 )
@@ -885,6 +911,7 @@ def test_mutated_store_loads_or_raises_store_error(tmp_path, text):
             assert passes_number(record.timestamp)
             assert record.accuracy is None or passes_number(record.accuracy)
             for metric, by_provenance in record.values.items():
+                assert metric in CLASS_TAGS or metric in data.registered
                 assert set(by_provenance) <= tags
                 assert all(passes_number(value) for value in by_provenance.values())
                 descriptor = find_metric(metric)
