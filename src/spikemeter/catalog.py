@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .fields import FieldError, number
+from .fields import number, within
 
 
 class MissingSpecError(ValueError):
@@ -80,11 +80,6 @@ class MetricDescriptor:
     upper: float = math.inf  # the metric's values lie in [0, upper]
 
 
-def domain_text(upper: float) -> str:
-    """The domain [0, upper] as a message prints it."""
-    return f"[0, {upper:g}]" if math.isfinite(upper) else "[0, inf)"
-
-
 # Actionability thresholds: the defaults of the alert rules and of the hardware spec.
 SPARSITY_THRESHOLD = 0.60  # activation sparsity below it: too dense for event-driven hardware
 POWER_DENSITY_LIMIT = 10.0  # mW/cm^2, the RF-exposure limit applied to implants
@@ -112,9 +107,8 @@ class AlertRule:
         It is a field rule: ``fields.read_field`` reports a refusal naming
         the option or override that gave the threshold."""
         threshold = number(threshold)
-        upper = DOMAIN_UPPER.get(self.metric)  # a custom metric has no domain
-        if upper is not None and not 0.0 <= threshold <= upper:
-            raise FieldError(f"expected a number in {domain_text(upper)}, got {threshold:g}")
+        if self.metric in DOMAIN_UPPER:  # a custom metric has no domain
+            within(0, DOMAIN_UPPER[self.metric])(threshold)
         return replace(self, threshold=threshold)
 
     def alert(self, value: float) -> dict:

@@ -33,12 +33,12 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 from . import report as rpt, store as st
 from .catalog import (ALERT_RULES, CLASS_TAGS, RECORDED_QUANTITIES, SPARSITY_THRESHOLD,
                       UNITS_AND_TAGS, AlertRule, MissingSpecError)
-from .fields import load_json, number, optional, read_field, read_record
+from .fields import check, load_json, optional, read_field, read_record, within
 
 if TYPE_CHECKING:
     from . import compare as cmp, workload as wl
@@ -209,13 +209,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 class CountsFile:
     """The ``estimate --counts`` file (a training pass, say); every key is optional."""
 
-    macs: int = 0
-    acs: int = 0
-    membrane_updates_effective: int = 0
-    membrane_updates_dense: int | None = None  # default: the effective count
-    leak_macs: int = 0
-    crossings: int = 0
-    duration: float | None = None  # seconds; --duration overrides it
+    macs: Annotated[int, within(0)] = 0
+    acs: Annotated[int, within(0)] = 0
+    membrane_updates_effective: Annotated[int, within(0)] = 0
+    membrane_updates_dense: Annotated[int, within(0)] | None = None  # default: the effective
+    leak_macs: Annotated[int, within(0)] = 0
+    crossings: Annotated[int, within(0)] = 0
+    duration: Annotated[float, within(0, open_lo=True)] | None = None  # s; --duration overrides
+
+    def __post_init__(self) -> None:
+        check(self, "counts file", ValueError)
 
 
 def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
@@ -229,8 +232,10 @@ def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    rate = read_field({"--inference-rate": args.inference_rate}, "--inference-rate",
-                      optional(number), "option", ValueError)
+    rate, duration = (read_field({name: value}, name, optional(within(0, open_lo=True)),
+                                 "option", ValueError)
+                      for name, value in (("--inference-rate", args.inference_rate),
+                                          ("--duration", args.duration)))
     from . import compare as cmp, energy as en, workload as wl
 
     spec = en.load_hardware_spec(args.hwspec)
@@ -244,7 +249,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         duration = trace.duration
     else:
         ops, crossings, file_duration = _load_counts(args.counts)
-        duration = args.duration if args.duration is not None else file_duration
+        duration = duration if duration is not None else file_duration
         if duration is None:
             raise ValueError("--counts input needs --duration (or a duration field)")
     include_leak = not args.exclude_leak_macs
@@ -370,12 +375,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ValueError(
                 "inline comparison needs --old-energy/--old-time/--new-energy/--new-time"
             )
-        old = cmp.VersionMeasurement(
-            args.old_version, args.old_energy, args.old_time, args.old_accuracy
-        )
-        new = cmp.VersionMeasurement(
-            args.new_version, args.new_energy, args.new_time, args.new_accuracy
-        )
+        old = cmp.VersionMeasurement("old", args.old_energy, args.old_time, args.old_accuracy)
+        new = cmp.VersionMeasurement("new", args.new_energy, args.new_time, args.new_accuracy)
 
     s = cmp.speedup(old, new, as_published=args.as_published)
     g = cmp.greenup(old, new, as_published=args.as_published)
@@ -534,11 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--old-energy", type=float)
     p.add_argument("--old-time", type=float)
     p.add_argument("--old-accuracy", type=float)
-    p.add_argument("--old-version", default="old")
     p.add_argument("--new-energy", type=float)
     p.add_argument("--new-time", type=float)
     p.add_argument("--new-accuracy", type=float)
-    p.add_argument("--new-version", default="new")
     p.add_argument("--as-published", action="store_true",
                    help="report new/old ratios instead of old/new")
     _add_format_arg(p)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
-from .catalog import DOMAIN_UPPER, MissingSpecError, domain_text
+from .catalog import DOMAIN_UPPER, MissingSpecError
+from .fields import check, within
 
 if TYPE_CHECKING:
     from .energy import HardwareSpec
@@ -26,18 +27,13 @@ SECONDS_PER_YEAR = 365.25 * 86400.0
 @dataclass(frozen=True)
 class VersionMeasurement:
     version: str
-    energy: float  # joules per inference (or per workload, used consistently)
-    time: float  # seconds
-    accuracy: float | None = None
+    # joules per inference (or per workload, used consistently)
+    energy: Annotated[float, within(0, DOMAIN_UPPER["energy_per_inference"])]
+    time: Annotated[float, within(0, open_lo=True)]  # seconds
+    accuracy: Annotated[float, within(0, 1)] | None = None
 
     def __post_init__(self) -> None:
-        upper = DOMAIN_UPPER["energy_per_inference"]
-        if not (math.isfinite(self.energy) and 0.0 <= self.energy <= upper):
-            raise ValueError(f"energy must be finite and lie in {domain_text(upper)}")
-        if not (math.isfinite(self.time) and self.time > 0):
-            raise ValueError("time must be finite and > 0")
-        if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):
-            raise ValueError("accuracy must lie in [0, 1]")
+        check(self, f"version {self.version!r}", ValueError)
 
 
 def energy_delay_product(energy: float, time: float) -> float:

@@ -12,9 +12,9 @@ from measured values; the results here carry no tag.
 Hardware spec file: a JSON object whose keys are the fields of
 :class:`HardwareSpec`, with an optional ``battery`` object holding the fields
 of :class:`BatterySpec`.  Energies are joules, powers watts, areas cm^2,
-frequencies Hz; ``power_density_limit`` is mW/cm^2.  Unknown keys are
-rejected outright so a misspelled coefficient cannot silently default to
-zero.
+frequencies Hz; ``power_density_limit`` is mW/cm^2.  Each numeric field's
+annotation gives its domain.  Unknown keys are rejected outright so a
+misspelled coefficient cannot silently default to zero.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Annotated
 
-from .catalog import ALERT_RULES, POWER_DENSITY_LIMIT, MissingSpecError
-from .fields import FieldError, load_json, read_record
+from .catalog import ALERT_RULES, DOMAIN_UPPER, POWER_DENSITY_LIMIT, MissingSpecError
+from .fields import check, load_json, read_record, within
 from .workload import MemoryAccessCounts, OpCounts, TraceCounts, derive_accesses
 
 JOULES_PER_MAH_VOLT = 3.6  # 1 mAh = 3.6 coulombs
@@ -42,24 +43,19 @@ class MembraneCountMode(str, Enum):
 
 @dataclass(frozen=True)
 class BatterySpec:
-    capacity_joules: float | None = None
-    capacity_mah: float | None = None
-    nominal_voltage: float | None = None
-    usable_fraction: float = 1.0
+    capacity_joules: Annotated[float, within(0)] | None = None
+    capacity_mah: Annotated[float, within(0)] | None = None
+    nominal_voltage: Annotated[float, within(0)] | None = None
+    usable_fraction: Annotated[float, within(0, 1, open_lo=True)] = 1.0
 
     def __post_init__(self) -> None:
+        check(self, "battery", HardwareSpecError)
         if self.capacity_joules is None and (
             self.capacity_mah is None or self.nominal_voltage is None
         ):
             raise HardwareSpecError(
                 "battery needs capacity_joules or both capacity_mah and nominal_voltage"
             )
-        for name in ("capacity_joules", "capacity_mah", "nominal_voltage"):
-            val = getattr(self, name)
-            if val is not None and (not math.isfinite(val) or val < 0):
-                raise HardwareSpecError(f"battery {name} must be finite and >= 0")
-        if not (0.0 < self.usable_fraction <= 1.0):
-            raise HardwareSpecError("usable_fraction must be in (0, 1]")
 
     @property
     def usable_joules(self) -> float:
@@ -74,61 +70,33 @@ class BatterySpec:
 class HardwareSpec:
     """Per-operation energy costs and device overhead figures.
     ``power_density_rule`` is the catalog's power-density alert rule at
-    ``power_density_limit``, which that rule reads once, here."""
+    ``power_density_limit``, which lies in that metric's domain."""
 
     name: str = ""
-    e_mac: float = 0.0  # J per multiply-accumulate
-    e_ac: float = 0.0  # J per accumulate
-    e_read: float = 0.0  # J per memory read
-    e_write: float = 0.0  # J per memory write
-    e_membrane_update: float = 0.0  # J per membrane update
-    e_layer_crossing: float = 0.0  # J per event forwarded between layers
+    e_mac: Annotated[float, within(0)] = 0.0  # J per multiply-accumulate
+    e_ac: Annotated[float, within(0)] = 0.0  # J per accumulate
+    e_read: Annotated[float, within(0)] = 0.0  # J per memory read
+    e_write: Annotated[float, within(0)] = 0.0  # J per memory write
+    e_membrane_update: Annotated[float, within(0)] = 0.0  # J per membrane update
+    e_layer_crossing: Annotated[float, within(0)] = 0.0  # J per event forwarded between layers
     membrane_count_mode: MembraneCountMode = MembraneCountMode.EFFECTIVE
-    static_power: float = 0.0  # W standby leakage
-    adc_energy_per_sample: float = 0.0  # J
-    adc_samples_per_inference: int = 0
-    tx_energy_per_bit: float = 0.0  # J
-    tx_bits_per_inference: int = 0
-    chip_area: float | None = None  # cm^2
-    channels: int | None = None
-    sampling_frequency: float | None = None  # Hz
-    power_density_limit: float = POWER_DENSITY_LIMIT  # mW/cm^2
+    static_power: Annotated[float, within(0)] = 0.0  # W standby leakage
+    adc_energy_per_sample: Annotated[float, within(0)] = 0.0  # J
+    adc_samples_per_inference: Annotated[int, within(0)] = 0
+    tx_energy_per_bit: Annotated[float, within(0)] = 0.0  # J
+    tx_bits_per_inference: Annotated[int, within(0)] = 0
+    chip_area: Annotated[float, within(0, open_lo=True)] | None = None  # cm^2
+    channels: Annotated[int, within(1)] | None = None
+    sampling_frequency: Annotated[float, within(0, open_lo=True)] | None = None  # Hz
+    power_density_limit: Annotated[float, within(0, DOMAIN_UPPER["power_density"])] = (
+        POWER_DENSITY_LIMIT)  # mW/cm^2
     battery: BatterySpec | None = None
     notes: str = ""
 
     def __post_init__(self) -> None:
-        for name in (
-            "e_mac",
-            "e_ac",
-            "e_read",
-            "e_write",
-            "e_membrane_update",
-            "e_layer_crossing",
-            "static_power",
-            "adc_energy_per_sample",
-            "tx_energy_per_bit",
-        ):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val < 0:
-                raise HardwareSpecError(f"{name} must be finite and >= 0")
-        try:
-            rule = ALERT_RULES["power_density"].at(self.power_density_limit)
-        except FieldError as exc:
-            raise HardwareSpecError(
-                f"hardware spec field 'power_density_limit': {exc}") from None
-        object.__setattr__(self, "power_density_rule", rule)
-        if self.adc_samples_per_inference < 0 or self.tx_bits_per_inference < 0:
-            raise HardwareSpecError("per-inference sample/bit counts must be >= 0")
-        if self.chip_area is not None and not (
-            math.isfinite(self.chip_area) and self.chip_area > 0
-        ):
-            raise HardwareSpecError("chip_area must be > 0 when given")
-        if self.channels is not None and self.channels < 1:
-            raise HardwareSpecError("channels must be >= 1 when given")
-        if self.sampling_frequency is not None and not (
-            math.isfinite(self.sampling_frequency) and self.sampling_frequency > 0
-        ):
-            raise HardwareSpecError("sampling_frequency must be > 0 when given")
+        check(self, "hardware spec", HardwareSpecError)
+        object.__setattr__(self, "power_density_rule",
+                           ALERT_RULES["power_density"].at(self.power_density_limit))
 
 
 @dataclass(frozen=True)

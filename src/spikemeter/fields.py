@@ -22,6 +22,10 @@ own error class, naming the file kind and, for a bad value, the field:
 got list``.  :func:`read_early` reads some of an object's fields in place,
 from a decode's object hook, and leaves a value its rule refuses for
 :func:`read_record` to report.
+
+A numeric field declares its domain on its annotation, ``Annotated[float,
+within(0)]``, which :func:`read_record` and, called from ``__post_init__``,
+:func:`check` apply.  :func:`to_json` is :func:`read_record`'s inverse.
 """
 
 from __future__ import annotations
@@ -109,6 +113,33 @@ def number(value) -> float:
         except OverflowError:  # an integer beyond the float range
             pass
     raise FieldError(f"expected a finite number, got {_got(value)}")
+
+
+def _number_text(x: float) -> str:
+    """``x`` as ``:g`` prints it when that reads back as ``x``, else in full."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
+@dataclasses.dataclass(frozen=True)
+class within:  # lower case, as the other rules are
+    """A rule for a finite number in [lo, hi], or (lo, hi] with ``open_lo``:
+    ``expected a number in [0, 1], got 2``.  It returns the value it is
+    given, so ``Annotated[int, within(1)]`` stays an integer."""
+
+    lo: float
+    hi: float = math.inf
+    open_lo: bool = False
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.open_lo else '['}{self.lo:g}, "
+                f"{self.hi:g}{']' if math.isfinite(self.hi) else ')'}")
+
+    def __call__(self, value):
+        x = number(value)
+        if (self.lo < x if self.open_lo else self.lo <= x) and x <= self.hi:
+            return value
+        raise FieldError(f"expected a number in {self}, got {_number_text(x)}")
 
 
 def _instance_of(cls: type, expected: str):
@@ -239,6 +270,9 @@ def _rule(hint):
     if origin in (typing.Union, types.UnionType) and type(None) in args:
         (inner,) = [arg for arg in args if arg is not type(None)]
         return optional(_rule(inner))
+    if origin is typing.Annotated:  # Annotated[T, domain]
+        base, domain = _rule(args[0]), args[1]
+        return lambda value: domain(base(value))
     if origin is tuple:  # tuple[X, ...]
         return list_of(_rule(args[0]))
     if dataclasses.is_dataclass(hint):  # an instance already built passes as is
@@ -263,15 +297,36 @@ def _ndarray(numpy, rule, value):
         raise FieldError("expected a number array, got too many dimensions") from None
 
 
+def _domain(hint):
+    """The domain an annotation declares, through an optional; None if none."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return typing.get_args(hint)[1] if typing.get_origin(hint) is typing.Annotated else None
+
+
 @functools.cache
 def _schema(cls) -> dict[str, tuple]:
-    """Field name -> (rule, required) for a dataclass."""
-    hints = typing.get_type_hints(cls)
+    """Field name -> (rule, required, domain or None) for a dataclass."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     missing = dataclasses.MISSING
     return {
-        f.name: (_rule(hints[f.name]), f.default is missing and f.default_factory is missing)
+        f.name: (_rule(hints[f.name]), f.default is missing and f.default_factory is missing,
+                 _domain(hints[f.name]))
         for f in dataclasses.fields(cls)
     }
+
+
+def check(record, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``where`` and the field when a field of the
+    dataclass ``record`` lies outside the domain its annotation declares;
+    None passes.  Called from ``__post_init__``."""
+    for name, (_, _, domain) in _schema(type(record)).items():
+        value = getattr(record, name)
+        if domain is not None and value is not None:
+            try:
+                domain(value)
+            except FieldError as exc:
+                raise _error(error, where, name, exc) from None
 
 
 def read_early(cls, raw: dict, names) -> None:
@@ -298,7 +353,7 @@ def _read(cls, raw):
     schema = _schema(cls)
     _check_keys(raw, schema)
     values = {}
-    for name, (rule, required) in schema.items():
+    for name, (rule, required, _) in schema.items():
         if name in raw:
             try:
                 values[name] = rule(raw[name])
@@ -321,6 +376,25 @@ def read_record(cls, raw, where: str, error: type[Exception]):
         return _read(cls, raw)
     except FieldError as exc:
         raise _error(error, where, exc.path, exc) from None
+
+
+def to_json(record):
+    """The JSON value :func:`read_record` reads back as ``record``: a dataclass
+    as an object of its fields but those at their default, an enum as its
+    value, a tuple as a list, an array by its ``tolist``."""
+    if dataclasses.is_dataclass(record):
+        out = {}
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            if not (value is default or (type(value) is type(default) and value == default)):
+                out[f.name] = to_json(value)
+        return out
+    if isinstance(record, Enum):
+        return record.value
+    if isinstance(record, tuple):
+        return [to_json(item) for item in record]
+    return record.tolist() if hasattr(record, "tolist") else record
 
 
 def check_keys(raw, allowed, where: str, error: type[Exception]) -> None:

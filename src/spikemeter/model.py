@@ -27,8 +27,9 @@ Recurrent layers additionally carry ``"recurrent_weights"`` (out_size x
 out_size).  Each object's keys are the fields of its dataclass
 (:class:`ModelDescriptor`, :class:`Precision`, :class:`LayerDescriptor`,
 :class:`NeuronParams`, :class:`TrainableFlags`); unknown keys are rejected so
-typos cannot silently change a model.  A weight counts as zero exactly when
-its parsed value equals 0.0; no epsilon thresholding is applied.
+typos cannot silently change a model, and each numeric field's annotation
+gives its domain.  A weight counts as zero exactly when its parsed value
+equals 0.0; no epsilon thresholding is applied.
 
 A model file is decoded one weighted layer at a time: as each layer's object
 closes, its ``weights``, ``recurrent_weights`` and ``biases`` become float64
@@ -43,10 +44,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .fields import load_json, read_early, read_record
+from .fields import check, load_json, read_early, read_record, to_json, within
 
 
 class ModelParseError(ValueError):
@@ -77,15 +79,12 @@ class NeuronParams:
     membrane-potential units.
     """
 
-    beta: float
-    threshold: float
+    beta: Annotated[float, within(0, 1)]
+    threshold: Annotated[float, within(0, open_lo=True)]
     reset_mode: ResetMode = ResetMode.TO_ZERO
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and 0.0 <= self.beta <= 1.0):
-            raise ModelValidationError(f"beta out of range [0, 1]: {self.beta}")
-        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
-            raise ModelValidationError(f"threshold must be > 0: {self.threshold}")
+        check(self, "neuron", ModelValidationError)
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,16 @@ class LayerDescriptor:
     """One layer of the stack; input layers carry no weights or neurons."""
 
     kind: LayerKind
-    in_size: int
-    out_size: int
+    in_size: Annotated[int, within(1)]
+    out_size: Annotated[int, within(1)]
     weights: np.ndarray | None = None
     recurrent_weights: np.ndarray | None = None
     biases: np.ndarray | None = None
     neuron: NeuronParams | None = None
     trainable: TrainableFlags = field(default_factory=TrainableFlags)
+
+    def __post_init__(self) -> None:
+        check(self, "layer", ModelValidationError)
 
     @property
     def is_input(self) -> bool:
@@ -114,8 +116,6 @@ class LayerDescriptor:
 
     def validate(self, index: int) -> None:
         where = f"layer {index}"
-        if self.in_size < 1 or self.out_size < 1:
-            raise ModelValidationError(f"{where}: sizes must be >= 1")
         if self.is_input:
             if self.weights is not None or self.recurrent_weights is not None:
                 raise ModelValidationError(f"{where}: input layers carry no weights")
@@ -165,12 +165,11 @@ class LayerDescriptor:
 
 @dataclass(frozen=True)
 class Precision:
-    weight_bits: int = 32
-    state_bits: int = 32
+    weight_bits: Annotated[int, within(1)] = 32
+    state_bits: Annotated[int, within(1)] = 32
 
     def __post_init__(self) -> None:
-        if self.weight_bits < 1 or self.state_bits < 1:
-            raise ModelValidationError("precision bits must be >= 1")
+        check(self, "precision", ModelValidationError)
 
 
 @dataclass(frozen=True)
@@ -300,54 +299,13 @@ def memory_footprint(model: ModelDescriptor) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_layer(raw, index: int) -> LayerDescriptor:
-    try:
-        return read_record(LayerDescriptor, raw, f"layer {index}: model", ModelParseError)
-    except ModelValidationError as exc:  # NeuronParams' own range checks
-        raise ModelValidationError(f"layer {index}: {exc}") from None
-
-
 def model_from_dict(raw: dict) -> ModelDescriptor:
     layers = raw.get("layers") if isinstance(raw, dict) else None
     if isinstance(layers, list):  # read here, so each message starts "layer N"
-        raw = {**raw, "layers": [_parse_layer(layer, i) for i, layer in enumerate(layers)]}
+        raw = {**raw, "layers": [
+            read_record(LayerDescriptor, layer, f"layer {i}: model", ModelParseError)
+            for i, layer in enumerate(layers)]}
     return read_record(ModelDescriptor, raw, "model", ModelParseError)
-
-
-def model_to_dict(model: ModelDescriptor) -> dict:
-    layers = []
-    for layer in model.layers:
-        entry: dict = {
-            "kind": layer.kind.value,
-            "in_size": layer.in_size,
-            "out_size": layer.out_size,
-        }
-        if not layer.is_input:
-            entry["weights"] = layer.weights.tolist()
-            if layer.recurrent_weights is not None:
-                entry["recurrent_weights"] = layer.recurrent_weights.tolist()
-            if layer.biases is not None:
-                entry["biases"] = layer.biases.tolist()
-            entry["neuron"] = {
-                "beta": layer.neuron.beta,
-                "threshold": layer.neuron.threshold,
-                "reset_mode": layer.neuron.reset_mode.value,
-            }
-            entry["trainable"] = {
-                "weights": layer.trainable.weights,
-                "biases": layer.trainable.biases,
-                "neuron": layer.trainable.neuron,
-            }
-        layers.append(entry)
-    return {
-        "name": model.name,
-        "version": model.version,
-        "precision": {
-            "weight_bits": model.precision.weight_bits,
-            "state_bits": model.precision.state_bits,
-        },
-        "layers": layers,
-    }
 
 
 _WEIGHTED_KINDS = (LayerKind.FULLY_CONNECTED.value, LayerKind.RECURRENT.value)
@@ -368,5 +326,6 @@ def load_model(path: str | Path) -> ModelDescriptor:
 
 def save_model(model: ModelDescriptor, path: str | Path) -> None:
     """Write the model, as compact JSON, so that load_model reproduces it
-    value-for-value."""
-    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n")
+    value-for-value: each object holds its fields less those at their
+    default (``fields.to_json``)."""
+    Path(path).write_text(json.dumps(to_json(model)) + "\n")

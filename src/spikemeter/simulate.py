@@ -47,9 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .fields import check, within
 from .model import LayerDescriptor, ModelDescriptor, NeuronParams, ResetMode
 from .rng import check_seed, uniforms
 from .workload import TraceCounts
@@ -68,16 +70,13 @@ class NeuronState:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    timesteps: int
+    timesteps: Annotated[int, within(1)]
     seed: int = 0
-    timestep_duration: float = 1e-3  # seconds
+    timestep_duration: Annotated[float, within(0, open_lo=True)] = 1e-3  # seconds
 
     def __post_init__(self) -> None:
-        if self.timesteps < 1:
-            raise SimulationError("timesteps must be >= 1")
+        check(self, "simulation config", SimulationError)
         check_seed(self.seed, SimulationError)
-        if not (math.isfinite(self.timestep_duration) and self.timestep_duration > 0):
-            raise SimulationError("timestep_duration must be > 0")
 
 
 class _Train:

@@ -16,8 +16,9 @@ sees half a record.  Three record kinds exist::
     {"kind": "register", "name": ..., "unit": ..., "polarity": ..., "description": ...}
 
 A line keeps each metric name as written; the reader reads it under its
-catalog key, and refuses a line that names one metric twice.  A snapshot
-value whose ``provenance`` entry is absent or null takes
+catalog key, and refuses a line that names one metric twice, and a register
+line that names a catalog metric, whose unit and polarity the catalog holds.
+A snapshot value whose ``provenance`` entry is absent or null takes
 ``catalog.default_tag`` (its catalog class, else ``ingested``), whether the
 writer fills it in or a hand-written line leaves it out.
 
@@ -50,8 +51,8 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .catalog import (ALERT_RULES, CLASS_TAGS, DOMAIN_UPPER, AlertRule, Polarity, Provenance,
-                      default_tag, domain_text, find_metric)
-from .fields import FieldError, number, read_field, string
+                      default_tag, find_metric)
+from .fields import FieldError, number, read_field, string, within
 
 # Provenance tags as stored, in the order a metric's values are preferred and
 # listed.  The tags are looked up once here: an enum's ``.value`` costs a call,
@@ -94,7 +95,7 @@ def _check_value(key: str, value, provenance) -> None:
         raise StoreError(f"value for {key!r} must be a finite number")
     upper = DOMAIN_UPPER.get(key)  # a custom metric has no domain
     if upper is not None and not 0.0 <= value <= upper:
-        raise StoreError(f"value for {key!r} must lie in {domain_text(upper)}, got {value!r}")
+        raise StoreError(f"value for {key!r} must lie in {within(0, upper)}, got {value!r}")
     if provenance not in _PROVENANCE_TAGS:
         raise StoreError(
             f"provenance of {key!r} must be one of {sorted(_PROVENANCE_TAGS)}, "
@@ -190,6 +191,8 @@ def _apply(data: StoreData, record: dict) -> None:
     try:
         if kind == "register":
             name = _text(record, "name", True)
+            if find_metric(name) is not None:
+                raise StoreError(f"register record names the built-in metric {name!r}")
             data.registered[name] = CustomMetric(
                 name=name,
                 unit=_text(record, "unit"),

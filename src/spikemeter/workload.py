@@ -14,6 +14,9 @@ alert rules to say.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
+
+from .fields import check, within
 
 # Derived memory traffic per arithmetic op: a MAC loads two operands and an
 # accumulator and stores the result; an AC skips the multiplicand load.
@@ -63,16 +66,14 @@ class OpCounts:
     separate so memory-access derivation can optionally exclude it.
     """
 
-    macs: int
-    acs: int
-    membrane_updates_effective: int
-    membrane_updates_dense: int
-    leak_macs: int = 0
+    macs: Annotated[int, within(0)]
+    acs: Annotated[int, within(0)]
+    membrane_updates_effective: Annotated[int, within(0)]
+    membrane_updates_dense: Annotated[int, within(0)]
+    leak_macs: Annotated[int, within(0)] = 0
 
     def __post_init__(self) -> None:
-        for name in ("macs", "acs", "membrane_updates_effective", "membrane_updates_dense", "leak_macs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check(self, "op counts", ValueError)
         if self.membrane_updates_effective > self.membrane_updates_dense:
             raise ValueError("effective membrane updates cannot exceed dense count")
         if self.leak_macs > self.macs:
@@ -104,12 +105,11 @@ class OpCounts:
 
 @dataclass(frozen=True)
 class MemoryAccessCounts:
-    reads: int
-    writes: int
+    reads: Annotated[int, within(0)]
+    writes: Annotated[int, within(0)]
 
     def __post_init__(self) -> None:
-        if self.reads < 0 or self.writes < 0:
-            raise ValueError("access counts must be >= 0")
+        check(self, "memory access counts", ValueError)
 
     @property
     def total(self) -> int:

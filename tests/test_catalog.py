@@ -157,9 +157,11 @@ def test_alert_rules_match_the_benchmarks_copy():
 
 # (module, function) of each place that may resolve a metric name with
 # find_metric.  Each takes the name from outside: a store line's metric name,
-# history's --metric, a name to register, and a writer's name for its default tag.
+# a register line's name, history's --metric, a name to register, and a
+# writer's name for its default tag.
 NAME_RESOLVERS = {
     ("store", "_key"),
+    ("store", "_apply"),
     ("store", "trend_report"),
     ("store", "register_metric"),
     ("store", "_registration"),

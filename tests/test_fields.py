@@ -2,11 +2,15 @@
 a malformed field exits 2 with one stderr line naming the file kind and the
 field, never a traceback (exit 1) and never a silent acceptance."""
 
+import importlib
 import io
 import json
+import math
+import pkgutil
 import re
+import typing
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -14,10 +18,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import spikemeter
 from spikemeter import cli
-from spikemeter.energy import BatterySpec, HardwareSpec
+from spikemeter.compare import VersionMeasurement
+from spikemeter.energy import BatterySpec, HardwareSpec, HardwareSpecError
 from spikemeter.fields import FieldError, array
-from spikemeter.model import NeuronParams, Precision, TrainableFlags
+from spikemeter.model import (LayerDescriptor, LayerKind, ModelValidationError, NeuronParams,
+                              Precision, TrainableFlags)
+from spikemeter.simulate import SimulationConfig, SimulationError
+from spikemeter.workload import MemoryAccessCounts, OpCounts
 
 DATA = resources.files("spikemeter") / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -432,3 +441,104 @@ def test_readme_names_every_key(cls):
     code = " ".join(re.findall(r"`([^`]*)`", section))
     missing = [f.name for f in fields(cls) if not re.search(rf"\b{f.name}\b", code)]
     assert not missing, f"README 'File formats' lacks {cls.__name__} keys {missing}"
+
+
+# --- numeric domains: each declared once, on its field's annotation ---------
+
+def declared_domains(cls) -> dict[str, tuple]:
+    """Field name -> (int or float, domain) of each field of the dataclass
+    ``cls`` whose annotation declares a domain: ``Annotated[T, domain]``,
+    optional or not."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        if type(None) in typing.get_args(hint):
+            (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if typing.get_origin(hint) is typing.Annotated:
+            out[name] = typing.get_args(hint)[:2]
+    return out
+
+
+# Each dataclass that declares a domain: valid keyword arguments, and the
+# error class its constructor raises.
+CONSTRUCTORS = {
+    HardwareSpec: ({}, HardwareSpecError),
+    BatterySpec: ({"capacity_joules": 1.0}, HardwareSpecError),
+    NeuronParams: ({"beta": 0.5, "threshold": 1.0}, ModelValidationError),
+    Precision: ({}, ModelValidationError),
+    LayerDescriptor: ({"kind": LayerKind.INPUT, "in_size": 2, "out_size": 2},
+                      ModelValidationError),
+    SimulationConfig: ({"timesteps": 1}, SimulationError),
+    VersionMeasurement: ({"version": "v", "energy": 1.0, "time": 1.0}, ValueError),
+    OpCounts: ({"macs": 0, "acs": 0, "membrane_updates_effective": 0,
+                "membrane_updates_dense": 0}, ValueError),
+    MemoryAccessCounts: ({"reads": 0, "writes": 0}, ValueError),
+    cli.CountsFile: ({}, ValueError),
+}
+
+# Each of them read from a file: (file kind, path to its object in the valid
+# document, the message's file kind, the field path's prefix).
+FILE_RECORDS = {
+    HardwareSpec: ("hwspec", (), "hardware spec", ""),
+    BatterySpec: ("hwspec", ("battery",), "hardware spec", "battery."),
+    Precision: ("model", ("precision",), "model", "precision."),
+    LayerDescriptor: ("model", ("layers", 1), "layer 1: model", ""),
+    NeuronParams: ("model", ("layers", 1, "neuron"), "layer 1: model", "neuron."),
+    cli.CountsFile: ("counts", (), "counts file", ""),
+}
+
+
+def outside(kind: type, domain) -> list:
+    """The values just outside each finite end of ``domain``."""
+    below = (domain.lo if domain.open_lo else
+             domain.lo - 1 if kind is int else math.nextafter(domain.lo, -math.inf))
+    if not math.isfinite(domain.hi):
+        return [below]
+    return [below, domain.hi + 1 if kind is int else math.nextafter(domain.hi, math.inf)]
+
+
+def closed_ends(kind: type, domain) -> list:
+    return [kind(end) for end, closed in ((domain.lo, not domain.open_lo),
+                                          (domain.hi, math.isfinite(domain.hi))) if closed]
+
+
+def cases(ends, classes) -> list:
+    return [pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+            for cls in classes for name, (kind, domain) in declared_domains(cls).items()
+            for value in ends(kind, domain)]
+
+
+def test_every_class_that_declares_a_domain_is_covered():
+    found = set()
+    for info in pkgutil.iter_modules(spikemeter.__path__):
+        if not info.name.startswith("_"):
+            module = importlib.import_module(f"spikemeter.{info.name}")
+            found.update(cls for cls in vars(module).values()
+                         if isinstance(cls, type) and is_dataclass(cls)
+                         and cls.__module__ == module.__name__ and declared_domains(cls))
+    assert found == set(CONSTRUCTORS)
+
+
+@pytest.mark.parametrize("cls, name, value", cases(outside, CONSTRUCTORS))
+def test_value_outside_its_domain_is_refused_by_the_constructor(cls, name, value):
+    kwargs, error = CONSTRUCTORS[cls]
+    domain = declared_domains(cls)[name][1]
+    with pytest.raises(error) as refused:
+        cls(**{**kwargs, name: value})
+    assert type(refused.value) is error
+    assert f"field {name!r}: expected a number in {domain}, got " in str(refused.value)
+
+
+@pytest.mark.parametrize("cls, name, value", cases(closed_ends, CONSTRUCTORS))
+def test_closed_end_of_a_domain_is_accepted(cls, name, value):
+    kwargs, _ = CONSTRUCTORS[cls]
+    assert getattr(cls(**{**kwargs, name: value}), name) == value
+
+
+@pytest.mark.parametrize("cls, name, value", cases(outside, FILE_RECORDS))
+def test_value_outside_its_domain_in_a_file_exits_2_naming_it(valid, tmp_path, cls, name,
+                                                              value):
+    kind, path, where, prefix = FILE_RECORDS[cls]
+    code, err = run(kind, mutated(valid[kind], (*path, name), value), valid, tmp_path)
+    assert code == 2
+    assert err.startswith(f"error: {where} field '{prefix}{name}': expected a number in ")
+    assert len(err.splitlines()) == 1

@@ -20,9 +20,9 @@ from spikemeter.model import (
     load_model,
     memory_footprint,
     model_from_dict,
-    model_to_dict,
     save_model,
 )
+from spikemeter.fields import to_json
 
 from conftest import fc_layer, input_layer, random_model, simple_model
 
@@ -72,7 +72,8 @@ class TestLoadModel:
     def test_beta_out_of_range_names_layer(self):
         raw = two_layer_dict()
         raw["layers"][1]["neuron"]["beta"] = 1.2
-        with pytest.raises(ModelValidationError, match="layer 1.*beta out of range"):
+        with pytest.raises(ModelParseError, match=r"^layer 1: model field 'neuron.beta': "
+                           r"expected a number in \[0, 1\], got 1.2$"):
             model_from_dict(raw)
 
     def test_missing_file(self, tmp_path):
@@ -277,7 +278,7 @@ class TestRoundTrip:
             path = tmp_path / f"m{case}.json"
             save_model(model, path)
             again = load_model(path)
-            assert model_to_dict(again) == model_to_dict(model)
+            assert to_json(again) == to_json(model)
             for a, b in zip(model.layers, again.layers):
                 if a.weights is not None:
                     assert np.array_equal(a.weights, b.weights)
@@ -289,7 +290,7 @@ class TestRoundTrip:
         model = random_model(np.random.default_rng(5))
         path = tmp_path / "m.json"
         save_model(model, path)
-        assert path.read_text() == json.dumps(model_to_dict(model)) + "\n"
+        assert path.read_text() == json.dumps(to_json(model)) + "\n"
 
 
 class TestCountParameters:

@@ -289,7 +289,8 @@ class TestCliExitCodes:
             capsys,
         )
         assert code == 2
-        assert "beta out of range" in err
+        assert err == ("error: layer 1: model field 'neuron.beta': "
+                       "expected a number in [0, 1], got 1.2\n")
 
     def test_missing_capability_exits_3(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -395,6 +396,32 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert err == ("error: hardware spec field 'power_density_limit': "
                        "expected a number in [0, inf), got -1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--inference-rate", "-5"],
+         "option field '--inference-rate': expected a number in (0, inf), got -5"),
+        (["estimate", "--inference-rate", "0"],
+         "option field '--inference-rate': expected a number in (0, inf), got 0"),
+        (["estimate", "--duration", "0"],
+         "option field '--duration': expected a number in (0, inf), got 0"),
+        (["compare", "--old-energy", "1", "--old-time", "0", "--new-energy", "1",
+          "--new-time", "1"], "version 'old' field 'time': expected a number in (0, inf), got 0"),
+        (["simulate", "--timestep-duration", "-1"],
+         "simulation config field 'timestep_duration': expected a number in (0, inf), got -1"),
+    ], ids=["inference-rate-negative", "inference-rate-zero", "duration-zero",
+            "compare-old-time", "simulate-timestep-duration"])
+    def test_option_outside_its_domain_exits_2(self, tmp_path, capsys, argv, message):
+        """Checked up front: a battery-less spec reads no --inference-rate."""
+        spec = tmp_path / "spec.json"
+        raw = json.loads(Path(demo_path("demo_hwspec.json")).read_text())
+        spec.write_text(json.dumps({k: v for k, v in raw.items() if k != "battery"}))
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"acs": 10, "duration": 1e-3}))
+        inputs = {"estimate": ["--counts", str(counts), "--hwspec", str(spec)],
+                  "simulate": ["--model", demo_path("demo_model.json"),
+                               "--workload", demo_path("demo_workload.json")]}
+        code, out, err = run_main([*argv, *inputs.get(argv[0], [])], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("overrides", ["power_density=30,power_density=5",
                                            "power_density=5,power_density=30"])
@@ -675,6 +702,19 @@ class TestDisplayNameStore:
                            "'activation_sparsity'$"):
             record_external_metric(store, "probe", "v2", "activation_sparsity", 0.9, "computed")
         assert store.read_bytes() == before
+
+    @pytest.mark.parametrize("name", ["activation_sparsity", "Activation Sparsity"])
+    def test_register_line_naming_a_catalog_metric_exits_2(self, tmp_path, capsys, name):
+        """The catalog holds a built-in metric's unit and polarity, so a
+        register line that names one would be a registration nothing reads."""
+        store = tmp_path / "s.jsonl"
+        build_display_name_store(store)
+        store.write_text(json.dumps({"kind": "register", "name": name, "unit": "furlongs",
+                                     "polarity": "higher_is_worse"}) + "\n" + store.read_text())
+        code, out, err = run_main(["history", "--store", str(store), "--model", "probe",
+                                   "--metric", "activation_sparsity"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: store line 1: register record names the built-in metric {name!r}\n"
 
 
 class TestPipelineDeterminism:
