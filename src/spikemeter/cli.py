@@ -125,16 +125,22 @@ def run_inference(*args, **kwargs):
     return run_inference(*args, **kwargs)
 
 
+def _option(name: str, value, rule):
+    """``value``, given as option ``name``, read by ``rule``; a value the rule
+    refuses raises a ValueError that names the option."""
+    return read_field({name: value}, name, rule, "option", ValueError)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    rule = read_field({"--sparsity-threshold": args.sparsity_threshold},
-                      "--sparsity-threshold", ALERT_RULES["sparsity"].at, "option", ValueError)
+    rule = _option("--sparsity-threshold", args.sparsity_threshold, ALERT_RULES["sparsity"].at)
+    timesteps = _option("--timesteps", args.timesteps, optional(within(1)))
+    duration = _option("--timestep-duration", args.timestep_duration, within(0, open_lo=True))
     from . import files, model as mdl, rng, workload as wl
     from .simulate import SimulationConfig
 
     rng.check_seed(args.seed)  # before the model and workload load
     m = mdl.load_model(args.model)
     workload = files.load_workload(args.workload)
-    timesteps = args.timesteps
     if workload.timesteps is not None:
         if timesteps is not None and timesteps != workload.timesteps:
             raise files.WorkloadFileError(
@@ -147,7 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         timesteps=timesteps,
         seed=args.seed,
-        timestep_duration=args.timestep_duration,
+        timestep_duration=duration,
     )
     train = files.prepare_input(workload, config)
     del workload  # its decoded lists, 8 MB per 10^6 frame entries of +0.0, go before the run
@@ -232,10 +238,12 @@ def _load_counts(path: str) -> tuple[wl.OpCounts, int, float | None]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    rate, duration = (read_field({name: value}, name, optional(within(0, open_lo=True)),
-                                 "option", ValueError)
+    rate, duration = (_option(name, value, optional(within(0, open_lo=True)))
                       for name, value in (("--inference-rate", args.inference_rate),
                                           ("--duration", args.duration)))
+    if args.trace and duration is not None:
+        raise ValueError("option '--duration' applies to --counts input only; "
+                         "a trace carries its own duration")
     from . import compare as cmp, energy as en, workload as wl
 
     spec = en.load_hardware_spec(args.hwspec)

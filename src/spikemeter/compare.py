@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Annotated
 
 from .catalog import DOMAIN_UPPER, MissingSpecError
-from .fields import check, within
+from .fields import check, read_field, within
 
 if TYPE_CHECKING:
     from .energy import HardwareSpec
@@ -50,8 +50,9 @@ def speedup(old: VersionMeasurement, new: VersionMeasurement, *, as_published: b
 
 def greenup(old: VersionMeasurement, new: VersionMeasurement, *, as_published: bool = False) -> float:
     """Total-energy ratio; > 1 means the new version uses less energy."""
-    if old.energy <= 0 or new.energy <= 0:
-        raise ValueError("energies must be > 0")
+    for m in (old, new):  # a ratio needs energies in (0, inf), not the metric's [0, inf)
+        read_field(vars(m), "energy", within(0, open_lo=True), f"version {m.version!r}",
+                   ValueError)
     return new.energy / old.energy if as_published else old.energy / new.energy
 
 

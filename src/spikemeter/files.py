@@ -17,8 +17,10 @@ per-timestep tallies, and the structural metrics of the model that produced
 it.  Its bytes are defined as ``json.dumps(trace_to_dict(trace),
 sort_keys=True) + "\n"``, so identical runs serialize identically;
 :func:`save_trace` streams those bytes to the file, the spike matrices from
-the numpy arrays without building their lists, and everything else, the
-per-timestep tallies included, from the trace's counts.
+the numpy arrays a block of rows at a time without building their lists,
+and everything else, the per-timestep tallies included, from the trace's
+counts.  A layer held as bool is binary; any other is binary when every
+entry is 0 or 1.
 Unknown keys are refused at the top level and in each spike-layer entry;
 an entry's ``kind`` is ``binary`` or ``analog`` and its ``layer`` is its
 index in the list.  :func:`load_trace` checks the whole file but returns only
@@ -160,9 +162,9 @@ def _trace_fields(trace: WorkloadTrace, form=lambda array: array) -> dict:
     import numpy as np
 
     def layer(index: int, events: np.ndarray) -> dict:
-        if np.all((events == 0.0) | (events == 1.0)):
-            return {"layer": index, "kind": "binary",
-                    "events": form(np.argwhere(events != 0.0))}
+        if events.dtype == bool or all(np.all((block == 0.0) | (block == 1.0))
+                                       for block in _row_blocks(events)):
+            return {"layer": index, "kind": "binary", "events": form(np.argwhere(events))}
         return {"layer": index, "kind": "analog", "frames": form(events)}
 
     counts = trace.counts
@@ -210,19 +212,38 @@ def _dump(value, write) -> None:
 
 
 _ZERO = "0.0, "  # one +0.0 entry and the separator after it
+_BLOCK_CELLS = 1 << 12  # cells per block of rows the trace writer reads at once
+
+
+def _row_blocks(array: np.ndarray):
+    """The matrix ``array``'s rows, in blocks of at most ``_BLOCK_CELLS``
+    cells but at least one row."""
+    step = max(1, _BLOCK_CELLS // max(1, array.shape[1]))
+    return (array[r0:r0 + step] for r0 in range(0, len(array), step))
 
 
 def _dump_array(array: np.ndarray, write) -> None:
-    """``json.dumps(array.tolist())``.  A float matrix, written a row at a
-    time, gets text only for its entries other than +0.0 and writes each run
-    of +0.0 entries as one repeated string; analog frames are mostly zeros."""
-    import numpy as np
-
-    if array.dtype.kind != "f" or array.ndim != 2 or array.size == 0:
+    """``json.dumps(array.tolist())``.  A matrix is written a block of rows
+    at a time, so no temporary spans the whole of it: an event matrix's
+    rows through ``json.dumps``, a float matrix's by :func:`_frame_rows`."""
+    if array.ndim != 2 or array.size == 0:
         write(json.dumps(array.tolist()))
         return
-    rows, cols = array.shape
-    at = np.flatnonzero((array != 0.0) | np.signbit(array))  # -0.0 keeps its sign
+    for i, block in enumerate(_row_blocks(array)):
+        write(", " if i else "[")
+        write(_frame_rows(block) if array.dtype.kind == "f" else json.dumps(block.tolist())[1:-1])
+    write("]")
+
+
+def _frame_rows(block: np.ndarray) -> str:
+    """The text of the float matrix ``block``'s rows, ``", "``-separated, as
+    ``json.dumps`` writes them.  Only entries other than +0.0 get text of
+    their own; each run of +0.0 entries is one repeated string, since analog
+    frames are mostly zeros."""
+    import numpy as np
+
+    rows, cols = block.shape
+    at = np.flatnonzero((block != 0.0) | np.signbit(block))  # -0.0 keeps its sign
     r, c = np.divmod(at, cols)
     # the +0.0 entries before each written one, counted from its row's start
     # or from the written entry before it, and after each row's last
@@ -238,11 +259,10 @@ def _dump_array(array: np.ndarray, write) -> None:
     pieces = [", "] * (3 * len(runs))  # per written entry: zeros, its text, ", "
     pieces[0::3] = map(zeros.__getitem__, runs)
     if at.size:
-        pieces[1::3] = json.dumps(array.ravel()[at].tolist())[1:-1].split(", ")
-    for i in range(rows):
-        row = "".join(pieces[3 * bounds[i]:3 * bounds[i + 1]]) + zeros[tails[i]]
-        write(("[[" if i == 0 else ", [") + row[:-2] + "]")
-    write("]")
+        pieces[1::3] = json.dumps(block.ravel()[at].tolist())[1:-1].split(", ")
+    return ", ".join(
+        "[" + ("".join(pieces[3 * bounds[i]:3 * bounds[i + 1]]) + zeros[tails[i]])[:-2] + "]"
+        for i in range(rows))
 
 
 def save_trace(trace: WorkloadTrace, path: str | Path) -> None:

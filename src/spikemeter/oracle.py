@@ -112,7 +112,7 @@ def dense_oracle_counts(
             prev_spikes[li] = [spike_rec[li][i][t] for i in range(layer.out_size)]
 
     spikes = [train.events]
-    spikes += [np.array(rec, dtype=np.float64) for rec in spike_rec]
+    spikes += [np.array(rec, dtype=bool) for rec in spike_rec]
     return WorkloadTrace(spikes, TraceCounts(
         layer_sizes=model.layer_sizes, timesteps=T, timestep_duration=config.timestep_duration,
         acs=acs, macs=macs, leak_macs=leak_macs, membrane_updates=updates,

@@ -23,16 +23,20 @@ the event-driven path and the dense oracle, and traces are bit-reproducible.
 
 The simulation runs layer-major: a layer handles all timesteps before the
 next layer starts, since a layer's input is the previous layer's complete
-output train.  Its feed-forward current is built for every timestep at
-once, one presynaptic neuron at a time in ascending order, and is added only
-at the timesteps where that input is nonzero; all-zero weight columns are
-skipped.  A skipped product, and the product of a zero weight that is added,
-is +0.0 or -0.0.  Adding either to a sum that starts at +0.0 changes no bit,
-because such a sum is never -0.0, so the currents equal the oracle's, which
-skips exactly the zero products.  Only the membrane recurrence -- recurrent
-feedback, bias, leak, threshold and reset -- steps through time; the tallies
-are counted afterwards from boolean records of the spikes and of the
-potentials that entered each step nonzero.
+output train, which it holds as a bool neuron x timestep matrix (a spike is
+``True``, and ``True * w == w``).  Its feed-forward current is built one
+block of timesteps at a time, a fixed number of cells per block whatever
+the run's length; within a block, one presynaptic neuron at a time in
+ascending order, added only at the timesteps where that input is nonzero.
+All-zero weight columns are skipped.  A skipped product, and the product of
+a zero weight that is added, is +0.0 or -0.0.  Adding either to a sum that
+starts at +0.0 changes no bit, because such a sum is never -0.0, so the
+currents equal the oracle's, which skips exactly the zero products.  Only
+the membrane recurrence -- recurrent feedback, bias, leak, threshold and
+reset -- steps through time, carrying the potentials and the last spikes
+from one block into the next; the tallies are counted afterwards from
+boolean records of the spikes and of the potentials that entered each step
+nonzero.
 
 The tallies cost integer and bitwise work per event, with no float matrix
 product and so no BLAS call.  While the layer steps, each presynaptic
@@ -170,7 +174,8 @@ class WorkloadTrace:
     """Spikes and counts from one inference.
 
     ``spikes[0]`` is the input train's own read-only ``events`` array
-    (possibly analog); all later layers are binary.  ``counts`` holds the
+    (possibly analog); every later layer's spikes are a C-contiguous bool
+    neuron x timestep matrix.  ``counts`` holds the
     effective (event-driven) tallies and everything else the metrics and the
     pricing read.
     """
@@ -224,7 +229,7 @@ def run_inference(
         tallies += _tally_layer(layer, spikes[-1], fired, entering, feed, rec_fan)
         crossings += np.count_nonzero(spikes[-1], axis=0)
         non_input_spikes += int(np.count_nonzero(fired))
-        spikes.append(np.ascontiguousarray(fired.T, dtype=np.float64))
+        spikes.append(np.ascontiguousarray(fired.T))
     acs, macs, leak_macs, updates = tallies.tolist()
 
     return WorkloadTrace(spikes, TraceCounts(
@@ -235,8 +240,12 @@ def run_inference(
     ))
 
 
-# Timestep x neuron cells per block of the scratch arrays that span a layer.
+# Cells per block of the scratch arrays that span a layer: input x neuron
+# for the transposed weights, timestep x neuron or input for the tallies.
 _BLOCK_CELLS = 1 << 16
+# Timestep x neuron cells per block of a layer's feed-forward current: 2 MB
+# of float64, which holds a 100-step run of a 1024-neuron layer in one block.
+_CURRENT_CELLS = 1 << 18
 
 
 class _Fan:
@@ -267,17 +276,7 @@ def _run_layer(
     transposed copies the layer steps with.
     """
     T = source.shape[1]
-    current = np.zeros((T, layer.out_size), dtype=np.float64)
     feed = _Fan(layer.in_size, layer.out_size)
-    block = max(1, _BLOCK_CELLS // layer.out_size)
-    for j0 in range(0, layer.in_size, block):
-        columns = layer.weights[:, j0:j0 + block].T.copy()  # one contiguous row per input
-        feed.add(j0, columns != 0.0)
-        for j in feed.counts[j0:j0 + block].nonzero()[0]:
-            ts = source[j0 + j].nonzero()[0]
-            if ts.size:
-                current[ts] += np.multiply.outer(source[j0 + j, ts], columns[j])
-
     recurrent = rec_fan = None
     if layer.recurrent_weights is not None:
         recurrent = np.ascontiguousarray(layer.recurrent_weights.T)
@@ -288,27 +287,46 @@ def _run_layer(
     threshold = layer.neuron.threshold
     to_zero = layer.neuron.reset_mode is ResetMode.TO_ZERO
     fired = np.zeros((T, layer.out_size), dtype=bool)
+    entering = np.zeros_like(fired)
     v = np.zeros(layer.out_size, dtype=np.float64)
     decayed = np.empty_like(v)
     prev = fired[0]  # no spikes before the first step
-    # Each row of ``current`` becomes the step's potential: the input plus
-    # the decayed potential, the same IEEE sum as beta * v + input.
-    for cur, spiked in zip(current, fired):
-        if recurrent is not None:
-            for k in prev.nonzero()[0].tolist():
-                cur += recurrent[k]
-        if biases is not None:
-            cur += biases
-        np.multiply(v, beta, out=decayed)
-        cur += decayed
-        np.greater_equal(cur, threshold, out=spiked)
-        if to_zero:
-            cur[spiked] = 0.0
-        else:
-            cur[spiked] -= threshold
-        v, prev = cur, spiked
-    entering = np.zeros_like(fired)
-    np.not_equal(current[:-1], 0.0, out=entering[1:])
+    inputs = max(1, _BLOCK_CELLS // layer.out_size)
+    steps = min(T, max(1, _CURRENT_CELLS // layer.out_size))
+    blocks = np.empty((steps, layer.out_size), dtype=np.float64)
+    for t0 in range(0, T, steps):
+        t1 = min(T, t0 + steps)
+        current = blocks[:t1 - t0]
+        v = v.copy()  # the block before's last row, which ``current`` overwrites
+        current.fill(0.0)
+        for j0 in range(0, layer.in_size, inputs):
+            columns = layer.weights[:, j0:j0 + inputs].T.copy()  # one contiguous row per input
+            if t0 == 0:
+                feed.add(j0, columns != 0.0)
+            for j in feed.counts[j0:j0 + inputs].nonzero()[0]:
+                x = source[j0 + j, t0:t1]
+                ts = x.nonzero()[0]
+                if ts.size:
+                    current[ts] += np.multiply.outer(x[ts], columns[j])
+
+        # Each row of ``current`` becomes the step's potential: the input plus
+        # the decayed potential, the same IEEE sum as beta * v + input.
+        np.not_equal(v, 0.0, out=entering[t0])
+        for cur, spiked in zip(current, fired[t0:t1]):
+            if recurrent is not None:
+                for k in prev.nonzero()[0].tolist():
+                    cur += recurrent[k]
+            if biases is not None:
+                cur += biases
+            np.multiply(v, beta, out=decayed)
+            cur += decayed
+            np.greater_equal(cur, threshold, out=spiked)
+            if to_zero:
+                cur[spiked] = 0.0
+            else:
+                cur[spiked] -= threshold
+            v, prev = cur, spiked
+        np.not_equal(current[:-1], 0.0, out=entering[t0 + 1:t1])
     return fired, entering, feed, rec_fan
 
 

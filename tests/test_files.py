@@ -21,11 +21,12 @@ from spikemeter.files import (
     trace_to_dict,
     workload_from_dict,
 )
+from spikemeter.model import LayerDescriptor, LayerKind, ModelDescriptor, NeuronParams, ResetMode
 from spikemeter.simulate import (AnalogTrain, SimulationConfig, SpikeTrain, WorkloadTrace,
                                  run_inference)
 from spikemeter.workload import TraceCounts
 
-from conftest import simple_model
+from conftest import fc_layer, input_layer, simple_model
 
 
 class TestWorkloadParsing:
@@ -231,6 +232,23 @@ def test_dump_array_writes_json_dumps_of_the_list(array):
     pieces = []
     _dump_array(array, pieces.append)
     assert "".join(pieces) == json.dumps(array.tolist())
+
+
+def test_boolean_spikes_save_as_their_float_copy(tmp_path):
+    """A layer's spikes as bool, as the simulator holds them, or as float64
+    0/1 give the same trace bytes: both are a binary layer's events."""
+    rng = np.random.default_rng(3)
+    frames = np.where(rng.random((3, 40)) < 0.3, rng.uniform(-1.0, 1.0, (3, 40)), 0.0)
+    fired = rng.random((5, 40)) < 0.2
+    zeros = [0] * 40
+    saved = []
+    for spikes in (fired, fired.astype(np.float64)):
+        path = tmp_path / f"{spikes.dtype}.json"
+        save_trace(trace_of([frames, spikes], acs=zeros, macs=zeros, leak_macs=zeros,
+                            membrane_updates=zeros, timestep_duration=1e-3), path)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+    assert json.loads(saved[0])["spikes"][1]["kind"] == "binary"
 
 
 class TestTraceValidation:
@@ -451,3 +469,34 @@ def test_mostly_zero_frames_decode_small(tmp_path):
         tracemalloc.stop()
     assert workload.frames == frames
     assert held / (shape[0] * shape[1]) < 12
+
+
+def test_long_narrow_run_and_its_trace_stay_small(tmp_path):
+    """Simulating 8 sparse analog channels into 256 recurrent neurons for
+    4000 steps, then saving the trace, peaks under 8 bytes allocated per
+    neuron-timestep of the recurrent layer: a float64 matrix of that layer's
+    spikes or current would take all 8 by itself."""
+    rng = np.random.default_rng(12)
+    channels, hidden, steps = 8, 256, 4000
+
+    def half_zero(shape, scale):
+        return np.where(rng.random(shape) < 0.5, 0.0, rng.normal(0.0, scale, shape))
+
+    recurrent = LayerDescriptor(
+        kind=LayerKind.RECURRENT, in_size=channels, out_size=hidden,
+        weights=half_zero((hidden, channels), 1.2),
+        recurrent_weights=half_zero((hidden, hidden), 0.05), biases=half_zero((hidden,), 0.05),
+        neuron=NeuronParams(beta=0.9, threshold=1.0, reset_mode=ResetMode.SUBTRACT))
+    model = ModelDescriptor(name="long", version="v1", layers=(
+        input_layer(channels), recurrent, fc_layer(half_zero((4, hidden), 0.8), beta=0.5)))
+    shape = (channels, steps)
+    train = AnalogTrain(np.where(rng.random(shape) < 0.03, rng.uniform(0.05, 0.95, shape), 0.0))
+    tracemalloc.start()
+    try:
+        trace = run_inference(model, train, SimulationConfig(timesteps=steps))
+        save_trace(trace, tmp_path / "trace.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.counts.non_input_spikes > 0
+    assert peak / (hidden * steps) < 8

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikemeter import simulate
 from spikemeter.model import LayerDescriptor, LayerKind, ModelDescriptor, NeuronParams, ResetMode
 from spikemeter.oracle import dense_oracle_counts
 from spikemeter.simulate import (_BLOCK_CELLS, AnalogTrain, SimulationConfig, SpikeTrain,
@@ -219,6 +220,35 @@ def test_many_time_blocks_feed_back_across_blocks():
     fired = run_inference(model, train, SimulationConfig(timesteps=train.timesteps)).spikes[1]
     assert train.timesteps > 3 * block
     assert fired[:, block - 1].any() and fired[:, 2 * block - 1].any()
+
+
+@pytest.mark.parametrize("steps", [1, 7, 16])
+def test_run_across_current_blocks_matches_oracle(monkeypatch, steps):
+    """_run_layer builds each layer's current ``steps`` timesteps at a time
+    here, so a 50-step run spans at least four blocks.  Beta 0.9, the
+    subtract reset and a bias keep potentials nonzero across the block
+    edges, and recurrent spikes feed back over them."""
+    rng = np.random.default_rng(9)
+    channels, hidden, T = 5, 8, 50
+    recurrent = LayerDescriptor(
+        kind=LayerKind.RECURRENT, in_size=channels, out_size=hidden,
+        weights=rng.uniform(-0.2, 0.6, (hidden, channels)),
+        recurrent_weights=rng.uniform(-0.4, 0.3, (hidden, hidden)),
+        biases=rng.uniform(0.05, 0.15, hidden),
+        neuron=NeuronParams(beta=0.9, threshold=1.0, reset_mode=ResetMode.SUBTRACT))
+    readout = fc_layer(rng.uniform(-0.5, 1.0, (3, hidden)), beta=0.9, reset=ResetMode.SUBTRACT)
+    model = ModelDescriptor(name="blocks", version="v1",
+                            layers=(input_layer(channels), recurrent, readout))
+    frames = np.where(rng.random((channels, T)) < 0.3, rng.uniform(0.1, 1.0, (channels, T)), 0.0)
+    train = AnalogTrain(frames)
+    monkeypatch.setattr(simulate, "_CURRENT_CELLS", steps * hidden)
+    assert T > 3 * steps
+    config = SimulationConfig(timesteps=T)
+    trace = run_inference(model, train, config)
+    assert trace.equals(dense_oracle_counts(model, train, config))
+    edges = range(steps, T, steps)
+    assert all(trace.counts.leak_macs[t] for t in edges)  # potentials cross each edge
+    assert any(trace.spikes[1][:, t - 1].any() for t in edges)  # and so does feedback
 
 
 # Rounding makes these sums depend on their order.  (0.1 + 0.2) + 0.3 sits

@@ -406,22 +406,37 @@ class TestCliExitCodes:
          "option field '--duration': expected a number in (0, inf), got 0"),
         (["compare", "--old-energy", "1", "--old-time", "0", "--new-energy", "1",
           "--new-time", "1"], "version 'old' field 'time': expected a number in (0, inf), got 0"),
+        (["compare", "--old-energy", "0", "--old-time", "1", "--new-energy", "1",
+          "--new-time", "1"], "version 'old' field 'energy': expected a number in (0, inf), got 0"),
         (["simulate", "--timestep-duration", "-1"],
-         "simulation config field 'timestep_duration': expected a number in (0, inf), got -1"),
+         "option field '--timestep-duration': expected a number in (0, inf), got -1"),
+        (["simulate", "--timesteps", "0"],
+         "option field '--timesteps': expected a number in [1, inf), got 0"),
     ], ids=["inference-rate-negative", "inference-rate-zero", "duration-zero",
-            "compare-old-time", "simulate-timestep-duration"])
+            "compare-old-time", "compare-old-energy-zero", "simulate-timestep-duration",
+            "simulate-timesteps-zero"])
     def test_option_outside_its_domain_exits_2(self, tmp_path, capsys, argv, message):
-        """Checked up front: a battery-less spec reads no --inference-rate."""
+        """Checked up front: a battery-less spec reads no --inference-rate, and
+        simulate's model and workload do not exist."""
         spec = tmp_path / "spec.json"
         raw = json.loads(Path(demo_path("demo_hwspec.json")).read_text())
         spec.write_text(json.dumps({k: v for k, v in raw.items() if k != "battery"}))
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps({"acs": 10, "duration": 1e-3}))
         inputs = {"estimate": ["--counts", str(counts), "--hwspec", str(spec)],
-                  "simulate": ["--model", demo_path("demo_model.json"),
-                               "--workload", demo_path("demo_workload.json")]}
+                  "simulate": ["--model", str(tmp_path / "none.json"),
+                               "--workload", str(tmp_path / "none.json")]}
         code, out, err = run_main([*argv, *inputs.get(argv[0], [])], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_duration_with_a_trace_exits_2(self, capsys):
+        """A trace carries its own duration, so --duration is refused, not ignored."""
+        trace = str(Path(__file__).parent / "data" / "golden_trace_demo.json")
+        code, out, err = run_main(["estimate", "--trace", trace, "--hwspec",
+                                   demo_path("demo_hwspec.json"), "--duration", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: option '--duration' applies to --counts input only; "
+                       "a trace carries its own duration\n")
 
     @pytest.mark.parametrize("overrides", ["power_density=30,power_density=5",
                                            "power_density=5,power_density=30"])

@@ -176,6 +176,18 @@ class TestRunInference:
 
 
 @pytest.mark.parametrize("run", [run_inference, dense_oracle_counts], ids=["event", "oracle"])
+def test_simulated_layers_hold_boolean_spikes(run):
+    """Every layer after the input holds its spikes as a C-contiguous bool
+    neuron x timestep matrix, a byte per entry."""
+    model = random_model(np.random.default_rng(4))
+    train = SpikeTrain(np.eye(model.input_size, 6))
+    spikes = run(model, train, SimulationConfig(timesteps=6)).spikes
+    assert len(spikes) == len(model.layer_sizes) > 1
+    for layer, size in zip(spikes[1:], model.layer_sizes[1:]):
+        assert (layer.dtype, layer.shape, layer.flags.c_contiguous) == (bool, (size, 6), True)
+
+
+@pytest.mark.parametrize("run", [run_inference, dense_oracle_counts], ids=["event", "oracle"])
 @pytest.mark.parametrize("cls, rows", [
     (AnalogTrain, [[0.5, 0.0, -0.25, 1.0], [0.0, -0.0, 2.0, 0.75]]),
     (SpikeTrain, [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]),
